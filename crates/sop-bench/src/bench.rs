@@ -1,17 +1,12 @@
 //! The simulator benchmark suite behind `sop bench` and `BENCH_sim.json`.
 //!
-//! Three tiers, all deterministic in *what* they run (only the clock
+//! Two tiers, both deterministic in *what* they run (only the clock
 //! varies):
 //!
 //! * **micro** — single [`Machine::run_window`] calls over the chapter-3
 //!   validation machines and the chapter-4 pod, reporting simulated
 //!   cycles per second of wall time. These isolate the engine itself
 //!   from the execution layer.
-//! * **par-scaling** — the chapter-4 pod at 1/2/4 intra-run threads,
-//!   reporting Mcycles/s per thread count and the speedup over the
-//!   1-thread run. The 1-thread row doubles as the zero-overhead pin:
-//!   it must take the sequential path and export no `prof.par.*`
-//!   metrics.
 //! * **campaign** — the chapter campaigns run cold (in-memory
 //!   memoization only, nothing served from disk), reporting wall time
 //!   and cycles/sec per chapter. Chapters run in order inside one
@@ -116,63 +111,6 @@ pub fn micro_benches_collect(quick: bool, metrics: &mut Registry) -> Json {
     Json::Arr(rows)
 }
 
-/// The parallel-engine scaling tier: one 64-tile pod machine per thread
-/// count, reporting Mcycles/s and the speedup over the 1-thread row.
-/// The 1-thread row is also the zero-overhead pin the bench smoke
-/// asserts: `set_threads(1)` must leave the sequential engine in place
-/// (`par_active` false) and a profiled run must export no `prof.par.*`
-/// metrics at all. Speedups above 1 need real cores — on a 1-CPU host
-/// the rows still pin determinism and overhead, just not scaling.
-pub fn par_scaling_benches(quick: bool) -> Json {
-    let (warm, measure) = if quick {
-        (1_000, 2_000)
-    } else {
-        (4_000, 8_000)
-    };
-    let mut rows = Vec::new();
-    let mut base_rate = 0.0f64;
-    for threads in [1usize, 2, 4] {
-        let mut machine = Machine::new(SimConfig::pod_64(Workload::WebSearch, TopologyKind::Mesh));
-        machine.enable_profiling();
-        machine.set_threads(threads);
-        assert_eq!(
-            machine.par_active(),
-            threads > 1,
-            "a 64-tile pod shards iff more than one thread is requested"
-        );
-        let start = Instant::now();
-        let result = machine.run_window(warm, measure);
-        let wall_us = start.elapsed().as_micros() as u64;
-        let barrier_ns = result.metrics.counter("prof.par.barrier.ns");
-        if threads == 1 {
-            assert!(
-                !result
-                    .metrics
-                    .iter()
-                    .any(|(k, _)| k.starts_with("prof.par.")),
-                "threads=1 must add zero parallel overhead: no prof.par.* metrics"
-            );
-        }
-        let rate = (warm + measure) as f64 / wall_us.max(1) as f64;
-        if threads == 1 {
-            base_rate = rate;
-        }
-        let mut row = Json::object()
-            .with("threads", threads as u64)
-            .with("wall_us", wall_us)
-            .with("mcycles_per_sec", mcycles_per_sec(warm + measure, wall_us))
-            .with("speedup_vs_1t", rate / base_rate);
-        if threads > 1 {
-            row.insert(
-                "barrier_frac",
-                Json::Num(barrier_ns as f64 / (wall_us as f64 * 1_000.0).max(1.0)),
-            );
-        }
-        rows.push(row);
-    }
-    Json::Arr(rows)
-}
-
 /// Runs each named campaign cold on `jobs` workers (0 = one per core)
 /// and returns the `campaigns` rows. Analytic chapters simulate no
 /// cycles and report a null rate.
@@ -254,7 +192,6 @@ pub fn run_suite_with_metrics(quick: bool, jobs: usize, only: Option<&[&str]>) -
     let mut metrics = Registry::new();
     let campaigns = campaign_benches_on(&exec, names, quick);
     let micro = micro_benches_collect(quick, &mut metrics);
-    let par_scaling = par_scaling_benches(quick);
     metrics.merge(&exec.metrics_snapshot());
     let wall_sum = |rows: &[Json], chapters_only: bool| -> u64 {
         rows.iter()
@@ -276,7 +213,6 @@ pub fn run_suite_with_metrics(quick: bool, jobs: usize, only: Option<&[&str]>) -
     let mut section = Json::object()
         .with("quick", quick)
         .with("micro", micro)
-        .with("par_scaling", par_scaling)
         .with("campaigns", campaigns)
         .with("total_wall_ms", total_wall_ms);
     let full_roster = names == BENCH_CAMPAIGNS;
@@ -323,14 +259,6 @@ pub fn history_entry(section: &Json, commit: &str, date: &str) -> Json {
                 section.get("micro").and_then(Json::as_arr),
                 "name",
                 &["mcycles_per_sec"],
-            ),
-        )
-        .with(
-            "par_scaling",
-            tier(
-                section.get("par_scaling").and_then(Json::as_arr),
-                "threads",
-                &["mcycles_per_sec", "speedup_vs_1t"],
             ),
         )
         .with(
@@ -599,44 +527,6 @@ mod tests {
                 .and_then(Json::as_str),
             Some(format!("c{}", HISTORY_CAP + 9).as_str())
         );
-    }
-
-    #[test]
-    fn par_tier_reports_all_thread_counts_and_pins_zero_overhead() {
-        // The zero-overhead pin itself (no prof.par.* metrics at one
-        // thread, sequential path taken) asserts inside the tier; this
-        // test runs it and checks the row shape.
-        let rows = par_scaling_benches(true);
-        let rows = rows.as_arr().expect("par rows");
-        assert_eq!(rows.len(), 3);
-        for (row, threads) in rows.iter().zip([1u64, 2, 4]) {
-            assert_eq!(
-                row.get("threads").and_then(Json::as_f64),
-                Some(threads as f64)
-            );
-            assert!(
-                row.get("mcycles_per_sec")
-                    .and_then(Json::as_f64)
-                    .is_some_and(|r| r > 0.0),
-                "{row:?}"
-            );
-            assert!(
-                row.get("speedup_vs_1t")
-                    .and_then(Json::as_f64)
-                    .is_some_and(|s| s > 0.0),
-                "{row:?}"
-            );
-            assert_eq!(row.get("barrier_frac").is_some(), threads > 1, "{row:?}");
-        }
-        // The history entry keeps the scaling trajectory.
-        let section = Json::object().with("par_scaling", Json::Arr(rows.to_vec()));
-        let entry = history_entry(&section, "abc", "2026-08-09");
-        let kept = entry
-            .get("par_scaling")
-            .and_then(Json::as_arr)
-            .expect("rows");
-        assert_eq!(kept.len(), 3);
-        assert!(kept[2].get("speedup_vs_1t").is_some());
     }
 
     #[test]

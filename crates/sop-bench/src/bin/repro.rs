@@ -21,13 +21,12 @@
 //!   (requires `--json`).
 //! * `--jobs N` — run simulation points on N worker threads (0 or
 //!   omitted = one per core). Output is byte-identical for any N.
-//! * `--threads N` — shard each machine across N worker threads
-//!   (lookahead-bounded domain parallelism). Output is byte-identical
-//!   for any N; machines too small to shard run sequentially.
 //! * `--no-cache` — recompute every simulation point, ignoring
 //!   `target/sop-cache/`.
 //! * `--resume` — replay points recorded in the campaign manifests of a
 //!   previous (possibly killed) run.
+//! * `--timeout-secs N`, `--retries N`, `--no-heartbeat` — the execution
+//!   engine's watchdog, retry budget and progress stream (see DESIGN.md).
 //! * `--stable` — strip wall-clock spans and `exec.*` state from the
 //!   `--json` report so reports from different worker counts and cache
 //!   states compare byte-for-byte.
@@ -37,6 +36,8 @@
 //!   is never contaminated; goldens are measured on the healthy machine
 //!   and may legitimately fail under damage.
 //!
+//! Any other flag is rejected with exit 2 before anything runs.
+//!
 //! The `degradation` experiment id prints the seeded router-death sweep
 //! (pod throughput vs fraction of failed routers); it is not part of
 //! `all`, which stays the canonical fault-free reproduction.
@@ -45,6 +46,7 @@
 //! values (see `tests/golden.rs` and EXPERIMENTS.md) and exits non-zero
 //! if any reproduced value deviates beyond tolerance.
 
+use sop_bench::check_flags;
 use sop_bench::points::{set_global_faults, SpecFaults};
 use sop_bench::report::{checks_json, golden_checks, pod_sample_metrics};
 use sop_bench::{ch2, ch3, ch4, ch5, ch6, degradation};
@@ -52,8 +54,24 @@ use sop_exec::{Exec, ExecConfig};
 use sop_obs::{stabilized, write_atomic, Json, Registry, Report, SpanLog};
 use sop_tech::{CoreKind, TechnologyNode};
 
+/// Flags `repro` accepts on their own, beyond the engine's.
+const SWITCHES: [&str; 3] = ["--quick", "--quiet", "--stable"];
+/// Flags `repro` accepts with a value, beyond the engine's.
+const VALUED: [&str; 2] = ["--json", "--fault"];
+
+const USAGE: &str = "usage: repro <experiment id>... | all [--quick] [--json <path>] [--quiet] \
+                     [--jobs N] [--no-cache] [--resume] [--stable] [--fault routers:N@CYCLE] \
+                     [--timeout-secs N] [--retries N] [--no-heartbeat]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let switches = [&SWITCHES[..], &ExecConfig::SWITCHES[..]].concat();
+    let valued = [&VALUED[..], &ExecConfig::VALUED[..]].concat();
+    if let Err(e) = check_flags(&args, &switches, &valued) {
+        eprintln!("repro: {e}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let quiet = args.iter().any(|a| a == "--quiet");
     let stable = args.iter().any(|a| a == "--stable");
@@ -70,22 +88,10 @@ fn main() {
             std::process::exit(2);
         }
     };
-    match flag_value(&args, "--threads").map(|v| v.parse::<usize>()) {
-        None => {}
-        Some(Ok(n)) if n >= 1 => sop_sim::set_default_threads(n),
-        Some(_) => {
-            eprintln!("repro: --threads must be a positive integer");
-            std::process::exit(2);
-        }
-    }
     let exec = Exec::new(ExecConfig::from_args(&args));
-    let ids = experiment_ids(&args);
+    let ids = experiment_ids(&args, &valued);
     if ids.is_empty() {
-        eprintln!(
-            "usage: repro <experiment id>... | all [--quick] [--json <path>] [--quiet] \
-             [--jobs N] [--threads N] [--no-cache] [--resume] [--stable] \
-             [--fault routers:N@CYCLE]"
-        );
+        eprintln!("{USAGE}");
         eprintln!("see DESIGN.md for the experiment index");
         std::process::exit(2);
     }
@@ -248,20 +254,16 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-/// Positional experiment ids: everything that is not a flag or a flag's
-/// value.
-fn experiment_ids(args: &[String]) -> Vec<String> {
+/// Positional experiment ids: everything that is not a flag or a
+/// valued flag's value (`valued` as accepted by [`check_flags`]).
+fn experiment_ids(args: &[String], valued: &[&str]) -> Vec<String> {
     let mut ids = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        match a.as_str() {
-            "--json" | "--jobs" | "--threads" | "--fault" => skip = true,
-            "--quick" | "--quiet" | "--no-cache" | "--resume" | "--stable" => {}
-            _ => ids.push(a.clone()),
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if valued.contains(&a.as_str()) {
+            rest.next();
+        } else if !a.starts_with("--") {
+            ids.push(a.clone());
         }
     }
     ids

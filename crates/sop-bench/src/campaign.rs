@@ -44,11 +44,10 @@ pub fn simulated_work_counter() -> u64 {
 /// name.
 pub fn run_campaign(name: &str, quick: bool, exec: &Exec) -> Option<Json> {
     // Let the engine's heartbeat stamp job_finish events with the
-    // process-wide simulated-work counter and the parallel engine's
-    // telemetry (sop-exec cannot depend on sop-sim or sop-fleet, so the
-    // hooks are installed from here).
+    // process-wide simulated-work counter and the SLO alert state
+    // (sop-exec cannot depend on sop-sim or sop-fleet, so the hooks are
+    // installed from here).
     sop_exec::heartbeat::set_cycle_source(simulated_work_counter);
-    sop_exec::heartbeat::set_par_source(sop_sim::par_telemetry);
     sop_exec::heartbeat::set_slo_source(sop_fleet::slo_alert_state);
     match name {
         "ch2" => Some(ch2_data(exec)),

@@ -250,6 +250,12 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
+    /// The stand-alone flags [`ExecConfig::from_args`] reads, for a host
+    /// binary's list of accepted flags.
+    pub const SWITCHES: [&'static str; 3] = ["--no-cache", "--resume", "--no-heartbeat"];
+    /// The flags [`ExecConfig::from_args`] reads with a value.
+    pub const VALUED: [&'static str; 3] = ["--jobs", "--timeout-secs", "--retries"];
+
     /// Parses the engine's standard flags from argv: `--jobs N`,
     /// `--no-cache`, `--resume`, `--timeout-secs N`, `--retries N`,
     /// `--no-heartbeat`.

@@ -10,17 +10,13 @@
 //!
 //! Event identity (`ev`, `job`, `source`) is deterministic for a given
 //! campaign regardless of worker count; timing fields (`t_us`,
-//! `wall_us`, `worker`, `queue`, `eta_us`, `cycles`, `par_threads`,
-//! `par_stall`) are not — the heartbeat determinism test compares the
-//! identity subset only.
+//! `wall_us`, `worker`, `queue`, `eta_us`, `cycles`) are not — the
+//! heartbeat determinism test compares the identity subset only.
 //!
 //! The simulated-cycle counter lives in `sop-sim`, which this crate
 //! cannot depend on; binaries install it via [`set_cycle_source`] so
 //! `job_finish` events can carry a process-wide cycle snapshot and
-//! `sop top` can report Mcycles/s. The intra-run parallel engine's
-//! telemetry rides the same pattern ([`set_par_source`]): parallel
-//! campaigns stamp `job_finish` with the configured thread count and
-//! the epoch-barrier stall fraction so `sop top` can show them live.
+//! `sop top` can report Mcycles/s.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -49,26 +45,6 @@ pub fn set_cycle_source(f: fn() -> u64) {
 
 fn cycles_now() -> Option<u64> {
     CYCLE_SOURCE.get().map(|f| f())
-}
-
-/// One intra-run parallel-engine telemetry sample: configured threads,
-/// epochs crossed, barrier stall ns, parallel advance ns.
-pub type ParTelemetry = (u64, u64, u64, u64);
-
-static PAR_SOURCE: OnceLock<fn() -> ParTelemetry> = OnceLock::new();
-
-/// Installs the intra-run parallel-engine telemetry source (`sop_sim::
-/// par_telemetry`-shaped, see [`ParTelemetry`]). First installation
-/// wins. With the source installed and more than one thread
-/// configured, `job_finish` events gain `par_threads` and `par_stall`
-/// fields; sequential runs emit byte-identical events whether or not
-/// the source is installed.
-pub fn set_par_source(f: fn() -> ParTelemetry) {
-    let _ = PAR_SOURCE.set(f);
-}
-
-fn par_now() -> Option<ParTelemetry> {
-    PAR_SOURCE.get().map(|f| f())
 }
 
 /// Live SLO alert state: `(incidents_fired_total, incidents_active)`.
@@ -234,15 +210,6 @@ impl Heartbeat {
         if let Some(c) = cycles_now() {
             fields.insert("cycles", Json::UInt(c));
         }
-        if let Some((threads, _, barrier_ns, advance_ns)) = par_now() {
-            if threads > 1 {
-                fields.insert("par_threads", Json::UInt(threads));
-                if advance_ns > 0 {
-                    let stall = barrier_ns as f64 / advance_ns as f64;
-                    fields.insert("par_stall", Json::from(stall));
-                }
-            }
-        }
         if let Some((fired, active)) = slo_now() {
             if fired > 0 {
                 fields.insert("slo_fired", Json::UInt(fired));
@@ -340,12 +307,6 @@ pub struct TopSnapshot {
     pub sim_hours_per_sec: Option<f64>,
     /// Latest ETA estimate in µs, if any job has completed.
     pub eta_us: Option<u64>,
-    /// Intra-run parallel-engine thread count from the latest
-    /// `job_finish` carrying one (`None` for sequential campaigns).
-    pub par_threads: Option<u64>,
-    /// Latest epoch-barrier stall fraction (barrier ns over parallel
-    /// advance ns) for parallel campaigns.
-    pub par_stall: Option<f64>,
     /// Total SLO alert incidents fired by armed runs, from the latest
     /// `job_finish` carrying alert state (`None` when no run armed an
     /// SLO spec or nothing fired yet).
@@ -393,19 +354,11 @@ impl TopSnapshot {
             (None, Some(h)) => format!(" · {h:.2} sim-hours/s"),
             (None, None) => String::new(),
         };
-        let par = match (self.par_threads, self.par_stall) {
-            (Some(t), Some(s)) => format!(" · {t} threads ({:.0}% barrier)", s * 100.0),
-            (Some(t), None) => format!(" · {t} threads"),
-            _ => String::new(),
-        };
         let eta = match (self.done, self.eta_us) {
             (false, Some(us)) => format!(" · eta {:.1}s", us as f64 / 1e6),
             _ => String::new(),
         };
-        out.push_str(&format!(
-            "  {:.2} jobs/s{mcyc}{par}{eta}\n",
-            self.jobs_per_sec
-        ));
+        out.push_str(&format!("  {:.2} jobs/s{mcyc}{eta}\n", self.jobs_per_sec));
         if let Some(fired) = self.slo_fired {
             let active = self.slo_active.unwrap_or(0);
             let state = if active > 0 { "FIRING" } else { "clear" };
@@ -446,8 +399,6 @@ pub fn snapshot(events: &[Json]) -> Option<TopSnapshot> {
     let mut t_last = 0.0f64;
     let t_first = num_of(head, "t_us").unwrap_or(0.0);
     let mut cycles: Option<(f64, f64)> = None;
-    let mut par_threads = None;
-    let mut par_stall = None;
     let mut slo_fired = None;
     let mut slo_active = None;
     let mut activity: Vec<WorkerActivity> = Vec::new();
@@ -468,10 +419,6 @@ pub fn snapshot(events: &[Json]) -> Option<TopSnapshot> {
                         None => (c, c),
                         Some((first, _)) => (first, c),
                     });
-                }
-                if let Some(t) = num_of(e, "par_threads") {
-                    par_threads = Some(t as u64);
-                    par_stall = num_of(e, "par_stall");
                 }
                 if let Some(f) = num_of(e, "slo_fired") {
                     slo_fired = Some(f as u64);
@@ -525,8 +472,6 @@ pub fn snapshot(events: &[Json]) -> Option<TopSnapshot> {
         mcycles_per_sec,
         sim_hours_per_sec,
         eta_us,
-        par_threads,
-        par_stall,
         slo_fired,
         slo_active,
         done,
@@ -627,27 +572,6 @@ mod tests {
         let panel = s.render();
         assert!(panel.contains("0.50 sim-hours/s"), "{panel}");
         assert!(!panel.contains("Mcycles"), "{panel}");
-    }
-
-    #[test]
-    fn parallel_campaigns_surface_threads_and_barrier_stall() {
-        let lines = [
-            r#"{"ev":"campaign_start","t_us":0,"campaign":"ch3","jobs":2,"workers":1}"#,
-            r#"{"ev":"job_finish","t_us":1000000,"campaign":"ch3","job":"a","source":"computed","worker":0,"wall_us":1000000,"queue":1,"par_threads":4,"par_stall":0.12}"#,
-        ];
-        let events: Vec<Json> = lines
-            .iter()
-            .map(|l| sop_obs::json::parse(l).expect("event"))
-            .collect();
-        let s = snapshot(&events).expect("campaign present");
-        assert_eq!(s.par_threads, Some(4));
-        assert!((s.par_stall.expect("stall fraction") - 0.12).abs() < 1e-9);
-        let panel = s.render();
-        assert!(panel.contains("4 threads (12% barrier)"), "{panel}");
-        // Sequential events carry no par fields and render none.
-        let s = snapshot(&events[..1]).expect("campaign present");
-        assert_eq!((s.par_threads, s.par_stall), (None, None));
-        assert!(!s.render().contains("threads"), "{}", s.render());
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! ```
 
 pub mod area;
-pub mod domains;
 pub mod message;
 pub mod scaled;
 pub mod sim;
@@ -35,8 +34,7 @@ pub mod slab;
 pub mod topology;
 
 pub use area::{NocAreaBreakdown, NocPowerEstimate};
-pub use domains::{cut_links, lookahead, DomainPartition, DomainPool};
 pub use message::{Delivered, MessageClass, PacketId};
 pub use scaled::ScaledNocOut;
-pub use sim::{NetPar, Network, NocConfig, NocSpans, TrafficCounters};
+pub use sim::{Network, NocConfig, NocSpans, TrafficCounters};
 pub use topology::{NodeRole, RouteHealth, Topology, TopologyKind, UNREACHABLE};

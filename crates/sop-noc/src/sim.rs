@@ -9,13 +9,10 @@
 //! deterministic routing and FIFO queues, so wormhole-style multi-flit
 //! packets reassemble in order at the destination.
 
-use crate::domains::{lookahead, DomainPartition, DomainPool};
 use crate::message::{Delivered, Flit, MessageClass, PacketId};
 use crate::slab::{SideTable, Slab};
 use crate::topology::{RouteHealth, Topology, TopologyKind};
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// Number of virtual channels (one per message class).
 const VCS: usize = 3;
@@ -538,11 +535,6 @@ impl Network {
         }
     }
 
-    /// Whether any input buffer of `node` still holds a flit.
-    fn has_buffered_flits(&self, node: usize) -> bool {
-        self.routers[node].has_buffered_flits()
-    }
-
     /// The earliest future cycle at which [`Network::step`] could do any
     /// work, or `None` while the fabric is guaranteed to stay inert.
     ///
@@ -629,26 +621,62 @@ impl Network {
         } else {
             &worklist
         };
-        {
-            let mut sink = InlineSink {
-                arrivals: &mut self.arrivals,
-                credit_returns: &mut self.credit_returns,
-                packets: &mut self.packets,
-                counters: &mut self.counters,
-                trace: &mut self.trace,
-                delivered: &mut delivered,
-            };
-            for &node in sweep {
-                sweep_node(
-                    &mut self.routers[node],
-                    &mut self.channel_flits[node],
-                    node,
-                    &self.topo,
-                    &self.link_src[node],
-                    &self.link_dst[node],
-                    cycle,
-                    &mut sink,
-                );
+        for &node in sweep {
+            let out_ports = self.topo.channels[node].len();
+            // Local ejection is pseudo-port `out_ports`.
+            for out in 0..=out_ports {
+                if let Some((in_port, vc)) =
+                    pick_input(&mut self.routers[node], &self.topo, node, out)
+                {
+                    let flit = self.routers[node].inputs[in_port].queues[vc]
+                        .pop_front()
+                        .expect("picked head exists");
+                    if let Some(trace) = &mut self.trace {
+                        // A traced head flit's *first* switch win is at
+                        // the source (later hops happen at later cycles),
+                        // ending the inject span.
+                        if flit.is_head {
+                            if let Some(t) = trace.get_mut(flit.packet) {
+                                t.depart.get_or_insert(cycle);
+                            }
+                        }
+                    }
+                    // Return a credit to the upstream router feeding this
+                    // input buffer (injection ports have no upstream).
+                    if let Some(Some((u, uport))) = self.link_src[node].get(in_port).copied() {
+                        let latency = self.topo.channels[u][uport].latency;
+                        self.credit_returns.push(CreditReturn {
+                            due: cycle + u64::from(latency),
+                            node: u,
+                            out_port: uport,
+                            vc,
+                        });
+                    }
+                    if out == out_ports {
+                        // Ejected at the destination.
+                        if let Some(d) =
+                            eject_flit(&mut self.packets, &mut self.counters, node, flit, cycle)
+                        {
+                            delivered.push(d);
+                        }
+                    } else {
+                        let ch = self.topo.channels[node][out];
+                        let (to, to_in) = self.link_dst[node][out];
+                        self.routers[node].credits[out][vc] -= 1;
+                        self.arrivals.push(Arrival {
+                            due: cycle
+                                + u64::from(self.topo.pipeline[node])
+                                + u64::from(ch.latency),
+                            node: to,
+                            in_port: to_in,
+                            flit,
+                        });
+                        self.counters.flit_hops += 1;
+                        self.counters.flit_mm += ch.length_mm;
+                        self.counters.class_flit_hops[flit.class.vc()] += 1;
+                        self.channel_flits[node][out] += 1;
+                    }
+                }
             }
         }
         // Drop drained routers from the worklist (buffers only empty
@@ -657,7 +685,7 @@ impl Network {
         let mut retained = 0;
         for i in 0..self.worklist.len() {
             let node = self.worklist[i];
-            if self.has_buffered_flits(node) {
+            if self.routers[node].has_buffered_flits() {
                 self.worklist[retained] = node;
                 retained += 1;
             } else {
@@ -766,9 +794,6 @@ impl Network {
 
 /// Picks the input (port, vc) that wins output `out` at `node` this
 /// cycle: highest VC (class priority) first, round-robin among ports.
-/// Touches only the node's own router state (plus the read-only
-/// topology), which is what lets the parallel sweep arbitrate domains
-/// concurrently.
 fn pick_input(
     router: &mut RouterState,
     topo: &Topology,
@@ -802,9 +827,7 @@ fn pick_input(
 }
 
 /// Books one ejected flit into the packet slab and traffic counters,
-/// returning the delivery when it was the packet's last flit. Shared by
-/// the sequential sweep (inline) and the parallel merge (replayed in
-/// canonical order), so both engines run the identical bookkeeping.
+/// returning the delivery when it was the packet's last flit.
 fn eject_flit(
     packets: &mut Slab<PacketMeta>,
     counters: &mut TrafficCounters,
@@ -837,484 +860,9 @@ fn eject_flit(
     }
 }
 
-/// Where one node's switch-allocation sweep writes its effects. The
-/// sequential engine applies them to the network in place; a parallel
-/// domain records them into private scratch and the merge replays them
-/// in canonical order — both run the *same* arbitration code
-/// ([`sweep_node`]), so the two engines cannot drift apart.
-trait SweepSink {
-    /// A flit won switch allocation (the packet-trace depart hook).
-    fn departed(&mut self, flit: &Flit, cycle: u64);
-    /// A credit is owed to the upstream router feeding the freed buffer.
-    fn credit(&mut self, cr: CreditReturn);
-    /// A flit left through the local port at its destination.
-    fn eject(&mut self, node: usize, flit: Flit, cycle: u64);
-    /// A flit was forwarded over `length_mm` of wire toward `arrival`.
-    fn forwarded(&mut self, length_mm: f64, arrival: Arrival);
-}
-
-/// One node's switch allocation for one cycle: at most one flit per
-/// output port (local ejection is pseudo-port `out_ports`), class
-/// priority then round-robin. Mutates only the node's own router state
-/// and channel-flit row; every cross-node effect goes through the sink.
-#[allow(clippy::too_many_arguments)]
-fn sweep_node<S: SweepSink>(
-    router: &mut RouterState,
-    channel_flits: &mut [u64],
-    node: usize,
-    topo: &Topology,
-    link_src: &[Option<(usize, usize)>],
-    link_dst: &[(usize, usize)],
-    cycle: u64,
-    sink: &mut S,
-) {
-    let out_ports = topo.channels[node].len();
-    for out in 0..=out_ports {
-        if let Some((in_port, vc)) = pick_input(router, topo, node, out) {
-            let flit = router.inputs[in_port].queues[vc]
-                .pop_front()
-                .expect("picked head exists");
-            sink.departed(&flit, cycle);
-            // Return a credit to the upstream router feeding this
-            // input buffer (injection ports have no upstream).
-            if let Some(Some((u, uport))) = link_src.get(in_port).copied() {
-                let latency = topo.channels[u][uport].latency;
-                sink.credit(CreditReturn {
-                    due: cycle + u64::from(latency),
-                    node: u,
-                    out_port: uport,
-                    vc,
-                });
-            }
-            if out == out_ports {
-                // Ejected at the destination.
-                sink.eject(node, flit, cycle);
-            } else {
-                let ch = topo.channels[node][out];
-                let (to, to_in) = link_dst[out];
-                router.credits[out][vc] -= 1;
-                channel_flits[out] += 1;
-                sink.forwarded(
-                    ch.length_mm,
-                    Arrival {
-                        due: cycle + u64::from(topo.pipeline[node]) + u64::from(ch.latency),
-                        node: to,
-                        in_port: to_in,
-                        flit,
-                    },
-                );
-            }
-        }
-    }
-}
-
-/// The sequential sink: effects land on the live network immediately,
-/// exactly as the pre-refactor inline code did.
-struct InlineSink<'a> {
-    arrivals: &'a mut BinaryHeap<Arrival>,
-    credit_returns: &'a mut BinaryHeap<CreditReturn>,
-    packets: &'a mut Slab<PacketMeta>,
-    counters: &'a mut TrafficCounters,
-    trace: &'a mut Option<Box<SideTable<PacketTrace>>>,
-    delivered: &'a mut Vec<Delivered>,
-}
-
-impl SweepSink for InlineSink<'_> {
-    fn departed(&mut self, flit: &Flit, cycle: u64) {
-        if let Some(trace) = self.trace {
-            // A traced head flit's *first* switch win is at the source
-            // (later hops happen at later cycles), ending the inject
-            // span.
-            if flit.is_head {
-                if let Some(t) = trace.get_mut(flit.packet) {
-                    t.depart.get_or_insert(cycle);
-                }
-            }
-        }
-    }
-
-    fn credit(&mut self, cr: CreditReturn) {
-        self.credit_returns.push(cr);
-    }
-
-    fn eject(&mut self, node: usize, flit: Flit, cycle: u64) {
-        if let Some(d) = eject_flit(self.packets, self.counters, node, flit, cycle) {
-            self.delivered.push(d);
-        }
-    }
-
-    fn forwarded(&mut self, length_mm: f64, arrival: Arrival) {
-        self.counters.flit_hops += 1;
-        self.counters.flit_mm += length_mm;
-        self.counters.class_flit_hops[arrival.flit.class.vc()] += 1;
-        self.arrivals.push(arrival);
-    }
-}
-
-/// One domain's inter-domain mailbox: everything its sweep produced,
-/// recorded in sweep order (ascending node, then output port). The
-/// merge drains scratches in ascending domain order — which, with
-/// contiguous domains, is exactly ascending node order, i.e. the
-/// sequential engine's own effect order.
-#[derive(Debug, Default)]
-struct DomainScratch {
-    /// Forwarded flits' future arrivals (intra- and cross-domain alike;
-    /// both are due strictly after this cycle, so both route through
-    /// the global heap exactly as in the sequential engine).
-    arrivals: Vec<Arrival>,
-    /// Credits owed upstream (the upstream router may be any domain's;
-    /// credits are applied from the heap, never directly).
-    credits: Vec<CreditReturn>,
-    /// Flits ejected at their destinations, in sweep order. Slab and
-    /// counter bookkeeping is deferred to the merge so the sweep never
-    /// touches shared packet state.
-    ejected: Vec<Flit>,
-    /// Individual wire-length addends, replayed one by one at the merge:
-    /// summing per domain first would reassociate the floating-point
-    /// fold and break bit-identity with the sequential engine.
-    flit_mm: Vec<f64>,
-    flit_hops: u64,
-    class_flit_hops: [u64; VCS],
-    /// Swept nodes still holding flits, ascending.
-    retained: Vec<usize>,
-    /// Host nanoseconds this domain's sweeps have cost (profiling only).
-    work_ns: u64,
-}
-
-/// The parallel sink: every effect is recorded into the domain's
-/// private scratch; nothing shared is touched during the sweep.
-struct ParSink<'a> {
-    scratch: &'a mut DomainScratch,
-}
-
-impl SweepSink for ParSink<'_> {
-    fn departed(&mut self, _flit: &Flit, _cycle: u64) {
-        // Packet tracing is never armed on the parallel path (the
-        // machine layer falls back to the sequential engine for traced
-        // runs), so there is nothing to record.
-    }
-
-    fn credit(&mut self, cr: CreditReturn) {
-        self.scratch.credits.push(cr);
-    }
-
-    fn eject(&mut self, node: usize, flit: Flit, _cycle: u64) {
-        debug_assert_eq!(flit.dst, node, "ejection only happens at dst");
-        self.scratch.ejected.push(flit);
-    }
-
-    fn forwarded(&mut self, length_mm: f64, arrival: Arrival) {
-        self.scratch.flit_hops += 1;
-        self.scratch.flit_mm.push(length_mm);
-        self.scratch.class_flit_hops[arrival.flit.class.vc()] += 1;
-        self.scratch.arrivals.push(arrival);
-    }
-}
-
-/// Per-domain mutable state handed to one pool task. The slices are
-/// disjoint views over the network's per-node vectors (contiguous
-/// domains make the split a plain `split_at_mut` chain).
-struct DomainCtx<'a> {
-    base: usize,
-    routers: &'a mut [RouterState],
-    channel_flits: &'a mut [Vec<u64>],
-    is_active: &'a mut [bool],
-    /// This domain's slice of the (sorted) worklist.
-    nodes: &'a [usize],
-    scratch: &'a mut DomainScratch,
-}
-
-/// Reusable state of the domain-parallel network engine: the partition,
-/// its lookahead bound, and per-domain scratch buffers. Built once per
-/// machine by [`Network::make_par`] and threaded into every
-/// [`Network::step_parallel`] call.
-#[derive(Debug)]
-pub struct NetPar {
-    partition: DomainPartition,
-    /// Min cut-link latency `W` (`u64::MAX` when no link crosses a
-    /// cut). The per-tick barrier satisfies any `W >= 1`.
-    lookahead: u64,
-    scratch: Vec<DomainScratch>,
-    /// Cumulative per-domain sweep nanoseconds (accumulated only while
-    /// `measure` is passed to `step_parallel`).
-    domain_ns: Vec<u64>,
-}
-
-impl NetPar {
-    /// Number of domains the fabric is sharded into.
-    pub fn domains(&self) -> usize {
-        self.partition.domains()
-    }
-
-    /// The conservative lookahead window `W` in cycles: no domain can
-    /// affect another sooner than `W` cycles out. `u64::MAX` when the
-    /// domains share no links at all.
-    pub fn lookahead(&self) -> u64 {
-        self.lookahead
-    }
-
-    /// Cumulative measured sweep nanoseconds per domain.
-    pub fn domain_ns(&self) -> &[u64] {
-        &self.domain_ns
-    }
-
-    /// Resets the per-domain timers (window exports are deltas).
-    pub fn reset_domain_ns(&mut self) {
-        self.domain_ns.iter_mut().for_each(|ns| *ns = 0);
-    }
-}
-
-impl Network {
-    /// Builds the domain decomposition for running this network's sweep
-    /// on `domains` parallel tasks, or `None` when the fabric is too
-    /// small to shard meaningfully (fewer than four nodes per domain,
-    /// or fewer than two domains). The decomposition never changes
-    /// results — only which thread arbitrates which routers.
-    pub fn make_par(&self, domains: usize) -> Option<NetPar> {
-        let n = self.topo.len();
-        let domains = domains.min(n / 4);
-        if domains < 2 {
-            return None;
-        }
-        let partition = DomainPartition::new(n, domains);
-        let w = lookahead(&self.topo, &partition).unwrap_or(u64::MAX);
-        // The per-tick exchange barrier is sound for any window of at
-        // least one cycle; every channel takes at least one cycle, so
-        // this only fires if a zero-latency channel is ever introduced.
-        assert!(
-            w >= 1,
-            "lookahead requires every cut link to take >=1 cycle"
-        );
-        let domains = partition.domains();
-        Some(NetPar {
-            partition,
-            lookahead: w,
-            scratch: (0..domains).map(|_| DomainScratch::default()).collect(),
-            domain_ns: vec![0; domains],
-        })
-    }
-
-    /// [`Network::step`] with the switch-allocation sweep sharded across
-    /// `par`'s domains on `pool`. Bit-identical to the sequential step:
-    /// the sweep itself only reads/writes node-local router state (the
-    /// same arbitration code via [`sweep_node`]), every cross-node
-    /// effect is recorded per domain and replayed at the per-tick
-    /// barrier in canonical `(cycle, src domain, sweep order)` order —
-    /// which, with contiguous domains, is exactly the sequential
-    /// engine's ascending-node effect order. Heap insertion order for
-    /// equal keys is the only thing that can differ, and equal-key heap
-    /// entries are interchangeable: same-due arrivals always target
-    /// distinct `(node, port)` buffers, and credit applications
-    /// commute.
-    ///
-    /// Returns the deliveries plus the nanoseconds the calling thread
-    /// stalled at the exchange barrier. `measure` additionally charges
-    /// per-domain sweep time to [`NetPar::domain_ns`].
-    ///
-    /// Must not be called with packet tracing armed (the machine layer
-    /// keeps traced runs on the sequential engine).
-    pub fn step_parallel(
-        &mut self,
-        cycle: u64,
-        par: &mut NetPar,
-        pool: &DomainPool,
-        measure: bool,
-    ) -> (Vec<Delivered>, u64) {
-        assert!(
-            self.trace.is_none(),
-            "parallel stepping does not support packet tracing"
-        );
-        assert!(cycle >= self.cycle, "cycles must not go backwards");
-        self.cycle = cycle;
-        self.packets.reclaim_deferred();
-        // 1. + 2. Credits and arrivals land exactly as in `step_inner`
-        // — sequentially, before any domain starts sweeping, so every
-        // domain sees the same pre-sweep state the sequential engine
-        // would.
-        while let Some(cr) = self.credit_returns.peek() {
-            if cr.due > cycle {
-                break;
-            }
-            let cr = self.credit_returns.pop().expect("peeked");
-            self.routers[cr.node].credits[cr.out_port][cr.vc] += 1;
-        }
-        while let Some(a) = self.arrivals.peek() {
-            if a.due > cycle {
-                break;
-            }
-            let a = self.arrivals.pop().expect("peeked");
-            self.routers[a.node].inputs[a.in_port].queues[a.flit.class.vc()].push_back(a.flit);
-            self.activate(a.node);
-        }
-        // 3. Switch allocation, sharded: each domain sweeps its slice of
-        // the sorted worklist against its own router range.
-        if !self.pending_activation.is_empty() {
-            let mut pending = std::mem::take(&mut self.pending_activation);
-            self.worklist.append(&mut pending);
-            self.worklist.sort_unstable();
-        }
-        let worklist = std::mem::take(&mut self.worklist);
-        let stall_ns;
-        {
-            let domains = par.partition.domains();
-            let mut ctxs: Vec<Mutex<DomainCtx>> = Vec::with_capacity(domains);
-            let mut routers: &mut [RouterState] = &mut self.routers;
-            let mut channel_flits: &mut [Vec<u64>] = &mut self.channel_flits;
-            let mut is_active: &mut [bool] = &mut self.is_active;
-            let mut nodes: &[usize] = &worklist;
-            for (d, scratch) in par.scratch.iter_mut().enumerate() {
-                let range = par.partition.range(d);
-                let len = range.len();
-                let (r, rest) = routers.split_at_mut(len);
-                let (c, rest_c) = channel_flits.split_at_mut(len);
-                let (a, rest_a) = is_active.split_at_mut(len);
-                routers = rest;
-                channel_flits = rest_c;
-                is_active = rest_a;
-                let split = nodes.partition_point(|&n| n < range.end);
-                let (mine, rest_n) = nodes.split_at(split);
-                nodes = rest_n;
-                ctxs.push(Mutex::new(DomainCtx {
-                    base: range.start,
-                    routers: r,
-                    channel_flits: c,
-                    is_active: a,
-                    nodes: mine,
-                    scratch,
-                }));
-            }
-            let topo = &self.topo;
-            let link_src = &self.link_src;
-            let link_dst = &self.link_dst;
-            stall_ns = pool.run(domains, &|d| {
-                let mut ctx = ctxs[d].lock().expect("domain ctx is uncontended");
-                let started = measure.then(Instant::now);
-                let ctx = &mut *ctx;
-                for &node in ctx.nodes {
-                    let local = node - ctx.base;
-                    let mut sink = ParSink {
-                        scratch: ctx.scratch,
-                    };
-                    sweep_node(
-                        &mut ctx.routers[local],
-                        &mut ctx.channel_flits[local],
-                        node,
-                        topo,
-                        &link_src[node],
-                        &link_dst[node],
-                        cycle,
-                        &mut sink,
-                    );
-                }
-                // Retire drained nodes. Buffers only change under this
-                // domain's own sweep (arrivals land between steps), so
-                // retention is as local as arbitration.
-                for &node in ctx.nodes {
-                    let local = node - ctx.base;
-                    if ctx.routers[local].has_buffered_flits() {
-                        ctx.scratch.retained.push(node);
-                    } else {
-                        ctx.is_active[local] = false;
-                    }
-                }
-                if let Some(t) = started {
-                    ctx.scratch.work_ns += t.elapsed().as_nanos() as u64;
-                }
-            });
-        }
-        // 4. Exchange barrier: replay every domain's recorded effects in
-        // ascending domain order — the sequential engine's own node
-        // order — so deliveries, counters, the flit-mm float fold, and
-        // the rebuilt worklist are all bit-identical to `step_inner`.
-        let mut delivered = Vec::new();
-        self.worklist = worklist;
-        self.worklist.clear();
-        for (d, scratch) in par.scratch.iter_mut().enumerate() {
-            self.counters.flit_hops += scratch.flit_hops;
-            scratch.flit_hops = 0;
-            for vc in 0..VCS {
-                self.counters.class_flit_hops[vc] += scratch.class_flit_hops[vc];
-            }
-            scratch.class_flit_hops = [0; VCS];
-            for mm in scratch.flit_mm.drain(..) {
-                self.counters.flit_mm += mm;
-            }
-            for flit in scratch.ejected.drain(..) {
-                if let Some(del) =
-                    eject_flit(&mut self.packets, &mut self.counters, flit.dst, flit, cycle)
-                {
-                    delivered.push(del);
-                }
-            }
-            for a in scratch.arrivals.drain(..) {
-                self.arrivals.push(a);
-            }
-            for cr in scratch.credits.drain(..) {
-                self.credit_returns.push(cr);
-            }
-            // Per-domain retained lists are ascending and domains are
-            // contiguous, so plain concatenation keeps the worklist
-            // sorted.
-            self.worklist.append(&mut scratch.retained);
-            par.domain_ns[d] += scratch.work_ns;
-            scratch.work_ns = 0;
-        }
-        (delivered, stall_ns)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Identical random traffic driven through the sequential engine and
-    /// the domain-parallel engine must produce identical deliveries
-    /// every cycle and identical counters — including the bit pattern of
-    /// the floating-point flit-mm fold — on every pod fabric.
-    #[test]
-    fn parallel_step_is_bit_identical_to_sequential() {
-        let pool = DomainPool::new(3);
-        for kind in [
-            TopologyKind::Mesh,
-            TopologyKind::FlattenedButterfly,
-            TopologyKind::NocOut,
-            TopologyKind::Crossbar,
-        ] {
-            let cfg = NocConfig::pod_64(kind);
-            let mut seq = Network::new(cfg);
-            let mut shard = Network::new(cfg);
-            let mut par = shard.make_par(4).expect("64-core pods shard");
-            assert!(par.lookahead() >= 1);
-            let cores = seq.core_endpoints().to_vec();
-            let llcs = seq.llc_endpoints().to_vec();
-            let mut state = 0x9E37_79B9_7F4A_7C15u64;
-            for cycle in 0..500u64 {
-                if cycle % 3 == 0 && cycle < 420 {
-                    for _ in 0..2 {
-                        state = state
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        let src = cores[(state >> 33) as usize % cores.len()];
-                        let dst = llcs[(state >> 17) as usize % llcs.len()];
-                        let class = MessageClass::ALL[(state >> 7) as usize % 3];
-                        let a = seq.inject(src, dst, class, 0, cycle);
-                        let b = shard.inject(src, dst, class, 0, cycle);
-                        assert_eq!(a, b, "{kind:?}: packet ids diverged");
-                    }
-                }
-                let a = seq.step(cycle);
-                let (b, _stall) = shard.step_parallel(cycle, &mut par, &pool, false);
-                assert_eq!(a, b, "{kind:?}: deliveries diverged at cycle {cycle}");
-            }
-            assert_eq!(seq.in_flight(), shard.in_flight(), "{kind:?}");
-            assert_eq!(seq.counters(), shard.counters(), "{kind:?}");
-            assert_eq!(
-                seq.counters().flit_mm.to_bits(),
-                shard.counters().flit_mm.to_bits(),
-                "{kind:?}: flit-mm fold reassociated"
-            );
-        }
-    }
 
     fn run_single(kind: TopologyKind, class: MessageClass) -> u64 {
         let mut net = Network::new(NocConfig::pod_64(kind));

@@ -16,7 +16,7 @@ use crate::memory::{channel_of, MemoryController};
 use crate::stats::Histogram;
 use sop_fault::{ComponentKind, Fault, FaultMode, FaultPlan};
 use sop_noc::slab::{Key, SideTable, Slab};
-use sop_noc::{Delivered, DomainPool, MessageClass, NetPar, Network, NocConfig, TopologyKind};
+use sop_noc::{Delivered, MessageClass, Network, NocConfig, TopologyKind};
 use sop_obs::prof::{Component as HostComponent, PhaseMark, Prof, RegionTimer};
 use sop_obs::txn::{Stage, TxnStats, STAGES};
 use sop_obs::{EventLog, Registry};
@@ -24,7 +24,7 @@ use sop_tech::{CacheGeometry, CoreKind, TechnologyNode};
 use sop_workloads::trace::LineAddr;
 use sop_workloads::{TraceConfig, Workload, WorkloadProfile};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Process-wide count of timed cycles simulated by every [`Machine`] on
@@ -36,43 +36,6 @@ static CYCLES_SIMULATED: AtomicU64 = AtomicU64::new(0);
 /// suite reads deltas of this around a campaign to report cycles/sec.
 pub fn cycles_simulated() -> u64 {
     CYCLES_SIMULATED.load(Ordering::Relaxed)
-}
-
-/// Worker-thread count newly built machines arm themselves with (the
-/// `--threads` knob). Results are bit-identical at every thread count —
-/// see [`Machine::set_threads`] — which is exactly why this is *not*
-/// part of any cache identity.
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(1);
-/// Process-wide parallel-engine telemetry, accumulated by every machine
-/// advancing on its parallel path (see [`par_telemetry`]).
-static PAR_EPOCHS: AtomicU64 = AtomicU64::new(0);
-static PAR_BARRIER_NS: AtomicU64 = AtomicU64::new(0);
-static PAR_ADVANCE_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Sets the worker-thread count future [`Machine`]s arm themselves with
-/// (clamped to at least 1; 1 disarms — the sequential path).
-pub fn set_default_threads(threads: usize) {
-    DEFAULT_THREADS.store(threads.max(1), Ordering::Relaxed);
-}
-
-/// The worker-thread count newly built machines arm themselves with.
-pub fn default_threads() -> usize {
-    DEFAULT_THREADS.load(Ordering::Relaxed)
-}
-
-/// Process-wide parallel-engine telemetry: `(threads, epochs,
-/// barrier_ns, advance_ns)` — the configured thread count, total epoch
-/// barriers crossed, total nanoseconds any thread stalled at a barrier,
-/// and total wall nanoseconds spent advancing on the parallel path.
-/// `barrier_ns / advance_ns` is the epoch-barrier stall fraction the
-/// heartbeat surfaces.
-pub fn par_telemetry() -> (u64, u64, u64, u64) {
-    (
-        default_threads() as u64,
-        PAR_EPOCHS.load(Ordering::Relaxed),
-        PAR_BARRIER_NS.load(Ordering::Relaxed),
-        PAR_ADVANCE_NS.load(Ordering::Relaxed),
-    )
 }
 
 /// Configuration of a simulated machine.
@@ -649,36 +612,6 @@ pub struct Machine {
     /// path on its unprofiled branch — no clock reads — and exports no
     /// `prof.*` keys.
     prof: Option<Box<Prof>>,
-    /// Deterministic intra-run parallelism; `None` (threads ≤ 1, or a
-    /// machine too small to shard) keeps every hot path on the existing
-    /// sequential engine with zero new overhead.
-    par: Option<Box<ParEngine>>,
-}
-
-/// The intra-run parallel engine: a persistent worker pool, the
-/// network's lookahead-bounded domain shards, and contiguous per-core
-/// poll chunks. Armed by [`Machine::set_threads`].
-#[derive(Debug)]
-struct ParEngine {
-    pool: DomainPool,
-    net_par: NetPar,
-    threads: usize,
-    /// Contiguous `[start, end)` thread ranges polled in parallel.
-    chunks: Vec<(usize, usize)>,
-    /// Per-chunk deferred-issue buffers, reused across ticks. Requests
-    /// are replayed sequentially in ascending thread order, so packet
-    /// ids — part of the semantics — match the sequential engine bit
-    /// for bit.
-    polled: Vec<Vec<(usize, CoreRequest)>>,
-    stats: ParStats,
-}
-
-/// Window-scoped parallel-engine accounting, exported as `prof.par.*`
-/// when profiling is armed and reset at every window boundary.
-#[derive(Debug, Default, Clone, Copy)]
-struct ParStats {
-    epochs: u64,
-    barrier_ns: u64,
 }
 
 impl Machine {
@@ -753,7 +686,7 @@ impl Machine {
                 sop_tech::MemoryGen::Ddr4 => MemoryController::ddr4_at_2ghz(),
             })
             .collect();
-        let mut machine = Machine {
+        Machine {
             cfg,
             net,
             cores,
@@ -783,64 +716,7 @@ impl Machine {
             events: None,
             txn_trace: None,
             prof: None,
-            par: None,
-        };
-        let threads = default_threads();
-        if threads > 1 {
-            machine.set_threads(threads);
         }
-        machine
-    }
-
-    /// Arms (threads ≥ 2) or disarms (threads ≤ 1) the deterministic
-    /// intra-run parallel engine: the NOC is sharded into
-    /// lookahead-bounded domains swept by a persistent worker pool, and
-    /// core polling fans out over contiguous thread chunks, with every
-    /// cross-thread effect replayed at the per-tick barrier in the
-    /// sequential engine's canonical order. Results are **bit-identical
-    /// to the sequential engine** at every thread count. Machines too
-    /// small to shard stay sequential with zero new overhead; faulted
-    /// and transaction-traced runs take the sequential path regardless
-    /// (quiesce barriers and packet tracing are inherently serial).
-    pub fn set_threads(&mut self, threads: usize) {
-        if threads <= 1 {
-            self.par = None;
-            return;
-        }
-        let Some(net_par) = self.net.make_par(threads) else {
-            self.par = None;
-            return;
-        };
-        let n = self.cores.len();
-        let parts = threads.min(n.max(1));
-        let base = n / parts;
-        let extra = n % parts;
-        let mut chunks = Vec::with_capacity(parts);
-        let mut start = 0;
-        for i in 0..parts {
-            let len = base + usize::from(i < extra);
-            chunks.push((start, start + len));
-            start += len;
-        }
-        self.par = Some(Box::new(ParEngine {
-            pool: DomainPool::new(threads),
-            net_par,
-            threads,
-            polled: vec![Vec::new(); chunks.len()],
-            chunks,
-            stats: ParStats::default(),
-        }));
-    }
-
-    /// Whether the parallel engine is armed (it refuses machines too
-    /// small to shard even when threads were requested).
-    pub fn par_active(&self) -> bool {
-        self.par.is_some()
-    }
-
-    /// The armed worker-thread count (1 on the sequential path).
-    pub fn threads(&self) -> usize {
-        self.par.as_ref().map_or(1, |p| p.threads)
     }
 
     /// Arms a deterministic fault schedule. Faults are applied at their
@@ -1162,28 +1038,9 @@ impl Machine {
         // Host self-profiling too: prof.* keys exist only when armed.
         // Export-and-reset keeps the additive counters window-scoped, so
         // the cumulative registry never double-counts.
-        let prof_armed = self.prof.is_some();
         if let Some(p) = &mut self.prof {
             p.export(&mut window);
             p.reset();
-        }
-        // Parallel-engine accounting rides the same gate: prof.par.*
-        // appears only when profiling *and* the parallel engine are both
-        // armed, so sequential reports — and the simulated metrics of
-        // parallel ones — stay byte-identical across thread counts.
-        if let Some(par) = self.par.as_deref_mut() {
-            if prof_armed {
-                window.counter_add("prof.par.epochs", par.stats.epochs);
-                window.counter_add("prof.par.barrier.ns", par.stats.barrier_ns);
-                for (d, &ns) in par.net_par.domain_ns().iter().enumerate() {
-                    window.counter_add(&format!("prof.par.domain{d}.ns"), ns);
-                }
-                window.gauge_set("prof.par.threads", par.threads as f64);
-                window.gauge_set("prof.par.domains", par.net_par.domains() as f64);
-                window.gauge_set("prof.par.lookahead", par.net_par.lookahead() as f64);
-            }
-            par.stats = ParStats::default();
-            par.net_par.reset_domain_ns();
         }
         self.registry.merge(&window);
 
@@ -1351,34 +1208,11 @@ impl Machine {
             }
             return;
         }
-        // The parallel engine only takes fault-free, untraced runs:
-        // quiesce barriers drain per-cycle and packet tracing records
-        // per-hop timestamps, both inherently sequential. The gate is
-        // semantic-free — the engines are bit-identical.
-        if self.par.is_some() && self.faults.is_none() && self.txn_trace.is_none() {
-            return self.advance_parallel(end);
-        }
         while self.cycle < end {
             let now = self.cycle;
             self.tick(now, false);
             self.cycle = self.next_event(now, end);
         }
-    }
-
-    /// [`advance_plain`](Self::advance_plain) on the parallel engine,
-    /// accumulating the process-wide telemetry [`par_telemetry`] reads.
-    fn advance_parallel(&mut self, end: u64) {
-        let t0 = std::time::Instant::now();
-        let before = self.par.as_ref().expect("parallel engine armed").stats;
-        while self.cycle < end {
-            let now = self.cycle;
-            self.tick_par(now);
-            self.cycle = self.next_event(now, end);
-        }
-        let after = self.par.as_ref().expect("parallel engine armed").stats;
-        PAR_EPOCHS.fetch_add(after.epochs - before.epochs, Ordering::Relaxed);
-        PAR_BARRIER_NS.fetch_add(after.barrier_ns - before.barrier_ns, Ordering::Relaxed);
-        PAR_ADVANCE_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// The next cycle anything can happen, clamped to `(now, end]` — the
@@ -1683,98 +1517,6 @@ impl Machine {
             self.core_next_poll[t] = self.cores[t].next_poll_cycle(now).unwrap_or(u64::MAX);
         }
         mark.lap(&mut self.prof, HostComponent::Core);
-    }
-
-    /// One simulation cycle on the parallel engine, in the same phase
-    /// order as [`tick`](Self::tick): the per-domain NOC sweep and the
-    /// per-chunk core polls fan out over the worker pool, and every
-    /// cross-thread effect (arrivals, credits, ejections, issued
-    /// requests) is replayed sequentially at the per-tick barrier in
-    /// canonical — i.e. the sequential engine's — order. Bit-identical
-    /// to `tick(now, false)` by construction.
-    fn tick_par(&mut self, now: u64) {
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.tick();
-        }
-        let mut mark = PhaseMark::start(self.prof.is_some());
-        let measure = self.prof.is_some();
-        let par = self.par.as_deref_mut().expect("parallel engine armed");
-        let (delivered, stall) = self
-            .net
-            .step_parallel(now, &mut par.net_par, &par.pool, measure);
-        par.stats.epochs += 1;
-        par.stats.barrier_ns += stall;
-        mark.lap(&mut self.prof, HostComponent::Noc);
-        for d in delivered {
-            self.handle_delivered(d, now);
-        }
-        mark.lap(&mut self.prof, HostComponent::Directory);
-        self.pop_bank_events(now);
-        mark.lap(&mut self.prof, HostComponent::LlcBank);
-        self.pop_mem_events(now);
-        mark.lap(&mut self.prof, HostComponent::Mem);
-        self.poll_cores_parallel(now);
-        mark.lap(&mut self.prof, HostComponent::Core);
-    }
-
-    /// The issue phase, fanned out: each contiguous thread chunk polls
-    /// its cores in parallel (polls touch only `cores[t]` and
-    /// `core_next_poll[t]`), buffering would-be requests; the buffers
-    /// are then replayed in ascending thread order, so injection — and
-    /// with it packet-id assignment — happens in exactly the sequential
-    /// engine's order. The parallel path never runs with faults armed,
-    /// so the quiesce/online checks of the sequential loop don't apply.
-    fn poll_cores_parallel(&mut self, now: u64) {
-        debug_assert!(self.faults.is_none(), "fault path is sequential");
-        let par = self.par.as_deref_mut().expect("parallel engine armed");
-        let mut polled = std::mem::take(&mut par.polled);
-        struct PollCtx<'a> {
-            start: usize,
-            cores: &'a mut [SimCore],
-            next: &'a mut [u64],
-            out: &'a mut Vec<(usize, CoreRequest)>,
-        }
-        let mut ctxs: Vec<Mutex<PollCtx>> = Vec::with_capacity(par.chunks.len());
-        let mut cores_rest = &mut self.cores[..];
-        let mut next_rest = &mut self.core_next_poll[..];
-        for (&(start, end), out) in par.chunks.iter().zip(polled.iter_mut()) {
-            out.clear();
-            let (cores, cr) = cores_rest.split_at_mut(end - start);
-            let (next, nr) = next_rest.split_at_mut(end - start);
-            cores_rest = cr;
-            next_rest = nr;
-            ctxs.push(Mutex::new(PollCtx {
-                start,
-                cores,
-                next,
-                out,
-            }));
-        }
-        let stall = par.pool.run(ctxs.len(), &|i| {
-            let mut ctx = ctxs[i].lock().expect("poll chunk lock");
-            let ctx = &mut *ctx;
-            for j in 0..ctx.cores.len() {
-                if ctx.next[j] > now {
-                    continue;
-                }
-                if let Some(req) = ctx.cores[j].poll(now) {
-                    ctx.out.push((ctx.start + j, req));
-                }
-                ctx.next[j] = ctx.cores[j].next_poll_cycle(now).unwrap_or(u64::MAX);
-            }
-        });
-        drop(ctxs);
-        par.stats.barrier_ns += stall;
-        for out in &polled {
-            for &(t, req) in out {
-                let physical = self.active[t];
-                self.issue_request(physical, req, now);
-            }
-        }
-        self.par
-            .as_deref_mut()
-            .expect("parallel engine armed")
-            .polled = polled;
     }
 
     /// Protocol dispatch for one delivered packet, charged to the

@@ -13,11 +13,9 @@
 //! sop diff   <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]
 //!                                             structurally compare two sop-report/v1
 //!                                             documents; exit 1 on any divergence
-//! sop sweep  <ch2|ch3|ch4|ch5|ch6|degradation|all> [--jobs N] [--threads N] [--no-cache]
+//! sop sweep  <ch2|ch3|ch4|ch5|ch6|degradation|all> [--jobs N] [--no-cache]
 //!            [--resume] [--json FILE] [--quick] [--stable] [--no-heartbeat]
-//!                                             run a named experiment campaign;
-//!                                             --threads shards each machine across
-//!                                             N worker threads (bit-identical)
+//!            [--timeout-secs N] [--retries N] run a named experiment campaign
 //! sop fleet  [--servers N] [--policy drain|derate] [--org NAME] [--seed S] [--quick]
 //!            [--jobs N] [--no-cache] [--resume] [--json FILE] [--stable] [--no-heartbeat]
 //!            [--series]                       simulate a fleet of SOP servers behind a
@@ -39,10 +37,10 @@
 //!                                             analysis over a report's `series`
 //!                                             section: burn table, incident timeline
 //!                                             with cause tags, TTD vs TTR
-//! sop bench  [--quick] [--jobs N] [--threads N] [--only ch3[,ch4...]] [--json FILE]
+//! sop bench  [--quick] [--jobs N] [--only ch3[,ch4...]] [--json FILE]
 //!            [--baseline FILE] [--tol PCT]    time the simulator hot paths and
 //!                                             append the run to the bench history
-//! sop prof   [<workload>] [--topo T] [--quick] [--cores N] [--threads N] [--json FILE]
+//! sop prof   [<workload>] [--topo T] [--quick] [--cores N] [--json FILE]
 //!                                             run a self-profiled pod window and
 //!                                             print the host-side component
 //!                                             self-time table
@@ -60,12 +58,16 @@
 //! sop cache  [--dir DIR]                      audit the result cache for debris
 //! sop list                                    list design names
 //! ```
+//!
+//! `sop sweep`, `sop bench` and `sop prof` reject any flag outside their
+//! usage line with exit 2 before doing any work.
 
 use scale_out_processors::bench::bench::{
     append_history, check_regression, commit_hash, history_entry, run_suite_with_metrics,
     today_utc, BENCH_CAMPAIGNS,
 };
 use scale_out_processors::bench::campaign::{run_campaign, CAMPAIGNS};
+use scale_out_processors::bench::check_flags;
 use scale_out_processors::core::designs::{reference_chip, DesignKind};
 use scale_out_processors::core::pod::{optimal_pod, preferred_pod, PodSearchSpace};
 use scale_out_processors::exec::audit_dir;
@@ -115,22 +117,52 @@ fn main() {
     }
 }
 
-/// Parses `--threads N` and arms the intra-run parallel engine for
-/// every machine the command builds. Results are bit-identical at any
-/// thread count — the knob is a host resource, not a config axis —
-/// which is also why it is not part of the result-cache identity.
-fn apply_threads(args: &[String]) {
-    let threads: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    if threads == 0 {
-        eprintln!("--threads must be at least 1");
+/// Exits 2 naming the first flag `sop <cmd>` does not accept (see
+/// [`check_flags`]), before the command does any work.
+fn accept_flags(args: &[String], switches: &[&str], valued: &[&str]) {
+    if let Err(e) = check_flags(&args[1..], switches, valued) {
+        eprintln!("sop {}: {e}; see `sop help`", args[0]);
         std::process::exit(2);
     }
-    scale_out_processors::sim::set_default_threads(threads);
+}
+
+/// Reads `--tol PCT` (default `default_pct`) and every `--tol-path
+/// PREFIX=PCT` rule into a [`DiffConfig`]: the one tolerance parser
+/// behind `sop diff`, `sop prof --analyze` and `sop bench --baseline`.
+/// A missing or unparsable percentage exits 2, so a gate can never
+/// quietly run at the default tolerance.
+fn diff_config(args: &[String], default_pct: f64) -> DiffConfig {
+    let value = |i: usize| -> &str {
+        args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
+            eprintln!("{} needs a value", args[i]);
+            std::process::exit(2);
+        })
+    };
+    let fraction = |flag: &str, pct: &str| -> f64 {
+        match pct.parse::<f64>() {
+            Ok(p) if p.is_finite() && p >= 0.0 => p / 100.0,
+            _ => {
+                eprintln!("{flag}: {pct:?} is not a non-negative number");
+                std::process::exit(2);
+            }
+        }
+    };
+    let mut cfg = DiffConfig::with_tol(default_pct / 100.0);
+    for (i, a) in args.iter().enumerate() {
+        match a.as_str() {
+            "--tol" => cfg.tol = fraction(a, value(i)),
+            "--tol-path" => {
+                let rule = value(i);
+                let Some((prefix, pct)) = rule.split_once('=') else {
+                    eprintln!("--tol-path needs PREFIX=PCT, got {rule:?}");
+                    std::process::exit(2);
+                };
+                cfg.rules.push((prefix.to_owned(), fraction(a, pct)));
+            }
+            _ => {}
+        }
+    }
+    cfg
 }
 
 fn usage() {
@@ -144,8 +176,9 @@ fn usage() {
     );
     eprintln!("       sop diff <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]");
     eprintln!(
-        "       sop sweep <ch2|ch3|ch4|ch5|ch6|degradation|all> [--jobs N] [--threads N] \
-         [--no-cache] [--resume] [--json FILE] [--quick] [--stable] [--no-heartbeat]"
+        "       sop sweep <ch2|ch3|ch4|ch5|ch6|degradation|all> [--jobs N] [--no-cache] \
+         [--resume] [--json FILE] [--quick] [--stable] [--no-heartbeat] [--timeout-secs N] \
+         [--retries N]"
     );
     eprintln!(
         "       sop fleet [--servers N] [--policy drain|derate] [--org NAME] [--seed S] \
@@ -161,12 +194,12 @@ fn usage() {
          [--ascii-sparkline]"
     );
     eprintln!(
-        "       sop bench [--quick] [--jobs N] [--threads N] [--only ch3[,ch4...]] \
+        "       sop bench [--quick] [--jobs N] [--only ch3[,ch4...]] \
          [--json FILE] [--baseline FILE] [--tol PCT]"
     );
     eprintln!(
         "       sop prof [<workload>] [--topo mesh|fbfly|nocout] [--quick] [--cores N] \
-         [--threads N] [--json FILE]"
+         [--json FILE]"
     );
     eprintln!("       sop prof --analyze <a.json> [b.json] [--tol PCT] [--tol-path PREFIX=PCT]");
     eprintln!("       sop top [--file PATH] [--once] [--interval-ms N]");
@@ -179,12 +212,16 @@ fn usage() {
 /// Runs a named experiment campaign on the execution engine and writes
 /// its data as a `sop-report/v1` document.
 fn sweep(args: &[String]) {
+    accept_flags(
+        args,
+        &[&["--quick", "--stable"], &ExecConfig::SWITCHES[..]].concat(),
+        &[&["--json"], &ExecConfig::VALUED[..]].concat(),
+    );
     let name = args.get(1).map(String::as_str).unwrap_or("");
     if !CAMPAIGNS.contains(&name) {
         eprintln!("unknown campaign {name:?}; one of: {}", CAMPAIGNS.join(" "));
         std::process::exit(2);
     }
-    apply_threads(args);
     let quick = args.iter().any(|a| a == "--quick");
     let stable = args.iter().any(|a| a == "--stable");
     let out = args
@@ -913,7 +950,11 @@ fn cache(args: &[String]) {
 /// any campaign more than `--tol` percent (default 25) slower than the
 /// baseline document's latest history entry fails the command.
 fn bench(args: &[String]) {
-    apply_threads(args);
+    accept_flags(
+        args,
+        &["--quick"],
+        &["--jobs", "--only", "--json", "--baseline", "--tol"],
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let jobs: usize = args
         .iter()
@@ -949,12 +990,7 @@ fn bench(args: &[String]) {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_sim.json".to_owned());
-    let tol: f64 = args
-        .iter()
-        .position(|a| a == "--tol")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25.0);
+    let tol = diff_config(args, 25.0).tol * 100.0;
 
     let mut spans = SpanLog::new();
     let (mut data, metrics) = spans.time("bench", |_| {
@@ -1265,10 +1301,11 @@ fn topology_arg(args: &[String]) -> TopologyKind {
 /// against the first under `sop diff` tolerance rules.
 fn prof(args: &[String]) {
     if args.iter().any(|a| a == "--analyze") {
+        accept_flags(args, &["--analyze"], &["--tol", "--tol-path"]);
         prof_analyze(args);
         return;
     }
-    apply_threads(args);
+    accept_flags(args, &["--quick"], &["--topo", "--cores", "--json"]);
     let name = args
         .get(1)
         .map(String::as_str)
@@ -1346,6 +1383,7 @@ fn prof_analyze(args: &[String]) {
         eprintln!("usage: sop prof --analyze <a.json> [b.json] [--tol PCT] [--tol-path P=PCT]");
         std::process::exit(2);
     }
+    let cfg = diff_config(args, 25.0);
     let load = |path: &str| -> Json {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
@@ -1375,37 +1413,14 @@ fn prof_analyze(args: &[String]) {
         println!();
         println!("{path_b}:");
         print!("{}", b.render());
-        let tol: f64 = args
-            .iter()
-            .position(|x| x == "--tol")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(25.0);
-        let mut cfg = DiffConfig::with_tol(tol / 100.0);
-        let mut i = at + 1;
-        while i < args.len() {
-            if args[i] == "--tol-path" {
-                let Some((prefix, pct)) = args.get(i + 1).and_then(|r| r.split_once('=')) else {
-                    eprintln!("--tol-path needs PREFIX=PCT");
-                    std::process::exit(2);
-                };
-                let Ok(pct) = pct.parse::<f64>() else {
-                    eprintln!("--tol-path: {pct:?} is not a number");
-                    std::process::exit(2);
-                };
-                cfg.rules.push((prefix.to_owned(), pct / 100.0));
-                i += 2;
-            } else {
-                i += 1;
-            }
-        }
         failed |= !b.consistent();
         let result = diff_reports(&a.to_json(), &b.to_json(), &cfg);
         println!();
         if result.ok() {
             println!(
-                "prof sections match ({} values compared, tol {tol}%)",
-                result.compared
+                "prof sections match ({} values compared, tol {}%)",
+                result.compared,
+                cfg.tol * 100.0
             );
         } else {
             for v in &result.violations {
@@ -1530,34 +1545,7 @@ fn diff(args: &[String]) {
         eprintln!("usage: sop diff <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]");
         std::process::exit(2);
     };
-    let tol: f64 = args
-        .iter()
-        .position(|a| a == "--tol")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    let mut cfg = DiffConfig::with_tol(tol / 100.0);
-    let mut i = 3;
-    while i < args.len() {
-        if args[i] == "--tol-path" {
-            let Some(rule) = args.get(i + 1) else {
-                eprintln!("--tol-path needs PREFIX=PCT");
-                std::process::exit(2);
-            };
-            let Some((prefix, pct)) = rule.split_once('=') else {
-                eprintln!("--tol-path needs PREFIX=PCT, got {rule:?}");
-                std::process::exit(2);
-            };
-            let Ok(pct) = pct.parse::<f64>() else {
-                eprintln!("--tol-path {rule:?}: {pct:?} is not a number");
-                std::process::exit(2);
-            };
-            cfg.rules.push((prefix.to_owned(), pct / 100.0));
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
+    let cfg = diff_config(args, 0.0);
     let load = |path: &str| -> Json {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
@@ -1573,8 +1561,9 @@ fn diff(args: &[String]) {
     let result = diff_reports(&a, &b, &cfg);
     if result.ok() {
         println!(
-            "{path_a} and {path_b} match ({} values compared, tol {tol}%)",
-            result.compared
+            "{path_a} and {path_b} match ({} values compared, tol {}%)",
+            result.compared,
+            cfg.tol * 100.0
         );
     } else {
         for v in &result.violations {

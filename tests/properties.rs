@@ -5,9 +5,7 @@ use proptest::prelude::*;
 use scale_out_processors::core::PodConfig;
 use scale_out_processors::model::{DesignPoint, Interconnect};
 use scale_out_processors::noc::slab::Slab;
-use scale_out_processors::noc::{
-    cut_links, lookahead, DomainPartition, MessageClass, Network, NocConfig, TopologyKind,
-};
+use scale_out_processors::noc::{MessageClass, Network, NocConfig, TopologyKind};
 use scale_out_processors::sim::{DirectoryState, LlcBank};
 use scale_out_processors::tco::estimated_price_usd;
 use scale_out_processors::tech::{CacheGeometry, CoreKind, TechnologyNode};
@@ -521,75 +519,6 @@ proptest! {
         let m20 = at(TechnologyNode::N20);
         prop_assert!(m20.area_mm2 < m40.area_mm2 * 0.3);
         prop_assert!(m20.performance_density > m40.performance_density * 2.0);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The parallel engine's domain partition covers every tile exactly
-    /// once — no node swept twice, none orphaned — and stays balanced,
-    /// whatever the topology size and requested domain count.
-    #[test]
-    fn domain_partition_covers_every_tile_exactly_once(
-        nodes in 1usize..600,
-        domains in 1usize..12,
-    ) {
-        let part = DomainPartition::new(nodes, domains);
-        let mut covered = vec![0u32; nodes];
-        for d in 0..part.domains() {
-            for node in part.range(d) {
-                covered[node] += 1;
-                prop_assert_eq!(part.domain_of(node), d);
-            }
-        }
-        prop_assert!(covered.iter().all(|&c| c == 1), "partition must be exact");
-        let sizes: Vec<usize> = (0..part.domains()).map(|d| part.range(d).len()).collect();
-        let (min, max) = (
-            *sizes.iter().min().expect("at least one domain"),
-            *sizes.iter().max().expect("at least one domain"),
-        );
-        prop_assert!(max - min <= 1, "contiguous split must be balanced");
-    }
-
-    /// The computed lookahead never exceeds the true minimum latency of
-    /// any link whose endpoints straddle domains — the conservative
-    /// bound the epoch barrier relies on — and is at least one cycle on
-    /// every real fabric (so barrier-merged effects are always timely).
-    #[test]
-    fn lookahead_is_a_conservative_cross_domain_bound(
-        kind in prop::sample::select(vec![
-            TopologyKind::Mesh,
-            TopologyKind::FlattenedButterfly,
-            TopologyKind::NocOut,
-            TopologyKind::Crossbar,
-        ]),
-        domains in 1usize..9,
-    ) {
-        let net = Network::new(NocConfig::pod_64(kind));
-        let topo = net.topology();
-        let part = DomainPartition::new(topo.len(), domains);
-        let w = lookahead(topo, &part);
-        // Brute force the bound over the raw channel lists.
-        let mut brute: Option<u64> = None;
-        for (node, channels) in topo.channels.iter().enumerate() {
-            for ch in channels {
-                if part.domain_of(ch.to) != part.domain_of(node) {
-                    let latency = u64::from(ch.latency);
-                    brute = Some(brute.map_or(latency, |b| b.min(latency)));
-                }
-            }
-        }
-        prop_assert_eq!(w, brute);
-        match w {
-            Some(w) => {
-                prop_assert!(w >= 1, "a zero-cycle cut would starve the barrier");
-                prop_assert!(cut_links(topo, &part)
-                    .iter()
-                    .all(|&(n, p)| u64::from(topo.channels[n][p].latency) >= w));
-            }
-            None => prop_assert!(cut_links(topo, &part).is_empty()),
-        }
     }
 }
 
