@@ -62,24 +62,52 @@ pub enum BankOutcome {
 /// the tag scan of a 16-way set walks 128 contiguous bytes instead of
 /// chasing per-set heap allocations, and filling a line writes plain
 /// `Copy` values. Within a set's stripe, only the first `len` ways are
-/// valid; fills append and evictions swap-remove, exactly like the
-/// `Vec<Way>` per set this layout replaced, so way order — and therefore
-/// every outcome — is unchanged.
+/// valid. Each set's recency order is one `u64`: the valid ways' indices
+/// from most to least recently used, four bits each, MRU in the low
+/// nibble. A hit moves its way to the front, a fill pushes the filled way
+/// to the front, and a full set evicts the way in the LRU nibble — the
+/// way a per-way last-use stamp would name as the minimum, since every
+/// touch of a set moves a way to the front. Tags are unique within a
+/// set, so which way a line occupies is never observable: only the
+/// recency order and the directory state are.
 #[derive(Debug, Clone)]
 pub struct LlcBank {
     /// Line tags, `ways`-strided per set.
     tags: Vec<LineAddr>,
-    /// LRU stamps (bank access counter at last touch), same layout.
-    last_use: Vec<u64>,
     /// Directory state per way, same layout.
     dirs: Vec<DirectoryState>,
+    /// Recency order per set: way indices, MRU in the low nibble.
+    order: Vec<u64>,
     /// Occupied ways per set.
     len: Vec<u8>,
     ways: usize,
     accesses: u64,
     misses: u64,
     snoops: u64,
-    tick: u64,
+}
+
+/// Every nibble of a recency word set to one.
+const NIBBLE_ONES: u64 = 0x1111_1111_1111_1111;
+
+/// The low `k` nibbles of a recency word.
+fn nibbles(k: usize) -> u64 {
+    if k >= 16 {
+        u64::MAX
+    } else {
+        (1 << (4 * k)) - 1
+    }
+}
+
+/// Moves `way`, which must be in `order`, to the front of `order`.
+fn move_to_front(order: u64, way: usize) -> u64 {
+    // The lowest zero nibble of `order ^ way...way` is `way`'s position:
+    // the borrow trick flags it exactly, and can only misflag nibbles
+    // above it.
+    let x = order ^ (way as u64 * NIBBLE_ONES);
+    let zero = x.wrapping_sub(NIBBLE_ONES) & !x & (NIBBLE_ONES << 3);
+    debug_assert_ne!(zero, 0, "way {way} is not in the set");
+    let pos = zero.trailing_zeros() as usize / 4;
+    (order & !nibbles(pos + 1)) | ((order & nibbles(pos)) << 4) | way as u64
 }
 
 impl LlcBank {
@@ -88,21 +116,20 @@ impl LlcBank {
     /// # Panics
     ///
     /// Panics if the capacity does not hold at least one set or if the
-    /// associativity exceeds 255.
+    /// associativity exceeds 16 (a set's recency order is 16 nibbles).
     pub fn new(capacity_bytes: u64, ways: usize) -> Self {
-        assert!(ways > 0 && ways <= u8::MAX as usize, "associativity range");
+        assert!(ways > 0 && ways <= 16, "associativity range");
         let lines = capacity_bytes / 64;
         let sets = (lines / ways as u64).max(1) as usize;
         LlcBank {
             tags: vec![0; sets * ways],
-            last_use: vec![0; sets * ways],
             dirs: vec![DirectoryState::Owned(0); sets * ways],
+            order: vec![0; sets],
             len: vec![0; sets],
             ways,
             accesses: 0,
             misses: 0,
             snoops: 0,
-            tick: 0,
         }
     }
 
@@ -123,15 +150,16 @@ impl LlcBank {
     /// Updates directory and LRU state and returns what must happen next.
     pub fn access(&mut self, core: u32, line: LineAddr, write: bool) -> BankOutcome {
         self.accesses += 1;
-        self.tick += 1;
-        let tick = self.tick;
         let ways = self.ways;
         let set_idx = self.set_of(line);
         let base = set_idx * ways;
         let n = usize::from(self.len[set_idx]);
         if let Some(i) = self.tags[base..base + n].iter().position(|&t| t == line) {
             let w = base + i;
-            self.last_use[w] = tick;
+            let order = self.order[set_idx];
+            if order & 0xF != i as u64 {
+                self.order[set_idx] = move_to_front(order, i);
+            }
             let snoop = match (&mut self.dirs[w], write) {
                 (DirectoryState::Shared { count, cores }, false) => {
                     let sharers = &mut cores[..usize::from(*count)];
@@ -177,32 +205,26 @@ impl LlcBank {
             self.snoops += snoop.len() as u64;
             return BankOutcome::Hit { snoop };
         }
-        // Miss: fill, evicting LRU if the set is full.
+        // Miss: fill a free way, or the LRU way if the set is full.
         self.misses += 1;
-        let mut writeback = false;
-        let mut n = n;
-        if n >= ways {
-            let lru = (0..n)
-                .min_by_key(|&i| self.last_use[base + i])
-                .expect("set is non-empty");
-            writeback = matches!(self.dirs[base + lru], DirectoryState::Owned(_));
-            // Swap-remove: the last way fills the hole.
-            let last = base + n - 1;
-            self.tags[base + lru] = self.tags[last];
-            self.last_use[base + lru] = self.last_use[last];
-            self.dirs[base + lru] = self.dirs[last];
-            n -= 1;
-        }
-        let dir = if write {
+        let order = self.order[set_idx];
+        let (way, writeback) = if n >= ways {
+            let lru = (order >> (4 * (ways - 1))) as usize & 0xF;
+            (
+                lru,
+                matches!(self.dirs[base + lru], DirectoryState::Owned(_)),
+            )
+        } else {
+            self.len[set_idx] = (n + 1) as u8;
+            (n, false)
+        };
+        self.order[set_idx] = ((order << 4) | way as u64) & nibbles(ways);
+        self.tags[base + way] = line;
+        self.dirs[base + way] = if write {
             DirectoryState::Owned(core)
         } else {
             DirectoryState::shared_one(core)
         };
-        let w = base + n;
-        self.tags[w] = line;
-        self.last_use[w] = tick;
-        self.dirs[w] = dir;
-        self.len[set_idx] = (n + 1) as u8;
         BankOutcome::Miss { writeback }
     }
 
@@ -229,13 +251,11 @@ impl LlcBank {
         reg.counter_add(&format!("{prefix}snoops"), self.snoops);
     }
 
-    /// Approximate heap footprint in bytes (used to budget the warm-state
-    /// memo; precision is not required).
+    /// Heap footprint in bytes — the bank's vectors' lengths times their
+    /// element sizes (used to budget the warm-state memo).
     pub fn approx_heap_bytes(&self) -> usize {
-        self.tags.len()
-            * (std::mem::size_of::<LineAddr>()
-                + std::mem::size_of::<u64>()
-                + std::mem::size_of::<DirectoryState>())
+        self.tags.len() * (std::mem::size_of::<LineAddr>() + std::mem::size_of::<DirectoryState>())
+            + self.order.len() * std::mem::size_of::<u64>()
             + self.len.len()
     }
 
@@ -254,6 +274,7 @@ impl LlcBank {
     pub fn clear(&mut self) -> u64 {
         let lines = self.len.iter().map(|&l| u64::from(l)).sum();
         self.len.iter_mut().for_each(|l| *l = 0);
+        self.order.iter_mut().for_each(|o| *o = 0);
         lines
     }
 }
@@ -347,6 +368,46 @@ mod tests {
         b.reset_stats();
         assert_eq!((b.accesses(), b.misses(), b.snoops()), (0, 0, 0));
         assert!(matches!(b.access(0, 42, false), BankOutcome::Hit { .. }));
+    }
+
+    #[test]
+    fn heap_bytes_count_every_vector() {
+        for (capacity, ways) in [(1 << 20, 16), (64 * 64, 4), (64, 1)] {
+            let b = LlcBank::new(capacity, ways);
+            let sets = b.len.len();
+            assert_eq!(b.order.len(), sets);
+            assert_eq!((b.tags.len(), b.dirs.len()), (sets * ways, sets * ways));
+            let bytes = b.tags.len() * std::mem::size_of::<LineAddr>()
+                + b.dirs.len() * std::mem::size_of::<DirectoryState>()
+                + b.order.len() * std::mem::size_of::<u64>()
+                + b.len.len() * std::mem::size_of::<u8>();
+            assert_eq!(b.approx_heap_bytes(), bytes);
+        }
+    }
+
+    #[test]
+    fn recency_order_tracks_touches() {
+        // One 4-way set: fill ways 0..4, touch line 1, then two misses
+        // evict lines 0 and 2, the least recently used.
+        let mut b = LlcBank::new(4 * 64, 4);
+        for l in 0..4u64 {
+            b.access(0, l, false);
+        }
+        assert_eq!(b.order[0], 0x0123);
+        b.access(0, 1, false);
+        assert_eq!(b.order[0], 0x0231);
+        b.access(0, 10, false);
+        b.access(0, 11, false);
+        assert_eq!(b.order[0], 0x3102);
+        assert_eq!(&b.tags[..], &[10, 1, 11, 3]);
+        assert_eq!(b.clear(), 4);
+        assert_eq!((b.order[0], b.len[0]), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity range")]
+    fn more_than_sixteen_ways_panics() {
+        LlcBank::new(1 << 20, 17);
     }
 
     #[test]

@@ -43,6 +43,10 @@ pub enum CoreState {
 /// meshes expose most of theirs.
 pub const FETCH_AHEAD_CYCLES: u64 = 6;
 
+/// The write flag of a packed functional access (see
+/// [`SimCore::functional_accesses`]); trace lines never reach bit 63.
+pub const WRITE_BIT: u64 = 1 << 63;
+
 /// A simulated core.
 #[derive(Debug, Clone)]
 pub struct SimCore {
@@ -249,34 +253,23 @@ impl SimCore {
 
     /// Draws the next `count` memory accesses from the trace *without*
     /// timing, for functional cache warming (the checkpoint-based warm-up
-    /// of the SimFlex methodology, §3.3). Compute and synchronization
-    /// events are skipped; the committed-instruction counter is untouched
-    /// (warming happens before measurement anyway).
-    pub fn functional_accesses(&mut self, count: u64) -> Vec<CoreRequest> {
-        use sop_workloads::CoreEvent;
+    /// of the SimFlex methodology, §3.3). Each access is its line with
+    /// [`WRITE_BIT`] set for a write; instruction fetches and data reads
+    /// are both plain reads, since warming does not tell them apart.
+    /// Compute and synchronization events are skipped; the
+    /// committed-instruction counter is untouched (warming happens before
+    /// measurement anyway).
+    pub fn functional_accesses(&mut self, count: u64) -> Vec<u64> {
         let mut out = Vec::with_capacity(count as usize);
         while out.len() < count as usize {
-            match self.trace.next().expect("traces are infinite") {
-                CoreEvent::InstructionFetch { line } => {
-                    out.push(CoreRequest {
-                        line,
-                        write: false,
-                        fetch: true,
-                    });
-                }
-                CoreEvent::DataRead { line } => {
-                    out.push(CoreRequest {
-                        line,
-                        write: false,
-                        fetch: false,
-                    });
+            match self.trace.next_untimed() {
+                CoreEvent::InstructionFetch { line } | CoreEvent::DataRead { line } => {
+                    debug_assert_eq!(line & WRITE_BIT, 0);
+                    out.push(line);
                 }
                 CoreEvent::DataWrite { line } => {
-                    out.push(CoreRequest {
-                        line,
-                        write: true,
-                        fetch: false,
-                    });
+                    debug_assert_eq!(line & WRITE_BIT, 0);
+                    out.push(line | WRITE_BIT);
                 }
                 CoreEvent::Compute { .. } | CoreEvent::SyncStall { .. } => {}
             }

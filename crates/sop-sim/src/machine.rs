@@ -10,7 +10,7 @@
 //! invalidation/forwarding round trip of an inclusive directory LLC.
 
 use crate::cache::{BankOutcome, LlcBank};
-use crate::core::{CoreRequest, SimCore};
+use crate::core::{CoreRequest, SimCore, WRITE_BIT};
 use crate::l1::L1Cache;
 use crate::memory::{channel_of, MemoryController};
 use crate::stats::Histogram;
@@ -481,15 +481,18 @@ struct WarmTraceKey {
     active: Vec<u32>,
 }
 
-/// Warm-up accesses per active core — `line` with the write flag packed
-/// into bit 63 (instruction/data distinction is irrelevant to warming) —
-/// plus the cores as the generation left them (trace streams advanced).
+/// Warm-up accesses per active core, packed as
+/// [`SimCore::functional_accesses`] emits them, plus the cores as the
+/// generation left them (trace streams advanced).
 struct WarmTrace {
     accesses: Vec<Vec<u64>>,
     cores: Vec<SimCore>,
 }
 
-const WRITE_BIT: u64 = 1 << 63;
+/// Where a bucketed warm-up access keeps its core slot: bits 48..63,
+/// between the line (trace lines stay below 2^42) and [`WRITE_BIT`].
+const SLOT_SHIFT: u32 = 48;
+const SLOT_MASK: u64 = ((1 << 15) - 1) << SLOT_SHIFT;
 
 fn warm_trace_bytes(trace: &WarmTrace) -> usize {
     trace.accesses.iter().map(|a| a.len() * 8).sum::<usize>()
@@ -1108,16 +1111,7 @@ impl Machine {
             }
             None => {
                 let accesses: Vec<Vec<u64>> = (0..self.active.len())
-                    .map(|t| {
-                        self.cores[t]
-                            .functional_accesses(per_core)
-                            .into_iter()
-                            .map(|req| {
-                                debug_assert_eq!(req.line & WRITE_BIT, 0);
-                                req.line | if req.write { WRITE_BIT } else { 0 }
-                            })
-                            .collect()
-                    })
+                    .map(|t| self.cores[t].functional_accesses(per_core))
                     .collect();
                 let trace = Arc::new(WarmTrace {
                     accesses,
@@ -1130,14 +1124,42 @@ impl Machine {
                 trace
             }
         };
-        // Interleave cores so sharer lists build up the way concurrent
-        // execution would build them.
+        // Cores interleave access by access (index major, slot minor) so
+        // sharer lists build up the way concurrent execution would build
+        // them. Banks share no state and each bank's recency order sees
+        // only its own accesses, so a stable counting sort of that order
+        // by bank, replayed bucket by bucket, leaves every bank exactly as
+        // the interleaved walk would — while each bank's tags and
+        // directory stay hot in the host's cache for its whole bucket.
+        assert!(
+            trace.accesses.len() <= 1 << 15,
+            "slot field holds 2^15 cores"
+        );
+        let mut starts = vec![0usize; self.banks.len() + 1];
+        for accesses in &trace.accesses {
+            for &packed in accesses {
+                starts[self.bank_of(packed & !WRITE_BIT) + 1] += 1;
+            }
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        let mut next = starts.clone();
+        let mut buckets = vec![0u64; starts[self.banks.len()]];
         for i in 0..per_core as usize {
             for (slot, accesses) in trace.accesses.iter().enumerate() {
                 let packed = accesses[i];
-                let line = packed & !WRITE_BIT;
-                let bank = self.bank_of(line);
-                self.banks[bank].access(self.active[slot], line, packed & WRITE_BIT != 0);
+                debug_assert_eq!(packed & SLOT_MASK, 0, "line reaches the slot field");
+                let bank = self.bank_of(packed & !WRITE_BIT);
+                buckets[next[bank]] = packed | (slot as u64) << SLOT_SHIFT;
+                next[bank] += 1;
+            }
+        }
+        for (bank, range) in self.banks.iter_mut().zip(starts.windows(2)) {
+            for &word in &buckets[range[0]..range[1]] {
+                let slot = ((word & SLOT_MASK) >> SLOT_SHIFT) as usize;
+                let line = word & !(WRITE_BIT | SLOT_MASK);
+                bank.access(self.active[slot], line, word & WRITE_BIT != 0);
             }
         }
         for bank in &mut self.banks {

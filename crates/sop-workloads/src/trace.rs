@@ -211,19 +211,12 @@ impl TraceGenerator {
     }
 }
 
-impl Iterator for TraceGenerator {
-    type Item = CoreEvent;
-
-    fn next(&mut self) -> Option<CoreEvent> {
-        if let Some(ev) = self.pending.take() {
-            return Some(ev);
-        }
-        // Each instruction independently produces an event with total
-        // probability `p_event`; we draw the geometric inter-event gap as a
-        // compute burst and stash the event itself for the next call, so
-        // the event rate per instruction matches the profile exactly.
-        let p_event = self.p_ifetch + self.p_dread + self.p_dwrite + self.p_sync;
-        debug_assert!(p_event < 1.0, "event probability must stay below 1");
+impl TraceGenerator {
+    /// Draws the next non-compute event and the uniform variate that
+    /// sizes the compute gap before it. The variate is drawn whether or
+    /// not the caller wants the gap, so both consumers advance the RNG
+    /// stream identically.
+    fn draw(&mut self, p_event: f64) -> (CoreEvent, f64) {
         let r: f64 = self.rng.gen::<f64>() * p_event;
         let ev = if r < self.p_ifetch {
             let line = self.shared_line();
@@ -238,10 +231,47 @@ impl Iterator for TraceGenerator {
             let cycles = 20 + self.rng.gen_range(0..200);
             CoreEvent::SyncStall { cycles }
         };
+        let u: f64 = self.rng.gen::<f64>().max(1e-12);
+        (ev, u)
+    }
+
+    fn p_event(&self) -> f64 {
+        let p_event = self.p_ifetch + self.p_dread + self.p_dwrite + self.p_sync;
+        debug_assert!(p_event < 1.0, "event probability must stay below 1");
+        p_event
+    }
+
+    /// The next event that is not a compute burst, exactly as
+    /// [`Iterator::next`] would yield it after skipping any burst, but
+    /// without sizing the skipped burst. For functional warming, which
+    /// has no use for compute time.
+    pub fn next_untimed(&mut self) -> CoreEvent {
+        match self.pending.take() {
+            Some(ev) => ev,
+            None => {
+                let p_event = self.p_event();
+                self.draw(p_event).0
+            }
+        }
+    }
+}
+
+impl Iterator for TraceGenerator {
+    type Item = CoreEvent;
+
+    fn next(&mut self) -> Option<CoreEvent> {
+        if let Some(ev) = self.pending.take() {
+            return Some(ev);
+        }
+        // Each instruction independently produces an event with total
+        // probability `p_event`; we draw the geometric inter-event gap as a
+        // compute burst and stash the event itself for the next call, so
+        // the event rate per instruction matches the profile exactly.
+        let p_event = self.p_event();
+        let (ev, u) = self.draw(p_event);
         // Geometric gap with mean (1-p)/p, sampled via the exponential
         // approximation; the event instruction itself is counted by the
         // consumer when it processes the stashed event.
-        let u: f64 = self.rng.gen::<f64>().max(1e-12);
         let gap = (-u.ln() * (1.0 - p_event) / p_event).round() as u32;
         if gap == 0 {
             Some(ev)
@@ -365,6 +395,29 @@ mod tests {
             .by_ref()
             .take(200_000)
             .any(|e| matches!(e, CoreEvent::SyncStall { .. })));
+    }
+
+    #[test]
+    fn untimed_events_are_the_timed_stream_without_bursts() {
+        for (w, cores) in [(Workload::WebSearch, 16), (Workload::MediaStreaming, 64)] {
+            let mut timed = TraceGenerator::new(cfg(w, cores, 1));
+            let mut untimed = timed.clone();
+            // Stop part-way through a stashed event too: both must resume
+            // at the same event with the same RNG state.
+            timed.next();
+            untimed.next();
+            for _ in 0..20_000 {
+                let ev = timed
+                    .by_ref()
+                    .find(|e| !matches!(e, CoreEvent::Compute { .. }))
+                    .expect("traces are infinite");
+                assert_eq!(untimed.next_untimed(), ev);
+            }
+            assert_eq!(
+                timed.take(1_000).collect::<Vec<_>>(),
+                untimed.take(1_000).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
