@@ -12,6 +12,137 @@ use scale_out_processors::tech::{CacheGeometry, CoreKind, TechnologyNode};
 use scale_out_processors::threed::{Pod3d, StackStrategy};
 use scale_out_processors::workloads::{Workload, WorkloadProfile};
 
+/// The LLC bank as it was before sets kept their recency order in one
+/// word: a last-use stamp per way (the bank's access count at the last
+/// touch), the victim found by a minimum scan over the stamps, and
+/// swap-remove on eviction. Kept as a reference model only.
+mod stamp_lru {
+    use scale_out_processors::sim::cache::{BankOutcome, MAX_SHARERS};
+    use scale_out_processors::sim::DirectoryState;
+
+    pub struct Bank {
+        tags: Vec<u64>,
+        last_use: Vec<u64>,
+        dirs: Vec<DirectoryState>,
+        len: Vec<u8>,
+        ways: usize,
+        pub accesses: u64,
+        pub misses: u64,
+        pub snoops: u64,
+        tick: u64,
+    }
+
+    impl Bank {
+        pub fn new(capacity_bytes: u64, ways: usize) -> Self {
+            let sets = (capacity_bytes / 64 / ways as u64).max(1) as usize;
+            Bank {
+                tags: vec![0; sets * ways],
+                last_use: vec![0; sets * ways],
+                dirs: vec![DirectoryState::Owned(0); sets * ways],
+                len: vec![0; sets],
+                ways,
+                accesses: 0,
+                misses: 0,
+                snoops: 0,
+                tick: 0,
+            }
+        }
+
+        fn set_of(&self, line: u64) -> usize {
+            let h = line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
+            (h % self.len.len() as u64) as usize
+        }
+
+        pub fn access(&mut self, core: u32, line: u64, write: bool) -> BankOutcome {
+            self.accesses += 1;
+            self.tick += 1;
+            let tick = self.tick;
+            let ways = self.ways;
+            let set_idx = self.set_of(line);
+            let base = set_idx * ways;
+            let mut n = usize::from(self.len[set_idx]);
+            if let Some(i) = self.tags[base..base + n].iter().position(|&t| t == line) {
+                let w = base + i;
+                self.last_use[w] = tick;
+                let snoop = match (self.dirs[w], write) {
+                    (
+                        DirectoryState::Shared {
+                            mut count,
+                            mut cores,
+                        },
+                        false,
+                    ) => {
+                        if !cores[..usize::from(count)].contains(&core) {
+                            if usize::from(count) < MAX_SHARERS {
+                                cores[usize::from(count)] = core;
+                                count += 1;
+                            } else {
+                                cores.copy_within(1.., 0);
+                                cores[MAX_SHARERS - 1] = core;
+                            }
+                        }
+                        self.dirs[w] = DirectoryState::Shared { count, cores };
+                        Vec::new()
+                    }
+                    (DirectoryState::Shared { count, cores }, true) => {
+                        self.dirs[w] = DirectoryState::Owned(core);
+                        cores[..usize::from(count)]
+                            .iter()
+                            .copied()
+                            .filter(|&s| s != core)
+                            .collect()
+                    }
+                    (DirectoryState::Owned(prev), _) if prev == core => Vec::new(),
+                    (DirectoryState::Owned(prev), _) => {
+                        self.dirs[w] = if write {
+                            DirectoryState::Owned(core)
+                        } else {
+                            let mut cores = [0; MAX_SHARERS];
+                            cores[0] = prev;
+                            cores[1] = core;
+                            DirectoryState::Shared { count: 2, cores }
+                        };
+                        vec![prev]
+                    }
+                };
+                self.snoops += snoop.len() as u64;
+                return BankOutcome::Hit { snoop };
+            }
+            self.misses += 1;
+            let mut writeback = false;
+            if n >= ways {
+                let lru = (0..n)
+                    .min_by_key(|&i| self.last_use[base + i])
+                    .expect("set is non-empty");
+                writeback = matches!(self.dirs[base + lru], DirectoryState::Owned(_));
+                let last = base + n - 1;
+                self.tags[base + lru] = self.tags[last];
+                self.last_use[base + lru] = self.last_use[last];
+                self.dirs[base + lru] = self.dirs[last];
+                n -= 1;
+            }
+            let w = base + n;
+            self.tags[w] = line;
+            self.last_use[w] = tick;
+            self.dirs[w] = if write {
+                DirectoryState::Owned(core)
+            } else {
+                let mut cores = [0; MAX_SHARERS];
+                cores[0] = core;
+                DirectoryState::Shared { count: 1, cores }
+            };
+            self.len[set_idx] = (n + 1) as u8;
+            BankOutcome::Miss { writeback }
+        }
+
+        pub fn clear(&mut self) -> u64 {
+            let lines = self.len.iter().map(|&l| u64::from(l)).sum();
+            self.len.iter_mut().for_each(|l| *l = 0);
+            lines
+        }
+    }
+}
+
 fn any_workload() -> impl Strategy<Value = Workload> {
     prop::sample::select(Workload::ALL.to_vec())
 }
@@ -135,6 +266,38 @@ proptest! {
                 }
                 scale_out_processors::sim::cache::BankOutcome::Miss { .. } => {}
             }
+        }
+    }
+
+    /// Recency-ordered LLC sets agree with the per-way-stamp bank they
+    /// replaced ([`stamp_lru::Bank`]) on every outcome — snoop order
+    /// included — and every counter, at 1, 4 and 16 ways, for up to 64
+    /// cores reading and writing a few lines per set (heavy conflict),
+    /// with every resident line dropped half-way through the stream.
+    #[test]
+    fn llc_bank_matches_stamp_reference(
+        sets in prop::sample::select(vec![1u64, 2, 8]),
+        lines_per_set in prop::sample::select(vec![2u64, 5, 24]),
+        ops in prop::collection::vec((0u32..64, 0u64..u64::MAX, prop::bool::ANY), 1..600)
+    ) {
+        use scale_out_processors::sim::cache::BankOutcome;
+        for ways in [1usize, 4, 16] {
+            let capacity = sets * ways as u64 * 64;
+            let mut bank = LlcBank::new(capacity, ways);
+            let mut reference = stamp_lru::Bank::new(capacity, ways);
+            let distinct = sets * lines_per_set * ways as u64;
+            for (i, &(core, raw, write)) in ops.iter().enumerate() {
+                if i == ops.len() / 2 {
+                    prop_assert_eq!(bank.clear(), reference.clear(), "op {}", i);
+                }
+                let line = raw % distinct;
+                let got: BankOutcome = bank.access(core, line, write);
+                prop_assert_eq!(got, reference.access(core, line, write), "ways {} op {}", ways, i);
+            }
+            prop_assert_eq!(
+                (bank.accesses(), bank.misses(), bank.snoops()),
+                (reference.accesses, reference.misses, reference.snoops)
+            );
         }
     }
 
