@@ -38,7 +38,10 @@ fn main() {
         .position(|a| a == "--json")
         .and_then(|i| args.get(i + 1))
         .cloned();
-    let exec = Exec::new(ExecConfig::from_args(&args));
+    let exec = Exec::new(ExecConfig::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("ablation: {e}");
+        std::process::exit(2);
+    }));
     let which = args
         .iter()
         .enumerate()

@@ -37,7 +37,10 @@ fn main() {
         .position(|a| a == "--json")
         .and_then(|i| args.get(i + 1))
         .cloned();
-    let exec = Exec::new(ExecConfig::from_args(&args));
+    let exec = Exec::new(ExecConfig::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("calibrate: {e}");
+        std::process::exit(2);
+    }));
 
     type Section = (&'static str, fn(&mut String) -> Json);
     let sections: Vec<Section> = vec![

@@ -88,7 +88,10 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let exec = Exec::new(ExecConfig::from_args(&args));
+    let exec = Exec::new(ExecConfig::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
+    }));
     let ids = experiment_ids(&args, &valued);
     if ids.is_empty() {
         eprintln!("{USAGE}");

@@ -1,6 +1,8 @@
 //! `repro` rejects any flag outside its usage line with exit 2 and a
 //! message naming it, before running anything — in particular a flag is
 //! never mistaken for an experiment id and dropped because `all` wins.
+//! `repro`, `ablation` and `calibrate` likewise reject an engine flag
+//! whose value does not parse instead of running at the default.
 
 use std::process::Command;
 
@@ -33,6 +35,55 @@ fn unknown_flags_exit_2_naming_the_flag() {
         assert!(
             stderr.contains(&format!("unknown flag {flag}")),
             "repro {args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn unparsable_engine_values_exit_2_naming_flag_and_value() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-values-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let cases: [(&str, &[&str], &str); 5] = [
+        (
+            env!("CARGO_BIN_EXE_repro"),
+            &["all", "--quick", "--jobs", "two"],
+            "--jobs: two",
+        ),
+        (
+            env!("CARGO_BIN_EXE_repro"),
+            &["fig4.7", "--retries", "x"],
+            "--retries: x",
+        ),
+        (
+            env!("CARGO_BIN_EXE_repro"),
+            &["fig4.7", "--timeout-secs", "1m"],
+            "--timeout-secs: 1m",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ablation"),
+            &["--jobs", "two"],
+            "--jobs: two",
+        ),
+        (
+            env!("CARGO_BIN_EXE_calibrate"),
+            &["--jobs", "two"],
+            "--jobs: two",
+        ),
+    ];
+    for (bin, args, what) in cases {
+        let out = Command::new(bin)
+            .args(args)
+            .current_dir(&dir)
+            .env("SOP_CACHE_DIR", dir.join("cache"))
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("invalid value for {what}")),
+            "{bin} {args:?}: {stderr}"
         );
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");

@@ -259,25 +259,40 @@ impl ExecConfig {
     /// Parses the engine's standard flags from argv: `--jobs N`,
     /// `--no-cache`, `--resume`, `--timeout-secs N`, `--retries N`,
     /// `--no-heartbeat`.
-    /// Unknown arguments are ignored (they belong to the host binary).
-    pub fn from_args(args: &[String]) -> Self {
-        fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
-        }
+    /// Unknown arguments are ignored (they belong to the host binary). A
+    /// valued flag with a missing or unparsable value is an error (see
+    /// [`parse_flag`]); callers print it and exit 2 rather than run at
+    /// the default.
+    pub fn from_args(args: &[String]) -> Result<Self, String> {
         let defaults = ExecConfig::default();
-        ExecConfig {
-            jobs: flag_value(args, "--jobs").unwrap_or(0),
+        Ok(ExecConfig {
+            jobs: parse_flag(args, "--jobs")?.unwrap_or(0),
             no_cache: args.iter().any(|a| a == "--no-cache"),
             resume: args.iter().any(|a| a == "--resume"),
-            timeout_secs: flag_value(args, "--timeout-secs"),
-            retries: flag_value(args, "--retries").unwrap_or(defaults.retries),
+            timeout_secs: parse_flag(args, "--timeout-secs")?,
+            retries: parse_flag(args, "--retries")?.unwrap_or(defaults.retries),
             heartbeat: !args.iter().any(|a| a == "--no-heartbeat"),
             ..defaults
-        }
+        })
     }
+}
+
+/// The value of `flag` in argv, parsed: `Ok(None)` when the flag is
+/// absent, and an error naming the flag when its value is missing
+/// (`--jobs needs a value`) or does not parse (`invalid value for
+/// --jobs: two`). The one parser behind every numeric CLI flag, so no
+/// typo can quietly fall back to a default.
+pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("invalid value for {flag}: {value}"))
 }
 
 /// The execution engine handle: a worker-count choice, a result cache,

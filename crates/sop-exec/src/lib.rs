@@ -34,7 +34,9 @@ pub mod heartbeat;
 pub mod pool;
 
 pub use cache::{audit_dir, default_cache_dir, CacheAudit, ResultCache};
-pub use campaign::{CampaignRun, Exec, ExecConfig, Job, JobFailure, JobOutcome, JobSource};
+pub use campaign::{
+    parse_flag, CampaignRun, Exec, ExecConfig, Job, JobFailure, JobOutcome, JobSource,
+};
 pub use hash::{canonicalize, hash_hex, parse_hash_hex, spec_hash};
 pub use heartbeat::{Heartbeat, TopSnapshot, WorkerActivity};
 pub use pool::{
@@ -356,12 +358,34 @@ mod tests {
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
-        let cfg = ExecConfig::from_args(&args);
+        let cfg = ExecConfig::from_args(&args).expect("flags parse");
         assert_eq!(cfg.jobs, 4);
         assert!(cfg.no_cache);
         assert!(cfg.resume);
-        let none = ExecConfig::from_args(&["prog".to_owned()]);
+        let none = ExecConfig::from_args(&["prog".to_owned()]).expect("no flags parse");
         assert_eq!(none.jobs, 0);
         assert!(!none.no_cache && !none.resume);
+    }
+
+    #[test]
+    fn exec_config_rejects_unparsable_values() {
+        let parse = |list: &[&str]| {
+            let args: Vec<String> = list.iter().map(|s| (*s).to_owned()).collect();
+            ExecConfig::from_args(&args).map(|cfg| cfg.jobs)
+        };
+        assert_eq!(parse(&["--jobs", "3"]), Ok(3));
+        assert_eq!(
+            parse(&["--jobs", "two"]),
+            Err("invalid value for --jobs: two".to_owned())
+        );
+        assert_eq!(
+            parse(&["--timeout-secs", "-1"]),
+            Err("invalid value for --timeout-secs: -1".to_owned())
+        );
+        assert_eq!(
+            parse(&["--retries", "1.5"]),
+            Err("invalid value for --retries: 1.5".to_owned())
+        );
+        assert_eq!(parse(&["--jobs"]), Err("--jobs needs a value".to_owned()));
     }
 }

@@ -72,7 +72,7 @@ use scale_out_processors::core::designs::{reference_chip, DesignKind};
 use scale_out_processors::core::pod::{optimal_pod, preferred_pod, PodSearchSpace};
 use scale_out_processors::exec::audit_dir;
 use scale_out_processors::exec::heartbeat::{read_events, snapshot, PROGRESS_FILE};
-use scale_out_processors::exec::{Exec, ExecConfig};
+use scale_out_processors::exec::{parse_flag, Exec, ExecConfig};
 use scale_out_processors::noc::TopologyKind;
 use scale_out_processors::obs::prom::{exposition_from_json, metric_name};
 use scale_out_processors::obs::{
@@ -124,6 +124,25 @@ fn accept_flags(args: &[String], switches: &[&str], valued: &[&str]) {
         eprintln!("sop {}: {e}; see `sop help`", args[0]);
         std::process::exit(2);
     }
+}
+
+/// The value of `flag` in `sop <cmd>`'s arguments, parsed; exits 2
+/// naming the flag when the value is missing or does not parse (see
+/// [`parse_flag`]), so a typo never runs at the default.
+fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    parse_flag(args, flag).unwrap_or_else(|e| {
+        eprintln!("sop {}: {e}", args[0]);
+        std::process::exit(2);
+    })
+}
+
+/// The engine flags of `sop <cmd>`; exits 2 on a bad value like
+/// [`numeric_flag`].
+fn exec_config(args: &[String]) -> ExecConfig {
+    ExecConfig::from_args(args).unwrap_or_else(|e| {
+        eprintln!("sop {}: {e}", args[0]);
+        std::process::exit(2);
+    })
 }
 
 /// Reads `--tol PCT` (default `default_pct`) and every `--tol-path
@@ -230,7 +249,7 @@ fn sweep(args: &[String]) {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| format!("sweep-{name}.json"));
-    let exec = Exec::new(ExecConfig::from_args(args));
+    let exec = Exec::new(exec_config(args));
 
     let mut spans = SpanLog::new();
     let data = spans.time(name, |_| {
@@ -280,22 +299,12 @@ fn fleet(args: &[String]) {
     let storm = args.iter().any(|a| a == "--storm");
     let series = args.iter().any(|a| a == "--series");
     let slo = args.iter().any(|a| a == "--slo");
-    let servers: u32 = args
-        .iter()
-        .position(|a| a == "--servers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 64 } else { 256 });
+    let servers: u32 = numeric_flag(args, "--servers").unwrap_or(if quick { 64 } else { 256 });
     if servers == 0 {
         eprintln!("--servers must be at least 1");
         std::process::exit(2);
     }
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let seed: u64 = numeric_flag(args, "--seed").unwrap_or(42);
     let org = args
         .iter()
         .position(|a| a == "--org")
@@ -389,7 +398,7 @@ fn fleet(args: &[String]) {
     scale_out_processors::exec::heartbeat::set_slo_source(
         scale_out_processors::fleet::slo_alert_state,
     );
-    let exec = Exec::new(ExecConfig::from_args(args));
+    let exec = Exec::new(exec_config(args));
 
     if resilience {
         resilience_fleet(
@@ -749,12 +758,7 @@ fn slo_cmd(args: &[String]) {
         std::process::exit(2);
     };
     let pct = |flag: &str, default: f64| -> f64 {
-        let v: f64 = args
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default);
+        let v: f64 = numeric_flag(args, flag).unwrap_or(default);
         if v <= 0.0 || v >= 100.0 {
             eprintln!("{flag} must be a percentage in (0, 100)");
             std::process::exit(2);
@@ -762,11 +766,7 @@ fn slo_cmd(args: &[String]) {
         v / 100.0
     };
     let target = pct("--target", 99.9);
-    let latency_ms: Option<u64> = args
-        .iter()
-        .position(|a| a == "--latency-ms")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
+    let latency_ms: Option<u64> = numeric_flag(args, "--latency-ms");
     let latency_target = pct("--latency-target", 99.0);
     let sparkline = args.iter().any(|a| a == "--ascii-sparkline");
 
@@ -956,12 +956,7 @@ fn bench(args: &[String]) {
         &["--jobs", "--only", "--json", "--baseline", "--tol"],
     );
     let quick = args.iter().any(|a| a == "--quick");
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let jobs: usize = numeric_flag(args, "--jobs").unwrap_or(0);
     let only_arg = args
         .iter()
         .position(|a| a == "--only")
@@ -1153,12 +1148,7 @@ fn chip(args: &[String]) {
 
 fn dc(args: &[String]) {
     let d = design(args);
-    let mem: u32 = args
-        .iter()
-        .position(|a| a == "--mem")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+    let mem: u32 = numeric_flag(args, "--mem").unwrap_or(64);
     let params = TcoParams::thesis();
     let dc = Datacenter::for_design(d, &params, mem);
     println!(
@@ -1197,21 +1187,12 @@ fn trace(args: &[String]) {
     } else {
         (4_000, 8_000)
     };
-    let sample: u64 = args
-        .iter()
-        .position(|a| a == "--sample")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let sample: u64 = numeric_flag(args, "--sample").unwrap_or(1);
     if sample == 0 {
         eprintln!("--sample must be at least 1");
         std::process::exit(2);
     }
-    let cores: Option<u32> = args
-        .iter()
-        .position(|a| a == "--cores")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
+    let cores: Option<u32> = numeric_flag(args, "--cores");
     let (cfg, point) = match cores {
         Some(n) => (
             SimConfig::validation(workload, n, topo),
@@ -1318,11 +1299,7 @@ fn prof(args: &[String]) {
     } else {
         (4_000, 8_000)
     };
-    let cores: Option<u32> = args
-        .iter()
-        .position(|a| a == "--cores")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
+    let cores: Option<u32> = numeric_flag(args, "--cores");
     let out = args
         .iter()
         .position(|a| a == "--json")
@@ -1452,12 +1429,7 @@ fn top(args: &[String]) {
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| scale_out_processors::exec::default_cache_dir().join(PROGRESS_FILE));
     let once = args.iter().any(|a| a == "--once");
-    let interval: u64 = args
-        .iter()
-        .position(|a| a == "--interval-ms")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500);
+    let interval: u64 = numeric_flag(args, "--interval-ms").unwrap_or(500);
     loop {
         let snap = snapshot(&read_events(&file));
         if once {

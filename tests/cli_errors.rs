@@ -1,8 +1,10 @@
 //! Flags and values that do not parse fail loudly. `sop sweep`, `sop
 //! bench` and `sop prof` reject any flag outside their usage line with
-//! exit 2 and a message naming it, before doing any work; `sop diff`
-//! rejects a tolerance that does not parse instead of gating at the
-//! default.
+//! exit 2 and a message naming it, before doing any work; numeric flags
+//! (the engine's `--jobs`, `--timeout-secs` and `--retries`, `--cores`,
+//! `--sample`) reject a value that does not parse instead of running at
+//! the default; `sop diff` rejects a tolerance that does not parse
+//! instead of gating at the default.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -53,6 +55,53 @@ fn unknown_flags_exit_2_naming_the_flag() {
             "sop {args:?}: {stderr}"
         );
     }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn unparsable_numeric_values_exit_2_naming_flag_and_value() {
+    let dir = scratch("values");
+    let cases: [(&[&str], &str); 10] = [
+        (&["sweep", "ch2", "--jobs", "two"], "--jobs: two"),
+        (
+            &["sweep", "ch2", "--timeout-secs", "soon"],
+            "--timeout-secs: soon",
+        ),
+        (&["sweep", "ch2", "--retries", "-1"], "--retries: -1"),
+        (&["fleet", "--quick", "--jobs", "2.5"], "--jobs: 2.5"),
+        (&["fleet", "--quick", "--servers", "abc"], "--servers: abc"),
+        (&["bench", "--quick", "--jobs", "two"], "--jobs: two"),
+        (
+            &["prof", "websearch", "--quick", "--cores", "abc"],
+            "--cores: abc",
+        ),
+        (
+            &["trace", "websearch", "--quick", "--cores", "abc"],
+            "--cores: abc",
+        ),
+        (
+            &["trace", "websearch", "--quick", "--sample", "1e3"],
+            "--sample: 1e3",
+        ),
+        (
+            &["trace", "websearch", "--quick", "--sample", ""],
+            "--sample: ",
+        ),
+    ];
+    for (args, what) in cases {
+        let (code, stderr) = sop(&dir, args);
+        assert_eq!(code, Some(2), "sop {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("invalid value for {what}")),
+            "sop {args:?}: {stderr}"
+        );
+    }
+    // Nothing ran, so nothing was written.
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("scratch dir")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    assert!(written.is_empty(), "a rejected run wrote {written:?}");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
