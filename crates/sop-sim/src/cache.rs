@@ -65,11 +65,9 @@ pub enum BankOutcome {
 /// valid. Each set's recency order is one `u64`: the valid ways' indices
 /// from most to least recently used, four bits each, MRU in the low
 /// nibble. A hit moves its way to the front, a fill pushes the filled way
-/// to the front, and a full set evicts the way in the LRU nibble — the
-/// way a per-way last-use stamp would name as the minimum, since every
-/// touch of a set moves a way to the front. Tags are unique within a
-/// set, so which way a line occupies is never observable: only the
-/// recency order and the directory state are.
+/// to the front, and a full set evicts the way in the LRU nibble. Tags
+/// are unique within a set, so which way a line occupies is never
+/// observable: only the recency order and the directory state are.
 #[derive(Debug, Clone)]
 pub struct LlcBank {
     /// Line tags, `ways`-strided per set.
