@@ -209,13 +209,15 @@ impl TraceGenerator {
             self.private_line()
         }
     }
+}
 
+impl TraceGenerator {
     /// Draws the next non-compute event and the uniform variate that
     /// sizes the compute gap before it. The variate is drawn whether or
     /// not the caller wants the gap, so both consumers advance the RNG
     /// stream identically.
-    fn draw(&mut self) -> (CoreEvent, f64) {
-        let r: f64 = self.rng.gen::<f64>() * self.p_event();
+    fn draw(&mut self, p_event: f64) -> (CoreEvent, f64) {
+        let r: f64 = self.rng.gen::<f64>() * p_event;
         let ev = if r < self.p_ifetch {
             let line = self.shared_line();
             CoreEvent::InstructionFetch { line }
@@ -229,7 +231,8 @@ impl TraceGenerator {
             let cycles = 20 + self.rng.gen_range(0..200);
             CoreEvent::SyncStall { cycles }
         };
-        (ev, self.rng.gen())
+        let u: f64 = self.rng.gen::<f64>().max(1e-12);
+        (ev, u)
     }
 
     fn p_event(&self) -> f64 {
@@ -243,7 +246,13 @@ impl TraceGenerator {
     /// without sizing the skipped burst. For functional warming, which
     /// has no use for compute time.
     pub fn next_untimed(&mut self) -> CoreEvent {
-        self.pending.take().unwrap_or_else(|| self.draw().0)
+        match self.pending.take() {
+            Some(ev) => ev,
+            None => {
+                let p_event = self.p_event();
+                self.draw(p_event).0
+            }
+        }
     }
 }
 
@@ -258,12 +267,11 @@ impl Iterator for TraceGenerator {
         // probability `p_event`; we draw the geometric inter-event gap as a
         // compute burst and stash the event itself for the next call, so
         // the event rate per instruction matches the profile exactly.
-        let (ev, u) = self.draw();
+        let p_event = self.p_event();
+        let (ev, u) = self.draw(p_event);
         // Geometric gap with mean (1-p)/p, sampled via the exponential
         // approximation; the event instruction itself is counted by the
         // consumer when it processes the stashed event.
-        let u = u.max(1e-12);
-        let p_event = self.p_event();
         let gap = (-u.ln() * (1.0 - p_event) / p_event).round() as u32;
         if gap == 0 {
             Some(ev)
