@@ -44,9 +44,7 @@ pub use point::{
     add_slo_metrics, fleet_points, grid, resilience_grid, resilience_points, storm_pair,
     FleetPointSpec, ResiliencePointSpec, SLO_AVAILABILITY_TARGET,
 };
-pub use resilience::{
-    simulate_resilience, ResilienceOutcome, ResilienceParams, RetryPolicy, RETRY_POLICIES,
-};
+pub use resilience::{simulate_resilience, ResilienceParams, RetryPolicy, RETRY_POLICIES};
 pub use sim::{simulate, FleetOutcome, Policy, SimParams, WindowStats};
 pub use traffic::TrafficModel;
 

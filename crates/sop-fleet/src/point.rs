@@ -16,7 +16,10 @@
 use sop_exec::{Exec, Job};
 use sop_obs::{Histogram, Json, Registry};
 
+use crate::domains::DomainTopology;
 use crate::org::{org_by_name, ServerSpec, ORGS};
+use crate::resilience::{simulate_resilience, ResilienceParams, RetryPolicy};
+use crate::resilience::{SHED_INTERVAL_TICKS, SHED_TARGET_MS};
 use crate::sim::{simulate, FleetOutcome, Policy, SimParams};
 
 /// One fully-specified fleet run.
@@ -51,16 +54,10 @@ impl FleetPointSpec {
         }
     }
 
-    /// Resolves the costed server this spec's fleet is built from.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown organization name; the CLI and campaign
-    /// validate names before building specs.
+    /// Resolves the costed server this spec's fleet is built from (see
+    /// [`server_of`]).
     pub fn server(&self) -> ServerSpec {
-        let org = org_by_name(&self.org)
-            .unwrap_or_else(|| panic!("unknown chip organization {:?}", self.org));
-        ServerSpec::for_org(org)
+        server_of(&self.org)
     }
 
     /// The resolved simulation parameters.
@@ -123,16 +120,23 @@ impl FleetPointSpec {
     }
 }
 
-fn quantiles(hist: &Histogram) -> [(&'static str, Option<u64>); 3] {
-    [
-        ("p50_ms", hist.p50()),
-        ("p95_ms", hist.p95()),
-        ("p99_ms", hist.p99()),
-    ]
+/// The costed server an organization's fleet is built from.
+///
+/// # Panics
+///
+/// Panics on an unknown organization name; the CLI and campaign
+/// validate names before building specs.
+fn server_of(org: &str) -> ServerSpec {
+    let org = org_by_name(org).unwrap_or_else(|| panic!("unknown chip organization {org:?}"));
+    ServerSpec::for_org(org)
 }
 
 fn with_quantiles(mut doc: Json, hist: &Histogram) -> Json {
-    for (key, q) in quantiles(hist) {
+    for (key, q) in [
+        ("p50_ms", hist.p50()),
+        ("p95_ms", hist.p95()),
+        ("p99_ms", hist.p99()),
+    ] {
         doc.insert(key, q.map_or(Json::Null, Json::UInt));
     }
     doc
@@ -142,7 +146,7 @@ fn with_quantiles(mut doc: Json, hist: &Histogram) -> Json {
 /// decile floor in percent; everything at or past 110% pools in the
 /// last bin), with merged latency histograms per bin.
 fn curve(outcome: &FleetOutcome) -> Json {
-    let nominal = outcome.params.nominal_capacity();
+    let nominal = outcome.params.base.nominal_capacity();
     const BINS: usize = 12;
     let mut hists: Vec<Histogram> = vec![Histogram::new(); BINS];
     let mut windows = [0u64; BINS];
@@ -178,7 +182,7 @@ fn curve(outcome: &FleetOutcome) -> Json {
 
 fn row(spec: &FleetPointSpec, server: &ServerSpec, outcome: &FleetOutcome) -> Json {
     let fleet_monthly = server.monthly_cost_usd * f64::from(spec.servers);
-    let sustained = outcome.sustained_qps();
+    let sustained = outcome.goodput_qps();
     let offered_total = outcome.offered();
     let doc = Json::object()
         .with("org", spec.org.as_str())
@@ -188,13 +192,13 @@ fn row(spec: &FleetPointSpec, server: &ServerSpec, outcome: &FleetOutcome) -> Js
         .with("pods_per_chip", server.pods_per_chip)
         .with("sockets", server.sockets)
         .with("per_server_qps", server.capacity_qps)
-        .with("capacity_qps", outcome.params.nominal_capacity())
+        .with("capacity_qps", outcome.params.base.nominal_capacity())
         .with("chip_price_usd", server.chip_price_usd)
         .with("server_monthly_usd", server.monthly_cost_usd)
         .with("fleet_monthly_usd", fleet_monthly)
         .with(
             "offered_qps",
-            offered_total as f64 / outcome.params.duration_ticks as f64,
+            offered_total as f64 / outcome.params.base.duration_ticks as f64,
         )
         .with("sustained_qps", sustained)
         .with(
@@ -226,7 +230,7 @@ fn row(spec: &FleetPointSpec, server: &ServerSpec, outcome: &FleetOutcome) -> Js
                 .with("offered", offered_total)
                 .with("served", outcome.served())
                 .with("dropped", outcome.dropped())
-                .with("inflight_end", outcome.inflight_end),
+                .with("inflight_end", outcome.totals.inflight_end),
         )
         .with("curve", curve(outcome))
 }
@@ -253,28 +257,43 @@ pub fn grid(
 
 /// Evaluates `specs` as one campaign on `exec`: duplicates collapse,
 /// cached points come from disk, fresh points run on the worker pool,
-/// and rows come back in spec order. A failed job's row carries a
-/// `failed` marker instead of data so report arrays keep their shape.
-pub fn fleet_points(exec: &Exec, campaign: &str, specs: &[FleetPointSpec]) -> Vec<Json> {
-    let jobs: Vec<Job<'_>> = specs
-        .iter()
-        .map(|spec| {
-            let spec = spec.clone();
-            Job::new(spec.name(), spec.to_json(), move |_| spec.evaluate())
-        })
-        .collect();
+/// and rows come back in spec order. A failed job's row is
+/// `failed_row` of its spec — a `failed` marker instead of data — so
+/// report arrays keep their shape.
+fn points<S: Clone>(
+    exec: &Exec,
+    campaign: &str,
+    specs: &[S],
+    job: fn(S) -> Job<'static>,
+    failed_row: fn(&S) -> Json,
+) -> Vec<Json> {
+    let jobs = specs.iter().cloned().map(job).collect();
     exec.run_campaign(campaign, jobs)
         .results
         .iter()
-        .enumerate()
-        .map(|(i, r)| match r {
-            Json::Null => Json::object()
-                .with("org", specs[i].org.as_str())
-                .with("policy", specs[i].policy.label())
-                .with("failed", true),
+        .zip(specs)
+        .map(|(r, spec)| match r {
+            Json::Null => failed_row(spec),
             doc => doc.clone(),
         })
         .collect()
+}
+
+/// Evaluates plain fleet `specs` as one campaign on `exec` (see
+/// [`points`]).
+pub fn fleet_points(exec: &Exec, campaign: &str, specs: &[FleetPointSpec]) -> Vec<Json> {
+    points(
+        exec,
+        campaign,
+        specs,
+        |spec| Job::new(spec.name(), spec.to_json(), move |_| spec.evaluate()),
+        |spec| {
+            Json::object()
+                .with("org", spec.org.as_str())
+                .with("policy", spec.policy.label())
+                .with("failed", true)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -373,10 +392,6 @@ mod tests {
 // ---------------------------------------------------------------------
 // Resilience points: one resilience run as a pure `sop-exec` job.
 
-use crate::domains::DomainTopology;
-use crate::resilience::{simulate_resilience, ResilienceOutcome, ResilienceParams, RetryPolicy};
-use crate::resilience::{SHED_INTERVAL_TICKS, SHED_TARGET_MS};
-
 /// One fully-specified resilience run: a fleet point plus domain
 /// topology, client behavior, shedder arming, and storm mode.
 #[derive(Debug, Clone, PartialEq)]
@@ -413,16 +428,10 @@ pub struct ResiliencePointSpec {
 pub const SLO_AVAILABILITY_TARGET: f64 = 0.999;
 
 impl ResiliencePointSpec {
-    /// Resolves the costed server this spec's fleet is built from.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown organization; the CLI and campaign
-    /// validate names before building specs.
+    /// Resolves the costed server this spec's fleet is built from (see
+    /// [`server_of`]).
     pub fn server(&self) -> ServerSpec {
-        let org = org_by_name(&self.org)
-            .unwrap_or_else(|| panic!("unknown chip organization {:?}", self.org));
-        ServerSpec::for_org(org)
+        server_of(&self.org)
     }
 
     /// The resolved simulation parameters.
@@ -549,7 +558,7 @@ impl ResiliencePointSpec {
 /// admission-latency deciles (d10..d100, upper bucket bounds in ms) so
 /// `sop slo` and external tools see the same tail the shedder saw,
 /// instead of only the run-total aggregate.
-fn goodput_curve(outcome: &ResilienceOutcome) -> Json {
+fn goodput_curve(outcome: &FleetOutcome) -> Json {
     Json::Arr(
         outcome
             .windows
@@ -574,11 +583,7 @@ fn goodput_curve(outcome: &ResilienceOutcome) -> Json {
     )
 }
 
-fn resilience_row(
-    spec: &ResiliencePointSpec,
-    server: &ServerSpec,
-    out: &ResilienceOutcome,
-) -> Json {
+fn resilience_row(spec: &ResiliencePointSpec, server: &ServerSpec, out: &FleetOutcome) -> Json {
     let fleet_monthly = server.monthly_cost_usd * f64::from(spec.servers);
     let t = &out.totals;
     let doc = Json::object()
@@ -635,8 +640,8 @@ fn resilience_row(
         .with(
             "faults",
             Json::object()
-                .with("chip_struck", out.chip_faults.0)
-                .with("chip_repaired", out.chip_faults.1)
+                .with("chip_struck", out.faults_struck)
+                .with("chip_repaired", out.faults_repaired)
                 .with("domain_struck", out.domain_faults.0)
                 .with("domain_repaired", out.domain_faults.1),
         )
@@ -748,31 +753,23 @@ pub fn storm_pair(org: &str, servers: u32, seed: u64, quick: bool) -> Vec<Resili
         .collect()
 }
 
-/// Evaluates resilience `specs` as one campaign on `exec`, mirroring
-/// [`fleet_points`]: failed jobs become marker rows, order is spec
-/// order, duplicates collapse through the cache.
+/// Evaluates resilience `specs` as one campaign on `exec` (see
+/// [`points`]).
 pub fn resilience_points(exec: &Exec, campaign: &str, specs: &[ResiliencePointSpec]) -> Vec<Json> {
-    let jobs: Vec<Job<'_>> = specs
-        .iter()
-        .map(|spec| {
-            let spec = spec.clone();
-            Job::new(spec.name(), spec.to_json(), move |_| spec.evaluate())
-        })
-        .collect();
-    exec.run_campaign(campaign, jobs)
-        .results
-        .iter()
-        .enumerate()
-        .map(|(i, r)| match r {
-            Json::Null => Json::object()
-                .with("org", specs[i].org.as_str())
-                .with("topology", specs[i].topology.as_str())
-                .with("retry", specs[i].retry.as_str())
-                .with("shed", specs[i].shed)
-                .with("failed", true),
-            doc => doc.clone(),
-        })
-        .collect()
+    points(
+        exec,
+        campaign,
+        specs,
+        |spec| Job::new(spec.name(), spec.to_json(), move |_| spec.evaluate()),
+        |spec| {
+            Json::object()
+                .with("org", spec.org.as_str())
+                .with("topology", spec.topology.as_str())
+                .with("retry", spec.retry.as_str())
+                .with("shed", spec.shed)
+                .with("failed", true)
+        },
+    )
 }
 
 /// Folds the `slo` analyses of evaluated rows into `metrics.slo.*`.

@@ -3,26 +3,39 @@
 //!
 //! # Event model
 //!
-//! Time advances in ticks of one simulated second. The run interleaves
-//! two deterministic event streams:
+//! Time advances in ticks of one simulated second. One tick loop
+//! ([`crate::resilience`]) runs every fleet, plain or resilient. Each
+//! tick it:
 //!
-//! * **Fault events** from the seeded [`FleetFaultPlan`] — a `Strike`
-//!   derates a server's capacity through the `sop-tco` degradation
-//!   curve and applies the operator [`Policy`]; the matching `Repair`
-//!   restores full health. Events due at a tick apply before that
-//!   tick's arrivals (repairs before strikes, then by server index).
-//! * **Arrival events** from the seeded [`TrafficModel`] — one batch
-//!   per tick, split across in-rotation servers proportionally to
-//!   their current capacity with exact integer largest-prefix
-//!   arithmetic (allocations always sum to the batch).
+//! 1. applies the fault and repair events due — chip faults from the
+//!    seeded [`FleetFaultPlan`](crate::FleetFaultPlan) derate a server
+//!    through the `sop-tco` degradation curve and apply the operator
+//!    [`Policy`], domain faults derate or kill whole server ranges;
+//!    repairs apply before strikes, then by server index;
+//! 2. probes server health, when the balancer relies on probes;
+//! 3. dispatches the tick's arrivals — fresh demand from the seeded
+//!    [`TrafficModel`](crate::TrafficModel), then due client retries —
+//!    across the routable servers by balancer weight with exact integer
+//!    largest-prefix arithmetic (allocations always sum to the batch);
+//! 4. serves: each server is an integer fluid queue that admits
+//!    arrivals up to a deadline-derived backlog bound (the excess is
+//!    rejected), records each admitted request's latency (service time
+//!    plus FIFO queueing delay at the current capacity) into the window
+//!    histogram, then serves up to its capacity.
 //!
-//! Each server is an integer fluid queue: per tick it admits arrivals
-//! up to a deadline-derived backlog bound (excess is dropped — open-
-//! loop demand does not retry), records each admitted request's
-//! latency (service time plus FIFO queueing delay at the current
-//! capacity) into the window histogram, then serves up to `capacity`
-//! requests. Accounting is exact by construction: per window,
-//! `offered = dropped + served + (inflight_end - inflight_start)`.
+//! A server touched in a tick — it had arrivals or backlog — is one
+//! fleet event ([`crate::events_processed`]).
+//!
+//! [`simulate`] runs that loop in its *plain* configuration: flat
+//! topology (no domain faults), retry `none` (open-loop demand, no
+//! client gives up or retries, so queued work is a bare backlog count),
+//! shedder off, no storm, and an oracle balancer that weights servers
+//! by effective capacity and knows their health exactly, so it runs no
+//! probes. The balancer is chosen at compile time and every other
+//! feature is disarmed by the parameters, so none of them costs the
+//! plain fleet anything. Accounting is exact by construction: per
+//! window, `offered = dropped + served + (inflight_end -
+//! inflight_start)`.
 //!
 //! # Policy hooks
 //!
@@ -33,11 +46,10 @@
 //! the healthy fleet until repair. These mirror the degrade-vs-drain
 //! repair postures of `sop_tco::derated_performance`.
 
-use sop_obs::{Histogram, Registry, SeriesSet, TimeSeries};
+use sop_obs::{Histogram, SeriesSet, TimeSeries};
 use sop_tco::DegradationCurve;
 
-use crate::failure::FleetFaultPlan;
-use crate::traffic::TrafficModel;
+use crate::resilience::{run, ResilienceParams, StormStats, Totals};
 
 /// What a damaged server does until repair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -146,27 +158,38 @@ pub fn severity_curve() -> DegradationCurve {
     ])
 }
 
-/// Per-window accounting. The tiling invariant holds exactly:
-/// `offered == dropped + served + (inflight_end - inflight_start)`.
+/// Per-window accounting: the growth of the run's request ledger
+/// ([`Totals`]) over the window, plus the window's backlog and
+/// latencies. The tiling invariant holds exactly:
+/// `offered + retries + hedges == issued == accepted + dropped`, and in
+/// the plain configuration `offered == dropped + served +
+/// (inflight_end - inflight_start)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowStats {
     /// First tick of the window.
     pub start_tick: u64,
     /// Window length in ticks (the last window may be short).
     pub ticks: u64,
-    /// Requests the traffic process offered.
+    /// Fresh demand the traffic process offered.
     pub offered: u64,
+    /// Requests dispatched (fresh + retries + hedges).
+    pub issued: u64,
     /// Requests admitted to some server queue.
     pub accepted: u64,
-    /// Requests rejected at admission (would miss the deadline).
+    /// Requests rejected at dispatch: shed, overflowing the admission
+    /// bound, black-holed, unreachable, or dropped hedge copies.
     pub dropped: u64,
-    /// Requests completed.
+    /// Requests completed (useful + waste).
     pub served: u64,
+    /// Useful requests completed.
+    pub goodput: u64,
+    /// Requests the shedder rejected.
+    pub shed: u64,
     /// Fleet-wide backlog when the window opened.
     pub inflight_start: u64,
     /// Fleet-wide backlog when the window closed.
     pub inflight_end: u64,
-    /// Latencies (ms) of requests admitted in this window.
+    /// Latencies (ms) of useful requests admitted in this window.
     pub hist: Histogram,
 }
 
@@ -180,114 +203,137 @@ impl WindowStats {
     }
 }
 
-/// Everything a fleet run produces.
+/// Everything a fleet run produces, plain or resilient.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetOutcome {
-    /// The parameters that produced this outcome.
-    pub params: SimParams,
+    /// The parameters that produced this outcome; a plain run carries
+    /// [`ResilienceParams::plain`] of its [`SimParams`].
+    pub params: ResilienceParams,
+    /// Whether the run was the plain configuration ([`simulate`]).
+    pub plain: bool,
     /// Per-window accounting, in time order.
     pub windows: Vec<WindowStats>,
-    /// All admitted-request latencies (ms) across the run.
+    /// Run-total flow counters.
+    pub totals: Totals,
+    /// Useful-admission latencies (ms) across the run.
     pub latency: Histogram,
-    /// Faults that struck during the run.
+    /// Chip-level faults that struck during the run.
     pub faults_struck: u64,
-    /// Repairs that completed during the run.
+    /// Chip-level repairs that completed during the run.
     pub faults_repaired: u64,
-    /// Fleet-wide backlog at end of run.
-    pub inflight_end: u64,
+    /// Domain faults struck / repaired.
+    pub domain_faults: (u64, u64),
+    /// Storm-interval stats (storm mode only).
+    pub storm: Option<StormStats>,
+    /// Whether the fleet fully recovered after the first domain fault
+    /// (no active outage, empty retry ring, no waste left queued).
+    pub recovered: bool,
+    /// Ticks from first domain strike to recovery; censored at the
+    /// remaining run length if recovery never happened, 0 if no domain
+    /// fault ever struck.
+    pub ttr_ticks: u64,
 }
 
 impl FleetOutcome {
-    /// Run-total offered requests.
+    /// Run-total fresh demand.
     pub fn offered(&self) -> u64 {
-        self.windows.iter().map(|w| w.offered).sum()
+        self.totals.offered
     }
 
     /// Run-total served requests.
     pub fn served(&self) -> u64 {
-        self.windows.iter().map(|w| w.served).sum()
+        self.totals.served
     }
 
-    /// Run-total dropped requests.
+    /// Run-total requests rejected at dispatch.
     pub fn dropped(&self) -> u64 {
-        self.windows.iter().map(|w| w.dropped).sum()
+        self.totals.issued - self.totals.admitted
     }
 
-    /// Served requests per tick, the denominator of cost-per-QPS.
-    pub fn sustained_qps(&self) -> f64 {
-        if self.params.duration_ticks == 0 {
+    /// Fraction of fresh demand that was eventually served usefully.
+    pub fn availability(&self) -> f64 {
+        if self.totals.offered == 0 {
+            return 1.0;
+        }
+        self.totals.goodput as f64 / self.totals.offered as f64
+    }
+
+    /// Issued-to-offered ratio: 1.0 means no client amplification.
+    pub fn retry_amplification(&self) -> f64 {
+        if self.totals.offered == 0 {
+            return 1.0;
+        }
+        self.totals.issued as f64 / self.totals.offered as f64
+    }
+
+    /// Fraction of issued requests the shedder rejected.
+    pub fn shed_fraction(&self) -> f64 {
+        if self.totals.issued == 0 {
             return 0.0;
         }
-        self.served() as f64 / self.params.duration_ticks as f64
+        self.totals.shed as f64 / self.totals.issued as f64
     }
 
-    /// The run's telemetry under the `fleet.*` namespace.
-    pub fn metrics(&self) -> Registry {
-        let mut r = Registry::new();
-        r.counter_add("fleet.ticks", self.params.duration_ticks);
-        r.counter_add("fleet.windows", self.windows.len() as u64);
-        r.counter_add("fleet.requests.offered", self.offered());
-        r.counter_add("fleet.requests.served", self.served());
-        r.counter_add("fleet.requests.dropped", self.dropped());
-        r.counter_add("fleet.faults.struck", self.faults_struck);
-        r.counter_add("fleet.faults.repaired", self.faults_repaired);
-        r.gauge_set("fleet.servers", f64::from(self.params.servers));
-        r.gauge_set("fleet.capacity.qps", self.params.nominal_capacity() as f64);
-        r.gauge_set("fleet.inflight.end", self.inflight_end as f64);
-        r.histogram_merge("fleet.latency_ms", &self.latency)
-            .expect("fresh registry has no kind conflicts");
-        r
+    /// Useful requests served per tick: the denominator of cost per
+    /// sustained (plain) or delivered (resilience) QPS.
+    pub fn goodput_qps(&self) -> f64 {
+        if self.params.base.duration_ticks == 0 {
+            return 0.0;
+        }
+        self.totals.goodput as f64 / self.params.base.duration_ticks as f64
     }
 
     /// The run's per-window time series, built post-hoc from the
-    /// window accounting the simulator already collects — the hot loop
-    /// pays nothing when no one asks (disarmed discipline). Counters
-    /// are exact integers; `latency_ms` is a digest series, so merging
-    /// and downsampling stay associative.
+    /// window accounting the simulator already collects — the tick
+    /// loop pays nothing when no one asks (disarmed discipline). A
+    /// plain run exports `offered`, `accepted`, `dropped` and `served`;
+    /// a resilience run exports `offered`, `issued`, `goodput` and
+    /// `shed`, from which availability and retry amplification are
+    /// derived at render time so merging stays associative. Counters
+    /// are exact integers; `latency_ms` is a digest series.
     pub fn series(&self) -> SeriesSet {
-        let interval = self.params.window_ticks.max(1);
-        let mut offered = TimeSeries::counter(interval);
-        let mut accepted = TimeSeries::counter(interval);
-        let mut dropped = TimeSeries::counter(interval);
-        let mut served = TimeSeries::counter(interval);
+        type Column = (&'static str, fn(&WindowStats) -> u64);
+        let columns: [Column; 4] = if self.plain {
+            [
+                ("offered", |w| w.offered),
+                ("accepted", |w| w.accepted),
+                ("dropped", |w| w.dropped),
+                ("served", |w| w.served),
+            ]
+        } else {
+            [
+                ("offered", |w| w.offered),
+                ("issued", |w| w.issued),
+                ("goodput", |w| w.goodput),
+                ("shed", |w| w.shed),
+            ]
+        };
+        let interval = self.params.base.window_ticks.max(1);
+        let mut set = SeriesSet::new();
+        for (name, column) in columns {
+            let mut series = TimeSeries::counter(interval);
+            for w in &self.windows {
+                series.record_count(w.start_tick, column(w));
+            }
+            set.insert(name, series);
+        }
         let mut latency = TimeSeries::digest(interval);
         for w in &self.windows {
-            offered.record_count(w.start_tick, w.offered);
-            accepted.record_count(w.start_tick, w.accepted);
-            dropped.record_count(w.start_tick, w.dropped);
-            served.record_count(w.start_tick, w.served);
             latency.record_digest(w.start_tick, &w.hist);
         }
-        let mut set = SeriesSet::new();
-        set.insert("offered", offered);
-        set.insert("accepted", accepted);
-        set.insert("dropped", dropped);
-        set.insert("served", served);
         set.insert("latency_ms", latency);
         set
     }
-}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FaultEventKind {
-    // Repairs apply before strikes due the same tick, so the variant
-    // order is the event order.
-    Repair,
-    Strike,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct FaultEvent {
-    tick: u64,
-    kind: FaultEventKind,
-    server: u32,
-    derated_capacity: u64,
-}
-
-struct ServerState {
-    capacity: u64,
-    in_rotation: bool,
-    backlog: u64,
+    /// The scripted storm as an [`sop_obs::slo`] cause, when this run
+    /// was a storm scenario.
+    pub fn scripted_cause(&self) -> Option<sop_obs::ScriptedCause> {
+        self.storm.map(|s| sop_obs::ScriptedCause {
+            label: "storm".to_owned(),
+            start_tick: s.start_tick,
+            repair_tick: s.end_tick,
+        })
+    }
 }
 
 /// Records the latencies of `accepted` FIFO requests admitted behind a
@@ -300,6 +346,7 @@ struct ServerState {
 /// each latency individually; only the internal sum (hence `mean`) is
 /// a lower-bound approximation, since a run is attributed to its first
 /// latency (its last is recorded individually to keep `max` exact).
+#[inline(always)]
 pub(crate) fn record_latencies(
     hist: &mut Histogram,
     backlog: u64,
@@ -335,189 +382,11 @@ pub(crate) fn record_latencies(
     }
 }
 
-/// Runs one fleet simulation to completion. Pure and deterministic:
-/// equal `params` give bit-identical outcomes.
+/// Runs one fleet simulation to completion in the plain
+/// configuration (see the module docs). Pure and deterministic: equal
+/// `params` give bit-identical outcomes.
 pub fn simulate(params: &SimParams) -> FleetOutcome {
-    assert!(params.servers > 0, "cannot simulate an empty fleet");
-    assert!(params.per_server_qps > 0, "servers need capacity");
-    assert!(params.duration_ticks > 0, "cannot simulate zero ticks");
-    assert!(params.window_ticks > 0, "windows need at least one tick");
-
-    let curve = severity_curve();
-    let plan = FleetFaultPlan::seeded(
-        params.seed,
-        params.servers,
-        params.duration_ticks,
-        params.mtbf_ticks,
-        params.mttr_ticks,
-    );
-    let mut events: Vec<FaultEvent> = Vec::with_capacity(plan.len() * 2);
-    for f in plan.faults() {
-        let derated = ((params.per_server_qps as f64
-            * curve.relative_performance(f.failed_fraction))
-        .round() as u64)
-            .max(1);
-        events.push(FaultEvent {
-            tick: f.tick,
-            kind: FaultEventKind::Strike,
-            server: f.server,
-            derated_capacity: derated,
-        });
-        let repair_at = f.tick + f.repair_ticks;
-        if repair_at < params.duration_ticks {
-            events.push(FaultEvent {
-                tick: repair_at,
-                kind: FaultEventKind::Repair,
-                server: f.server,
-                derated_capacity: params.per_server_qps,
-            });
-        }
-    }
-    events.sort_by_key(|e| (e.tick, e.kind as u8, e.server));
-
-    let mut traffic = TrafficModel::new(
-        params.seed,
-        params.nominal_capacity() as f64 * params.peak_util,
-        params.duration_ticks,
-    );
-
-    let n = params.servers as usize;
-    let mut servers: Vec<ServerState> = (0..n)
-        .map(|_| ServerState {
-            capacity: params.per_server_qps,
-            in_rotation: true,
-            backlog: 0,
-        })
-        .collect();
-    // In-rotation server indices, kept sorted; rebuilt only on fault
-    // events, which are rare relative to ticks.
-    let mut active: Vec<u32> = (0..params.servers).collect();
-    let mut active_capacity: u64 = params.nominal_capacity();
-    let rebuild_active = |servers: &[ServerState], active: &mut Vec<u32>, cap: &mut u64| {
-        active.clear();
-        *cap = 0;
-        for (i, s) in servers.iter().enumerate() {
-            if s.in_rotation {
-                active.push(i as u32);
-                *cap += s.capacity;
-            }
-        }
-    };
-
-    let mut arrivals: Vec<u64> = vec![0; n];
-    let mut windows: Vec<WindowStats> = Vec::new();
-    let mut win = WindowStats {
-        start_tick: 0,
-        ticks: 0,
-        offered: 0,
-        accepted: 0,
-        dropped: 0,
-        served: 0,
-        inflight_start: 0,
-        inflight_end: 0,
-        hist: Histogram::new(),
-    };
-    let mut latency = Histogram::new();
-    let mut faults_struck = 0u64;
-    let mut faults_repaired = 0u64;
-    let mut events_seen = 0u64;
-    let mut ev_i = 0usize;
-
-    for tick in 0..params.duration_ticks {
-        // 1. Fault/repair events due now.
-        let mut topology_changed = false;
-        while ev_i < events.len() && events[ev_i].tick == tick {
-            let ev = events[ev_i];
-            ev_i += 1;
-            let s = &mut servers[ev.server as usize];
-            s.capacity = ev.derated_capacity;
-            match ev.kind {
-                FaultEventKind::Strike => {
-                    faults_struck += 1;
-                    s.in_rotation = params.policy == Policy::Derate;
-                }
-                FaultEventKind::Repair => {
-                    faults_repaired += 1;
-                    s.in_rotation = true;
-                }
-            }
-            topology_changed = true;
-        }
-        if topology_changed {
-            rebuild_active(&servers, &mut active, &mut active_capacity);
-        }
-
-        // 2. This tick's offered arrivals, split by capacity with exact
-        // integer largest-prefix arithmetic (allocations sum to the
-        // batch by telescoping).
-        let offered = traffic.rate_at(tick);
-        win.offered += offered;
-        if active_capacity == 0 {
-            // Whole fleet drained: open-loop demand has nowhere to go.
-            win.dropped += offered;
-        } else {
-            let mut cum = 0u64;
-            let mut prev_alloc = 0u64;
-            for &i in &active {
-                cum += servers[i as usize].capacity;
-                let alloc_here =
-                    ((offered as u128 * cum as u128) / active_capacity as u128) as u64 - prev_alloc;
-                prev_alloc += alloc_here;
-                arrivals[i as usize] = alloc_here;
-            }
-        }
-
-        // 3. Step every server that has work: admit, record, serve.
-        for (i, s) in servers.iter_mut().enumerate() {
-            let arr = std::mem::take(&mut arrivals[i]);
-            if arr == 0 && s.backlog == 0 {
-                continue;
-            }
-            events_seen += 1;
-            let cap = s.capacity;
-            let max_backlog = cap * params.deadline_ms / 1000;
-            let accept = arr.min(max_backlog.saturating_sub(s.backlog));
-            win.dropped += arr - accept;
-            win.accepted += accept;
-            record_latencies(&mut win.hist, s.backlog, accept, cap, params.service_ms);
-            s.backlog += accept;
-            let served = s.backlog.min(cap);
-            s.backlog -= served;
-            win.served += served;
-        }
-
-        // 4. Window close.
-        win.ticks += 1;
-        if win.ticks == params.window_ticks || tick + 1 == params.duration_ticks {
-            win.inflight_end = servers.iter().map(|s| s.backlog).sum();
-            latency.merge(&win.hist);
-            let inflight = win.inflight_end;
-            let next_start = tick + 1;
-            windows.push(win);
-            win = WindowStats {
-                start_tick: next_start,
-                ticks: 0,
-                offered: 0,
-                accepted: 0,
-                dropped: 0,
-                served: 0,
-                inflight_start: inflight,
-                inflight_end: inflight,
-                hist: Histogram::new(),
-            };
-        }
-    }
-
-    let inflight_end = windows.last().map_or(0, |w| w.inflight_end);
-    crate::flush_run_counters(params.duration_ticks, events_seen);
-    FleetOutcome {
-        params: *params,
-        windows,
-        latency,
-        faults_struck,
-        faults_repaired,
-        inflight_end,
-    }
+    run::<true>(&ResilienceParams::plain(*params))
 }
 
 #[cfg(test)]
@@ -551,7 +420,7 @@ mod tests {
             }
             assert_eq!(
                 out.offered(),
-                out.dropped() + out.served() + out.inflight_end
+                out.dropped() + out.served() + out.totals.inflight_end
             );
         }
     }
@@ -624,26 +493,19 @@ mod tests {
         // leave and re-enter rotation.
         assert_eq!(
             out.offered(),
-            out.dropped() + out.served() + out.inflight_end
+            out.dropped() + out.served() + out.totals.inflight_end
         );
         assert!(out.faults_repaired <= out.faults_struck);
     }
 
     #[test]
-    fn utilization_and_metrics_are_consistent() {
+    fn utilization_stays_in_range() {
         let p = tiny(Policy::Derate, 9);
         let out = simulate(&p);
         for w in &out.windows {
             let u = w.utilization(p.nominal_capacity());
             assert!((0.0..2.0).contains(&u), "utilization {u}");
         }
-        let m = out.metrics();
-        assert_eq!(m.counter("fleet.requests.offered"), out.offered());
-        assert_eq!(m.counter("fleet.ticks"), p.duration_ticks);
-        assert_eq!(
-            m.histogram("fleet.latency_ms").map(|h| h.count()),
-            Some(out.latency.count())
-        );
     }
 
     #[test]

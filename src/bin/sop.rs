@@ -1,8 +1,8 @@
 //! `sop` — interactive design-space explorer.
 //!
 //! ```text
-//! sop pod    <ooo|io> [--node 40|20]          derive the PD-optimal pod
-//! sop chip   <design> [--node 40|20]          compose a reference chip
+//! sop pod    <ooo|io> [--node 40|32|20]       derive the PD-optimal pod
+//! sop chip   <design> [--node 40|32|20]       compose a reference chip
 //! sop dc     <design> [--mem GB]              size a 20MW datacenter
 //! sop stack  <ooo|io> <dies> [--fixed-distance]   evaluate a 3D pod
 //! sop trace  <workload> [--topo mesh|fbfly|nocout] [--out FILE] [--quick]
@@ -136,6 +136,28 @@ fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> 
     })
 }
 
+/// The value of `flag` in `sop <cmd>`'s arguments, which must be one
+/// of `known`; exits 2 naming the flag, the value and the choices when
+/// the value is not one of them, or naming the flag when it has none.
+fn choice_flag<'a>(args: &'a [String], flag: &str, known: &[&str]) -> Option<&'a str> {
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1) {
+        Some(v) if known.contains(&v.as_str()) => Some(v),
+        Some(v) => {
+            eprintln!(
+                "sop {}: invalid value for {flag}: {v}; one of: {}",
+                args[0],
+                known.join(" ")
+            );
+            std::process::exit(2);
+        }
+        None => {
+            eprintln!("sop {}: {flag} needs a value", args[0]);
+            std::process::exit(2);
+        }
+    }
+}
+
 /// The engine flags of `sop <cmd>`; exits 2 on a bad value like
 /// [`numeric_flag`].
 fn exec_config(args: &[String]) -> ExecConfig {
@@ -185,8 +207,8 @@ fn diff_config(args: &[String], default_pct: f64) -> DiffConfig {
 }
 
 fn usage() {
-    eprintln!("usage: sop pod <ooo|io> [--node 40|20]");
-    eprintln!("       sop chip <design> [--node 40|20]");
+    eprintln!("usage: sop pod <ooo|io> [--node 40|32|20]");
+    eprintln!("       sop chip <design> [--node 40|32|20]");
     eprintln!("       sop dc <design> [--mem GB]");
     eprintln!("       sop stack <ooo|io> <dies> [--fixed-distance]");
     eprintln!(
@@ -262,11 +284,7 @@ fn sweep(args: &[String]) {
     report.set("quick", Json::from(quick));
     report.set("data", data);
     let doc = report.to_json(&spans, &metrics);
-    let doc = if stable { stabilized(&doc) } else { doc };
-    if let Err(e) = write_atomic(&out, &(doc.to_pretty_string() + "\n")) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    write_report(&out, &if stable { stabilized(&doc) } else { doc });
     let m = exec.metrics_snapshot();
     println!(
         "campaign {name}: {} points on {} worker(s)",
@@ -274,24 +292,47 @@ fn sweep(args: &[String]) {
         exec.workers()
     );
     println!("wrote {out}");
-    let failures = exec.failures();
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("sweep: job failed: {} ({})", f.name, f.error);
-        }
+    exit_on_failures(&exec, "sweep");
+}
+
+/// Writes a report document to `out` atomically; exits 1 when it
+/// cannot.
+fn write_report(out: &str, doc: &Json) {
+    if let Err(e) = write_atomic(out, &(doc.to_pretty_string() + "\n")) {
+        eprintln!("cannot write {out}: {e}");
         std::process::exit(1);
     }
 }
 
+/// Exits 1 naming each job the engine failed, if any. The report is
+/// already written, with a `failed` marker row standing in for each.
+fn exit_on_failures(exec: &Exec, cmd: &str) {
+    let failures = exec.failures();
+    if failures.is_empty() {
+        return;
+    }
+    for f in &failures {
+        eprintln!("{cmd}: job failed: {} ({})", f.name, f.error);
+    }
+    std::process::exit(1);
+}
+
 /// Simulates a fleet of SOP servers behind a load balancer through the
-/// execution engine and writes the result as a `sop-report/v1` document:
-/// one row per chip organization × repair policy with cost per sustained
-/// QPS and the tail-latency-vs-utilization curve. Every run is a pure,
-/// cacheable engine job; the report is byte-identical across worker
-/// counts.
+/// execution engine and writes the result as a `sop-report/v1` document.
+/// The plain sweep reports one row per chip organization × repair
+/// policy with cost per sustained QPS and the tail-latency-vs-utilization
+/// curve. With `--resilience` it adds correlated failure domains,
+/// retrying/hedging clients, health-checked balancing, and the adaptive
+/// overload shedder: without `--storm` it sweeps topology × retry
+/// policy × shedder arming (narrowed by the flags); with `--storm` it
+/// runs the committed PDU-outage pair — naive retries with the shedder
+/// off (retry-storm collapse) and on (bounded brownout). Every run is a
+/// pure, cacheable engine job; the report is byte-identical across
+/// worker counts.
 fn fleet(args: &[String]) {
     use scale_out_processors::fleet::{
-        fleet_points, grid, org_by_name, DomainTopology, Policy, RetryPolicy, ORGS,
+        add_slo_metrics, fleet_points, grid, resilience_grid, resilience_points, storm_pair,
+        DomainTopology, Policy, RetryPolicy, ORGS,
     };
     let quick = args.iter().any(|a| a == "--quick");
     let stable = args.iter().any(|a| a == "--stable");
@@ -305,69 +346,13 @@ fn fleet(args: &[String]) {
         std::process::exit(2);
     }
     let seed: u64 = numeric_flag(args, "--seed").unwrap_or(42);
-    let org = args
-        .iter()
-        .position(|a| a == "--org")
-        .and_then(|i| args.get(i + 1))
-        .map(|name| {
-            if org_by_name(name).is_none() {
-                let known: Vec<&str> = ORGS.iter().map(|o| o.name).collect();
-                eprintln!("unknown organization {name:?}; one of: {}", known.join(" "));
-                std::process::exit(2);
-            }
-            name.as_str()
-        });
-    let policy = args
-        .iter()
-        .position(|a| a == "--policy")
-        .and_then(|i| args.get(i + 1))
-        .map(|label| {
-            Policy::from_label(label).unwrap_or_else(|| {
-                let known: Vec<&str> = Policy::ALL.iter().map(|p| p.label()).collect();
-                eprintln!("unknown policy {label:?}; one of: {}", known.join(" "));
-                std::process::exit(2);
-            })
-        });
-    let topology = args
-        .iter()
-        .position(|a| a == "--topology")
-        .and_then(|i| args.get(i + 1))
-        .map(|label| {
-            if DomainTopology::from_label(label).is_none() {
-                eprintln!(
-                    "unknown topology {label:?}; one of: {}",
-                    DomainTopology::labels().join(" ")
-                );
-                std::process::exit(2);
-            }
-            label.as_str()
-        });
-    let retry = args
-        .iter()
-        .position(|a| a == "--retry")
-        .and_then(|i| args.get(i + 1))
-        .map(|label| {
-            if RetryPolicy::from_label(label).is_none() {
-                eprintln!(
-                    "unknown retry policy {label:?}; one of: {}",
-                    RetryPolicy::labels().join(" ")
-                );
-                std::process::exit(2);
-            }
-            label.as_str()
-        });
-    let shed = args
-        .iter()
-        .position(|a| a == "--shed")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| match v.as_str() {
-            "on" => true,
-            "off" => false,
-            other => {
-                eprintln!("unknown --shed value {other:?}; one of: on off");
-                std::process::exit(2);
-            }
-        });
+    let orgs: Vec<&str> = ORGS.iter().map(|o| o.name).collect();
+    let org = choice_flag(args, "--org", &orgs);
+    let policies: Vec<&str> = Policy::ALL.iter().map(|p| p.label()).collect();
+    let policy = choice_flag(args, "--policy", &policies).and_then(Policy::from_label);
+    let topology = choice_flag(args, "--topology", &DomainTopology::labels());
+    let retry = choice_flag(args, "--retry", &RetryPolicy::labels());
+    let shed = choice_flag(args, "--shed", &["on", "off"]).map(|v| v == "on");
     if !resilience && (storm || slo || topology.is_some() || retry.is_some() || shed.is_some()) {
         eprintln!("--storm/--topology/--retry/--shed/--slo require --resilience");
         std::process::exit(2);
@@ -376,18 +361,17 @@ fn fleet(args: &[String]) {
         eprintln!("--series applies to the plain fleet sweep; use --slo with --resilience");
         std::process::exit(2);
     }
+    if storm && (topology.is_some() || retry.is_some()) {
+        eprintln!("the storm scenario pins --topology rack --retry naive");
+        std::process::exit(2);
+    }
+    let section = if resilience { "resilience" } else { "fleet" };
     let out = args
         .iter()
         .position(|a| a == "--json")
         .and_then(|i| args.get(i + 1))
         .cloned()
-        .unwrap_or_else(|| {
-            if resilience {
-                "resilience.json".to_owned()
-            } else {
-                "fleet.json".to_owned()
-            }
-        });
+        .unwrap_or_else(|| format!("{section}.json"));
     // Heartbeat job_finish events carry the fleet tick counter so
     // `sop top` can report simulated-hours per second, and the SLO
     // alert counters so it can render live alert state when a run arms
@@ -400,80 +384,127 @@ fn fleet(args: &[String]) {
     );
     let exec = Exec::new(exec_config(args));
 
-    if resilience {
-        resilience_fleet(
-            &exec, &out, stable, servers, seed, quick, org, topology, retry, shed, storm, slo,
-        );
-        let failures = exec.failures();
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("fleet: job failed: {} ({})", f.name, f.error);
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let mut specs = grid(servers, seed, quick, org, policy);
-    if series {
-        for spec in &mut specs {
-            spec.series = true;
-        }
-    }
-    let names: Vec<String> = specs.iter().map(|s| s.name()).collect();
+    // Deterministic aggregates are summed from the rows, so cached and
+    // fresh evaluations export identical values; the engine's own
+    // counters join them below. CI greps `fleet.resilience.shed`.
     let mut spans = SpanLog::new();
-    let mut rows = spans.time("fleet", |_| fleet_points(&exec, "fleet", &specs));
-
-    // Deterministic fleet aggregates (summed from the rows, so cached
-    // and fresh evaluations export identical values) plus the engine's
-    // own counters.
     let mut metrics = Registry::new();
-    let total_of = |row: &Json, key: &str| {
-        row.get("totals")
-            .and_then(|t| t.get(key))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0) as u64
+    let sum_totals = |metrics: &mut Registry, rows: &[Json], prefix: &str, keys: &[&str]| {
+        for row in rows {
+            for key in keys {
+                let total = row
+                    .get("totals")
+                    .and_then(|t| t.get(key))
+                    .and_then(Json::as_f64)
+                    .unwrap_or(0.0) as u64;
+                metrics.counter_add(&format!("{prefix}{key}"), total);
+            }
+        }
     };
-    for row in &rows {
-        metrics.counter_add("fleet.requests.offered", total_of(row, "offered"));
-        metrics.counter_add("fleet.requests.served", total_of(row, "served"));
-        metrics.counter_add("fleet.requests.dropped", total_of(row, "dropped"));
-    }
-    metrics.gauge_set("fleet.points", rows.len() as f64);
+    let (mut report, mut rows, names) = if resilience {
+        let mut specs = if storm {
+            let mut pair = storm_pair(org.unwrap_or("scaleout-ooo"), servers, seed, quick);
+            if let Some(want) = shed {
+                pair.retain(|s| s.shed == want);
+            }
+            pair
+        } else {
+            resilience_grid(servers, seed, quick, org, topology, retry, shed)
+        };
+        // `--slo` arms the monitoring plane on the ambient sweep; the
+        // storm pair arms it unconditionally (it is the committed
+        // detection benchmark). Arming is part of the spec identity, so
+        // names and cache keys are computed after it.
+        if slo {
+            for spec in &mut specs {
+                spec.slo = true;
+            }
+        }
+        let names: Vec<String> = specs.iter().map(|s| s.name()).collect();
+        let rows = spans.time(section, |_| resilience_points(&exec, section, &specs));
+        let keys = ["offered", "issued", "retries", "hedges", "goodput", "shed"];
+        sum_totals(&mut metrics, &rows, "fleet.resilience.", &keys);
+        metrics.gauge_set("fleet.resilience.points", rows.len() as f64);
+        // Burn-rate detection metrics (`metrics.slo.*`) — exact replays
+        // of the rows' embedded analyses. No-op when no row armed a spec.
+        add_slo_metrics(&rows, &mut metrics);
+        let mut report = Report::new("fleet", "Scale-Out Processors: fleet resilience simulation");
+        report.set("campaign", Json::from(section));
+        report.set("quick", Json::from(quick));
+        report.set(
+            "config",
+            Json::object()
+                .with("servers", servers)
+                .with("seed", seed)
+                .with("org", org.map_or(Json::Null, Json::from))
+                .with("topology", topology.map_or(Json::Null, Json::from))
+                .with("retry", retry.map_or(Json::Null, Json::from))
+                .with("shed", shed.map_or(Json::Null, Json::Bool))
+                .with("storm", storm),
+        );
+        (report, rows, names)
+    } else {
+        let mut specs = grid(servers, seed, quick, org, policy);
+        for spec in &mut specs {
+            spec.series = series;
+        }
+        let names: Vec<String> = specs.iter().map(|s| s.name()).collect();
+        let rows = spans.time(section, |_| fleet_points(&exec, section, &specs));
+        sum_totals(
+            &mut metrics,
+            &rows,
+            "fleet.requests.",
+            &["offered", "served", "dropped"],
+        );
+        metrics.gauge_set("fleet.points", rows.len() as f64);
+        let mut report = Report::new("fleet", "Scale-Out Processors: fleet simulation");
+        report.set("campaign", Json::from(section));
+        report.set("quick", Json::from(quick));
+        report.set(
+            "config",
+            Json::object()
+                .with("servers", servers)
+                .with("seed", seed)
+                .with("org", org.map_or(Json::Null, Json::from))
+                .with(
+                    "policy",
+                    policy.map_or(Json::Null, |p| Json::from(p.label())),
+                ),
+        );
+        (report, rows, names)
+    };
     metrics.gauge_set("fleet.servers", f64::from(servers));
     metrics.merge(&exec.metrics_snapshot());
-
-    let mut report = Report::new("fleet", "Scale-Out Processors: fleet simulation");
-    report.set("campaign", Json::from("fleet"));
-    report.set("quick", Json::from(quick));
-    report.set(
-        "config",
-        Json::object()
-            .with("servers", servers)
-            .with("seed", seed)
-            .with("org", org.map_or(Json::Null, Json::from))
-            .with(
-                "policy",
-                policy.map_or(Json::Null, |p| Json::from(p.label())),
-            ),
-    );
     let telemetry = lift_series(&mut rows, &names);
-    report.set("fleet", Json::Arr(rows.clone()));
-    if let Some(section) = telemetry {
-        report.set("series", section);
+    report.set(section, Json::Arr(rows.clone()));
+    if let Some(telemetry) = telemetry {
+        report.set("series", telemetry);
     }
     let doc = report.to_json(&spans, &metrics);
-    let doc = if stable { stabilized(&doc) } else { doc };
-    if let Err(e) = write_atomic(&out, &(doc.to_pretty_string() + "\n")) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    write_report(&out, &if stable { stabilized(&doc) } else { doc });
 
+    if resilience {
+        print_resilience_rows(&rows);
+    } else {
+        print_fleet_rows(&rows);
+    }
+    println!(
+        "{section}: {} point(s), {} server(s), seed {seed} on {} worker(s)",
+        rows.len(),
+        servers,
+        exec.workers()
+    );
+    println!("wrote {out}");
+    exit_on_failures(&exec, "fleet");
+}
+
+/// The plain fleet table: one line per organization × policy.
+fn print_fleet_rows(rows: &[Json]) {
     println!(
         "{:<14} {:<7} {:>9} {:>7} {:>7} {:>7} {:>12}",
         "org", "policy", "sust.qps", "p50ms", "p99ms", "drop%", "$/k-qps/mo"
     );
-    for row in &rows {
+    for row in rows {
         let s = |k: &str| row.get(k).and_then(Json::as_str).unwrap_or("?").to_owned();
         if row.get("failed").is_some() {
             println!("{:<14} {:<7} FAILED", s("org"), s("policy"));
@@ -498,130 +529,16 @@ fn fleet(args: &[String]) {
             cost
         );
     }
-    println!(
-        "fleet: {} point(s), {} server(s), seed {seed} on {} worker(s)",
-        rows.len(),
-        servers,
-        exec.workers()
-    );
-    println!("wrote {out}");
-    let failures = exec.failures();
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("fleet: job failed: {} ({})", f.name, f.error);
-        }
-        std::process::exit(1);
-    }
 }
 
-/// The `sop fleet --resilience` path: the fleet simulation with
-/// correlated failure domains, retrying/hedging clients, health-checked
-/// balancing, and the adaptive overload shedder. Without `--storm` it
-/// sweeps topology × retry policy × shedder arming (narrowed by the
-/// flags); with `--storm` it runs the committed PDU-outage pair — naive
-/// retries with the shedder off (retry-storm collapse) and on (bounded
-/// brownout).
-#[allow(clippy::too_many_arguments)]
-fn resilience_fleet(
-    exec: &Exec,
-    out: &str,
-    stable: bool,
-    servers: u32,
-    seed: u64,
-    quick: bool,
-    org: Option<&str>,
-    topology: Option<&str>,
-    retry: Option<&str>,
-    shed: Option<bool>,
-    storm: bool,
-    slo: bool,
-) {
-    use scale_out_processors::fleet::{
-        add_slo_metrics, resilience_grid, resilience_points, storm_pair,
-    };
-    let mut specs = if storm {
-        if topology.is_some() || retry.is_some() {
-            eprintln!("the storm scenario pins --topology rack --retry naive");
-            std::process::exit(2);
-        }
-        let mut pair = storm_pair(org.unwrap_or("scaleout-ooo"), servers, seed, quick);
-        if let Some(want) = shed {
-            pair.retain(|s| s.shed == want);
-        }
-        pair
-    } else {
-        resilience_grid(servers, seed, quick, org, topology, retry, shed)
-    };
-    // `--slo` arms the monitoring plane on the ambient sweep; the storm
-    // pair arms it unconditionally (it is the committed detection
-    // benchmark). Arming is part of the spec identity, so names and
-    // cache keys are computed after it.
-    if slo {
-        for spec in &mut specs {
-            spec.slo = true;
-        }
-    }
-    let names: Vec<String> = specs.iter().map(|s| s.name()).collect();
-    let mut spans = SpanLog::new();
-    let mut rows = spans.time("resilience", |_| {
-        resilience_points(exec, "resilience", &specs)
-    });
-
-    // Deterministic resilience aggregates summed from the rows (cached
-    // and fresh evaluations export identical values), under the same
-    // `fleet.resilience.*` names each run's own registry uses, plus the
-    // engine's counters. CI greps `fleet.resilience.shed` here.
-    let mut metrics = Registry::new();
-    let total_of = |row: &Json, key: &str| {
-        row.get("totals")
-            .and_then(|t| t.get(key))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0) as u64
-    };
-    for row in &rows {
-        for key in ["offered", "issued", "retries", "hedges", "goodput", "shed"] {
-            metrics.counter_add(&format!("fleet.resilience.{key}"), total_of(row, key));
-        }
-    }
-    metrics.gauge_set("fleet.resilience.points", rows.len() as f64);
-    metrics.gauge_set("fleet.servers", f64::from(servers));
-    // Burn-rate detection metrics (`metrics.slo.*`) — exact replays of
-    // the rows' embedded analyses, so cached and fresh evaluations
-    // export identical values. No-op when no row armed a spec.
-    add_slo_metrics(&rows, &mut metrics);
-    metrics.merge(&exec.metrics_snapshot());
-
-    let mut report = Report::new("fleet", "Scale-Out Processors: fleet resilience simulation");
-    report.set("campaign", Json::from("resilience"));
-    report.set("quick", Json::from(quick));
-    report.set(
-        "config",
-        Json::object()
-            .with("servers", servers)
-            .with("seed", seed)
-            .with("org", org.map_or(Json::Null, Json::from))
-            .with("topology", topology.map_or(Json::Null, Json::from))
-            .with("retry", retry.map_or(Json::Null, Json::from))
-            .with("shed", shed.map_or(Json::Null, Json::Bool))
-            .with("storm", storm),
-    );
-    let telemetry = lift_series(&mut rows, &names);
-    report.set("resilience", Json::Arr(rows.clone()));
-    if let Some(section) = telemetry {
-        report.set("series", section);
-    }
-    let doc = report.to_json(&spans, &metrics);
-    let doc = if stable { stabilized(&doc) } else { doc };
-    if let Err(e) = write_atomic(out, &(doc.to_pretty_string() + "\n")) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-
+/// The resilience table, one line per cell, then one detection line
+/// per row that armed the SLO plane.
+fn print_resilience_rows(rows: &[Json]) {
     println!(
         "{:<14} {:<5} {:<7} {:<5} {:<5} {:>7} {:>6} {:>11} {:>12}",
         "org", "topo", "retry", "shed", "storm", "avail%", "amp", "goodput", "$/k-qps/mo"
     );
-    for row in &rows {
+    for row in rows {
         let s = |k: &str| row.get(k).and_then(Json::as_str).unwrap_or("?").to_owned();
         if row.get("failed").is_some() {
             println!(
@@ -657,7 +574,7 @@ fn resilience_fleet(
             cost
         );
     }
-    for row in &rows {
+    for row in rows {
         let Some(analysis) = row
             .get("slo")
             .and_then(Json::as_arr)
@@ -688,13 +605,6 @@ fn resilience_fleet(
                 }),
         );
     }
-    println!(
-        "resilience: {} point(s), {} server(s), seed {seed} on {} worker(s)",
-        rows.len(),
-        servers,
-        exec.workers()
-    );
-    println!("wrote {out}");
 }
 
 /// Lifts each row's embedded `series` object — present only when the
@@ -1001,10 +911,7 @@ fn bench(args: &[String]) {
     let mut report = Report::new("bench", "Scale-Out Processors: simulator benchmarks");
     report.set("bench", data.clone());
     let doc = report.to_json(&spans, &metrics);
-    if let Err(e) = write_atomic(&out, &(doc.to_pretty_string() + "\n")) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    write_report(&out, &doc);
     for row in data.get("campaigns").and_then(Json::as_arr).unwrap_or(&[]) {
         let name = row.get("campaign").and_then(Json::as_str).unwrap_or("?");
         let wall = row.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
@@ -1062,13 +969,9 @@ fn core_kind(args: &[String]) -> CoreKind {
 }
 
 fn node(args: &[String]) -> TechnologyNode {
-    match args
-        .iter()
-        .position(|a| a == "--node")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(v) if v == "20" => TechnologyNode::N20,
-        Some(v) if v == "32" => TechnologyNode::N32,
+    match choice_flag(args, "--node", &["40", "32", "20"]) {
+        Some("20") => TechnologyNode::N20,
+        Some("32") => TechnologyNode::N32,
         _ => TechnologyNode::N40,
     }
 }
@@ -1331,11 +1234,7 @@ fn prof(args: &[String]) {
             .with("measure", measure),
     );
     report.set("prof", breakdown.to_json());
-    let doc = report.to_json(&spans, &result.metrics);
-    if let Err(e) = write_atomic(&out, &(doc.to_pretty_string() + "\n")) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    write_report(&out, &report.to_json(&spans, &result.metrics));
     print!("{}", breakdown.render());
     println!("wrote {out}");
     if !breakdown.consistent() {
@@ -1552,7 +1451,17 @@ fn diff(args: &[String]) {
 
 fn stack(args: &[String]) {
     let kind = core_kind(args);
-    let dies: u32 = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(2);
+    let dies = match args.get(2).map(|v| (v, v.parse::<u32>())) {
+        Some((_, Ok(dies))) if dies > 0 => dies,
+        Some((v, _)) => {
+            eprintln!("sop stack: invalid value for <dies>: {v} (a die count of at least 1)");
+            std::process::exit(2);
+        }
+        None => {
+            eprintln!("sop stack: <dies> needs a value");
+            std::process::exit(2);
+        }
+    };
     let strategy = if args.iter().any(|a| a == "--fixed-distance") {
         StackStrategy::FixedDistance
     } else {

@@ -2,9 +2,11 @@
 //! bench` and `sop prof` reject any flag outside their usage line with
 //! exit 2 and a message naming it, before doing any work; numeric flags
 //! (the engine's `--jobs`, `--timeout-secs` and `--retries`, `--cores`,
-//! `--sample`) reject a value that does not parse instead of running at
-//! the default; `sop diff` rejects a tolerance that does not parse
-//! instead of gating at the default.
+//! `--sample`), choice flags (`--node`, `--policy`) and `sop stack`'s
+//! die count reject a value that does not parse or is not a choice
+//! instead of running at the default, and a flag missing its value
+//! fails the same way; `sop diff` rejects a tolerance that does not
+//! parse instead of gating at the default.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -61,7 +63,7 @@ fn unknown_flags_exit_2_naming_the_flag() {
 #[test]
 fn unparsable_numeric_values_exit_2_naming_flag_and_value() {
     let dir = scratch("values");
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 15] = [
         (&["sweep", "ch2", "--jobs", "two"], "--jobs: two"),
         (
             &["sweep", "ch2", "--timeout-secs", "soon"],
@@ -87,6 +89,14 @@ fn unparsable_numeric_values_exit_2_naming_flag_and_value() {
             &["trace", "websearch", "--quick", "--sample", ""],
             "--sample: ",
         ),
+        (&["pod", "ooo", "--node", "28"], "--node: 28"),
+        (&["chip", "scaleout-ooo", "--node", "45"], "--node: 45"),
+        (&["stack", "ooo", "abc"], "<dies>: abc"),
+        (&["stack", "ooo", "0"], "<dies>: 0"),
+        (
+            &["fleet", "--quick", "--policy", "repair"],
+            "--policy: repair",
+        ),
     ];
     for (args, what) in cases {
         let (code, stderr) = sop(&dir, args);
@@ -102,6 +112,37 @@ fn unparsable_numeric_values_exit_2_naming_flag_and_value() {
         .map(|e| e.expect("entry").file_name())
         .collect();
     assert!(written.is_empty(), "a rejected run wrote {written:?}");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn missing_values_exit_2_naming_the_flag() {
+    let dir = scratch("missing");
+    let cases: [(&[&str], &str); 4] = [
+        (&["pod", "ooo", "--node"], "--node"),
+        (&["chip", "scaleout-ooo", "--node"], "--node"),
+        (&["stack", "ooo"], "<dies>"),
+        (&["fleet", "--quick", "--org"], "--org"),
+    ];
+    for (args, what) in cases {
+        let (code, stderr) = sop(&dir, args);
+        assert_eq!(code, Some(2), "sop {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{what} needs a value")),
+            "sop {args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Every accepted technology node runs.
+#[test]
+fn every_technology_node_is_accepted() {
+    let dir = scratch("nodes");
+    for node in ["40", "32", "20"] {
+        let (code, stderr) = sop(&dir, &["pod", "ooo", "--node", node]);
+        assert_eq!(code, Some(0), "--node {node}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 

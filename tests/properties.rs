@@ -703,10 +703,10 @@ proptest! {
             ticks += w.ticks;
         }
         prop_assert_eq!(ticks, duration, "windows must cover the whole run");
-        prop_assert_eq!(carried_inflight, out.inflight_end);
+        prop_assert_eq!(carried_inflight, out.totals.inflight_end);
         prop_assert_eq!(
             out.offered(),
-            out.served() + out.dropped() + out.inflight_end,
+            out.served() + out.dropped() + out.totals.inflight_end,
             "run totals must tile once the final backlog is counted"
         );
     }
