@@ -542,6 +542,13 @@ pub fn simulate_resilience(params: &ResilienceParams) -> FleetOutcome {
 /// clients retry, and queues keep useful/waste segments only when some
 /// client can give up.
 pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome {
+    // The plain configuration's topology, retry policy, shedder and
+    // storm are constants, so the checks on them fold away.
+    let params = &if PLAIN {
+        ResilienceParams::plain(params.base)
+    } else {
+        *params
+    };
     let p = &params.base;
     assert!(p.servers > 0, "cannot simulate an empty fleet");
     assert!(p.per_server_qps > 0, "servers need capacity");

@@ -346,6 +346,10 @@ impl FleetOutcome {
 /// each latency individually; only the internal sum (hence `mean`) is
 /// a lower-bound approximation, since a run is attributed to its first
 /// latency (its last is recorded individually to keep `max` exact).
+///
+/// Always inlined: the tick loop calls it once per admitting server per
+/// tick, and left to the compiler it stayed out of line and cost the
+/// plain fleet 3-5% of its wall in a same-host comparison.
 #[inline(always)]
 pub(crate) fn record_latencies(
     hist: &mut Histogram,

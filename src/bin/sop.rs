@@ -136,26 +136,30 @@ fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> 
     })
 }
 
-/// The value of `flag` in `sop <cmd>`'s arguments, which must be one
-/// of `known`; exits 2 naming the flag, the value and the choices when
-/// the value is not one of them, or naming the flag when it has none.
-fn choice_flag<'a>(args: &'a [String], flag: &str, known: &[&str]) -> Option<&'a str> {
+/// The value of `flag` in `sop <cmd>`'s arguments; exits 2 naming the
+/// flag when it has none, so a flag never silently reads as absent.
+fn value_flag<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     let i = args.iter().position(|a| a == flag)?;
-    match args.get(i + 1) {
-        Some(v) if known.contains(&v.as_str()) => Some(v),
-        Some(v) => {
-            eprintln!(
-                "sop {}: invalid value for {flag}: {v}; one of: {}",
-                args[0],
-                known.join(" ")
-            );
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("sop {}: {flag} needs a value", args[0]);
-            std::process::exit(2);
-        }
+    let Some(value) = args.get(i + 1) else {
+        eprintln!("sop {}: {flag} needs a value", args[0]);
+        std::process::exit(2);
+    };
+    Some(value)
+}
+
+/// The value of `flag`, which must be one of `known`; exits 2 naming
+/// the flag, the value and the choices otherwise (see [`value_flag`]).
+fn choice_flag<'a>(args: &'a [String], flag: &str, known: &[&str]) -> Option<&'a str> {
+    let value = value_flag(args, flag)?;
+    if !known.contains(&value) {
+        eprintln!(
+            "sop {}: invalid value for {flag}: {value}; one of: {}",
+            args[0],
+            known.join(" ")
+        );
+        std::process::exit(2);
     }
+    Some(value)
 }
 
 /// The engine flags of `sop <cmd>`; exits 2 on a bad value like
@@ -265,12 +269,8 @@ fn sweep(args: &[String]) {
     }
     let quick = args.iter().any(|a| a == "--quick");
     let stable = args.iter().any(|a| a == "--stable");
-    let out = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| format!("sweep-{name}.json"));
+    let out =
+        value_flag(args, "--json").map_or_else(|| format!("sweep-{name}.json"), str::to_owned);
     let exec = Exec::new(exec_config(args));
 
     let mut spans = SpanLog::new();
@@ -366,12 +366,7 @@ fn fleet(args: &[String]) {
         std::process::exit(2);
     }
     let section = if resilience { "resilience" } else { "fleet" };
-    let out = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| format!("{section}.json"));
+    let out = value_flag(args, "--json").map_or_else(|| format!("{section}.json"), str::to_owned);
     // Heartbeat job_finish events carry the fleet tick counter so
     // `sop top` can report simulated-hours per second, and the SLO
     // alert counters so it can render live alert state when a run arms
@@ -819,10 +814,7 @@ fn print_slo_analysis(a: &scale_out_processors::obs::SloAnalysis, ttr: Option<f6
 /// content hash, stray `*.tmp.*` debris and foreign files called out.
 /// Exits non-zero if anything but valid entries is found.
 fn cache(args: &[String]) {
-    let dir = args
-        .iter()
-        .position(|a| a == "--dir")
-        .and_then(|i| args.get(i + 1))
+    let dir = value_flag(args, "--dir")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(scale_out_processors::exec::default_cache_dir);
     let audit = match audit_dir(&dir) {
@@ -867,12 +859,7 @@ fn bench(args: &[String]) {
     );
     let quick = args.iter().any(|a| a == "--quick");
     let jobs: usize = numeric_flag(args, "--jobs").unwrap_or(0);
-    let only_arg = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let only: Option<Vec<&str>> = only_arg.as_deref().map(|list| {
+    let only: Option<Vec<&str>> = value_flag(args, "--only").map(|list| {
         list.split(',')
             .map(|name| {
                 BENCH_CAMPAIGNS
@@ -889,12 +876,7 @@ fn bench(args: &[String]) {
             })
             .collect()
     });
-    let out = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sim.json".to_owned());
+    let out = value_flag(args, "--json").unwrap_or("BENCH_sim.json");
     let tol = diff_config(args, 25.0).tol * 100.0;
 
     let mut spans = SpanLog::new();
@@ -931,11 +913,7 @@ fn bench(args: &[String]) {
     }
     println!("wrote {out}");
 
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1))
-    {
+    if let Some(path) = value_flag(args, "--baseline") {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read baseline {path}: {e}");
             std::process::exit(1);
@@ -1079,12 +1057,7 @@ fn trace(args: &[String]) {
     let name = args.get(1).map(String::as_str).unwrap_or("websearch");
     let workload = workload_by_name(name);
     let topo = topology_arg(args);
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "trace.json".to_owned());
+    let out = value_flag(args, "--out").unwrap_or("trace.json");
     let (warm, measure) = if args.iter().any(|a| a == "--quick") {
         (1_000, 2_000)
     } else {
@@ -1156,19 +1129,10 @@ fn workload_by_name(name: &str) -> Workload {
 
 /// Parses `--topo mesh|fbfly|nocout` (default NOC-Out).
 fn topology_arg(args: &[String]) -> TopologyKind {
-    match args
-        .iter()
-        .position(|a| a == "--topo")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
+    match choice_flag(args, "--topo", &["mesh", "fbfly", "nocout"]) {
         Some("mesh") => TopologyKind::Mesh,
         Some("fbfly") => TopologyKind::FlattenedButterfly,
-        None | Some("nocout") => TopologyKind::NocOut,
-        Some(other) => {
-            eprintln!("unknown topology {other:?}: mesh | fbfly | nocout");
-            std::process::exit(2);
-        }
+        _ => TopologyKind::NocOut,
     }
 }
 
@@ -1203,12 +1167,7 @@ fn prof(args: &[String]) {
         (4_000, 8_000)
     };
     let cores: Option<u32> = numeric_flag(args, "--cores");
-    let out = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "prof.json".to_owned());
+    let out = value_flag(args, "--json").unwrap_or("prof.json");
     let (cfg, point) = match cores {
         Some(n) => (
             SimConfig::validation(workload, n, topo),
@@ -1321,10 +1280,7 @@ fn prof_analyze(args: &[String]) {
 /// `--once` renders a single snapshot and exits (1 when the stream
 /// holds no campaign yet).
 fn top(args: &[String]) {
-    let file = args
-        .iter()
-        .position(|a| a == "--file")
-        .and_then(|i| args.get(i + 1))
+    let file = value_flag(args, "--file")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| scale_out_processors::exec::default_cache_dir().join(PROGRESS_FILE));
     let once = args.iter().any(|a| a == "--once");
