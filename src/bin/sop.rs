@@ -885,7 +885,7 @@ fn bench(args: &[String]) {
     });
     // Carry the bench trajectory forward from the previous document at
     // the output path, then append this run.
-    let previous = std::fs::read_to_string(&out)
+    let previous = std::fs::read_to_string(out)
         .ok()
         .and_then(|text| scale_out_processors::obs::json::parse(&text).ok());
     let entry = history_entry(&data, &commit_hash(), &today_utc());
@@ -893,7 +893,7 @@ fn bench(args: &[String]) {
     let mut report = Report::new("bench", "Scale-Out Processors: simulator benchmarks");
     report.set("bench", data.clone());
     let doc = report.to_json(&spans, &metrics);
-    write_report(&out, &doc);
+    write_report(out, &doc);
     for row in data.get("campaigns").and_then(Json::as_arr).unwrap_or(&[]) {
         let name = row.get("campaign").and_then(Json::as_str).unwrap_or("?");
         let wall = row.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
@@ -1084,7 +1084,7 @@ fn trace(args: &[String]) {
     let log = machine.event_log().expect("tracing was enabled");
     let process = format!("{point} {workload:?} {topo:?}");
     let trace = log.to_chrome_trace(&process);
-    if let Err(e) = write_atomic(&out, &(trace.to_compact_string() + "\n")) {
+    if let Err(e) = write_atomic(out, &(trace.to_compact_string() + "\n")) {
         eprintln!("cannot write {out}: {e}");
         std::process::exit(1);
     }
@@ -1193,7 +1193,7 @@ fn prof(args: &[String]) {
             .with("measure", measure),
     );
     report.set("prof", breakdown.to_json());
-    write_report(&out, &report.to_json(&spans, &result.metrics));
+    write_report(out, &report.to_json(&spans, &result.metrics));
     print!("{}", breakdown.render());
     println!("wrote {out}");
     if !breakdown.consistent() {
