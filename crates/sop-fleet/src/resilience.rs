@@ -554,7 +554,7 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
     assert!(p.per_server_qps > 0, "servers need capacity");
     assert!(p.duration_ticks > 0, "cannot simulate zero ticks");
     assert!(p.window_ticks > 0, "windows need at least one tick");
-    let retry = params.retry;
+    let (retry, shed) = (params.retry, params.shed);
     if retry.timeout_ms > 0 {
         assert!(
             retry.timeout_ms < p.deadline_ms,
@@ -943,7 +943,10 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
                     continue;
                 }
                 let cap = s.eff_cap;
-                let bound = if s.shedding {
+                // Only an armed shedder ever engages; saying so lets the
+                // disarmed check fold away.
+                let shedding = shed && s.shedding;
+                let bound = if shedding {
                     SHED_TARGET_MS
                 } else {
                     p.deadline_ms
@@ -952,7 +955,7 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
                 let accept = alloc.min(max_backlog.saturating_sub(s.backlog));
                 let rejected = alloc - accept;
                 if rejected > 0 {
-                    if s.shedding {
+                    if shedding {
                         totals.shed += rejected;
                     } else {
                         totals.overflow += rejected;
@@ -1075,7 +1078,7 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
                 events_seen += u64::from(std::mem::take(&mut s.blackholed));
                 continue;
             }
-            if params.shed {
+            if shed {
                 if s.shedding {
                     totals.shed_server_ticks += 1;
                 }
