@@ -54,8 +54,12 @@ impl FleetPointSpec {
         }
     }
 
-    /// Resolves the costed server this spec's fleet is built from (see
-    /// [`server_of`]).
+    /// Resolves the costed server this spec's fleet is built from.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown organization name; the CLI and campaign
+    /// validate names before building specs.
     pub fn server(&self) -> ServerSpec {
         server_of(&self.org)
     }
@@ -121,22 +125,21 @@ impl FleetPointSpec {
 }
 
 /// The costed server an organization's fleet is built from.
-///
-/// # Panics
-///
-/// Panics on an unknown organization name; the CLI and campaign
-/// validate names before building specs.
 fn server_of(org: &str) -> ServerSpec {
     let org = org_by_name(org).unwrap_or_else(|| panic!("unknown chip organization {org:?}"));
     ServerSpec::for_org(org)
 }
 
-fn with_quantiles(mut doc: Json, hist: &Histogram) -> Json {
-    for (key, q) in [
+fn quantiles(hist: &Histogram) -> [(&'static str, Option<u64>); 3] {
+    [
         ("p50_ms", hist.p50()),
         ("p95_ms", hist.p95()),
         ("p99_ms", hist.p99()),
-    ] {
+    ]
+}
+
+fn with_quantiles(mut doc: Json, hist: &Histogram) -> Json {
+    for (key, q) in quantiles(hist) {
         doc.insert(key, q.map_or(Json::Null, Json::UInt));
     }
     doc
@@ -255,11 +258,8 @@ pub fn grid(
         .collect()
 }
 
-/// Evaluates `specs` as one campaign on `exec`: duplicates collapse,
-/// cached points come from disk, fresh points run on the worker pool,
-/// and rows come back in spec order. A failed job's row is
-/// `failed_row` of its spec — a `failed` marker instead of data — so
-/// report arrays keep their shape.
+/// Evaluates `specs` as one campaign on `exec` (see [`fleet_points`]);
+/// a failed job's row is `failed_row` of its spec.
 fn points<S: Clone>(
     exec: &Exec,
     campaign: &str,
@@ -279,8 +279,10 @@ fn points<S: Clone>(
         .collect()
 }
 
-/// Evaluates plain fleet `specs` as one campaign on `exec` (see
-/// [`points`]).
+/// Evaluates `specs` as one campaign on `exec`: duplicates collapse,
+/// cached points come from disk, fresh points run on the worker pool,
+/// and rows come back in spec order. A failed job's row carries a
+/// `failed` marker instead of data so report arrays keep their shape.
 pub fn fleet_points(exec: &Exec, campaign: &str, specs: &[FleetPointSpec]) -> Vec<Json> {
     points(
         exec,
@@ -428,8 +430,12 @@ pub struct ResiliencePointSpec {
 pub const SLO_AVAILABILITY_TARGET: f64 = 0.999;
 
 impl ResiliencePointSpec {
-    /// Resolves the costed server this spec's fleet is built from (see
-    /// [`server_of`]).
+    /// Resolves the costed server this spec's fleet is built from.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown organization name; the CLI and campaign
+    /// validate names before building specs.
     pub fn server(&self) -> ServerSpec {
         server_of(&self.org)
     }
@@ -753,8 +759,8 @@ pub fn storm_pair(org: &str, servers: u32, seed: u64, quick: bool) -> Vec<Resili
         .collect()
 }
 
-/// Evaluates resilience `specs` as one campaign on `exec` (see
-/// [`points`]).
+/// Evaluates resilience `specs` as one campaign on `exec`, as
+/// [`fleet_points`] does plain ones.
 pub fn resilience_points(exec: &Exec, campaign: &str, specs: &[ResiliencePointSpec]) -> Vec<Json> {
     points(
         exec,

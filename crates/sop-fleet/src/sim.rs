@@ -160,10 +160,10 @@ pub fn severity_curve() -> DegradationCurve {
 
 /// Per-window accounting: the growth of the run's request ledger
 /// ([`Totals`]) over the window, plus the window's backlog and
-/// latencies. The tiling invariant holds exactly:
-/// `offered + retries + hedges == issued == accepted + dropped`, and in
-/// the plain configuration `offered == dropped + served +
-/// (inflight_end - inflight_start)`.
+/// latencies. The tiling invariant holds exactly: `issued == accepted +
+/// dropped`, and in the plain configuration, where every issued request
+/// is offered and nothing fails in flight, `offered == dropped + served
+/// + (inflight_end - inflight_start)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowStats {
     /// First tick of the window.
