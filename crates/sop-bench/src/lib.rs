@@ -2,10 +2,10 @@
 //!
 //! Each chapter module exposes functions that compute and print one
 //! experiment; the `repro` binary dispatches on experiment ids (`fig2.1`,
-//! `tab3.2`, `fig4.6`, ... or `all`). The Criterion benches under
-//! `benches/` time the machinery these experiments run on.
+//! `tab3.2`, `fig4.6`, ... or `all`). The `sop-benchmark` crate under
+//! `benchmark/` at the repository root times the machinery these
+//! experiments run on.
 
-pub mod bench;
 pub mod campaign;
 pub mod ch2;
 pub mod ch3;

@@ -51,7 +51,6 @@ pub use traffic::TrafficModel;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static TICKS: AtomicU64 = AtomicU64::new(0);
-static EVENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Total simulated ticks (seconds) completed by fleet runs in this
 /// process. The heartbeat cycle-counter hook reads this so `sop top`
@@ -62,16 +61,8 @@ pub fn ticks_simulated() -> u64 {
     TICKS.load(Ordering::Relaxed)
 }
 
-/// Total server-step events processed by fleet runs in this process
-/// (a server touched in a tick because it had arrivals or backlog).
-/// The `fleet-quick` bench tier reports its delta as events/sec.
-pub fn events_processed() -> u64 {
-    EVENTS.load(Ordering::Relaxed)
-}
-
-pub(crate) fn flush_run_counters(ticks: u64, events: u64) {
+pub(crate) fn flush_run_counters(ticks: u64) {
     TICKS.fetch_add(ticks, Ordering::Relaxed);
-    EVENTS.fetch_add(events, Ordering::Relaxed);
 }
 
 static SLO_FIRED: AtomicU64 = AtomicU64::new(0);
@@ -123,9 +114,7 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let t0 = ticks_simulated();
-        let e0 = events_processed();
-        flush_run_counters(10, 3);
+        flush_run_counters(10);
         assert!(ticks_simulated() >= t0 + 10);
-        assert!(events_processed() >= e0 + 3);
     }
 }

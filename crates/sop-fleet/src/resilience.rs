@@ -390,9 +390,6 @@ struct Server {
     in_rotation: bool,
     ejected: bool,
     shedding: bool,
-    // Traffic reached this server while it was dead this tick: it was
-    // touched although it holds no backlog.
-    blackholed: bool,
     probe_fails: u32,
     probe_oks: u32,
     over_ticks: u64,
@@ -661,7 +658,6 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
             in_rotation: true,
             ejected: false,
             shedding: false,
-            blackholed: false,
             probe_fails: 0,
             probe_oks: 0,
             over_ticks: 0,
@@ -742,7 +738,6 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
     let mut routable_weight = 0u64;
     let mut fleet_capacity = 0u64;
     let mut stale = true;
-    let mut events_seen = 0u64;
     let mut ev_i = 0usize;
 
     for tick in 0..p.duration_ticks {
@@ -931,7 +926,6 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
                 if s.eff_cap == 0 {
                     // Dead but not yet ejected: the requests vanish and
                     // their clients burn the full timeout finding out.
-                    s.blackholed = true;
                     totals.blackholed += alloc;
                     totals.perm_failed += ring.schedule(
                         &retry,
@@ -1068,14 +1062,11 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
         // disengage only once it falls below half the target, which a
         // shed bound being filled to exactly the target can never do,
         // so overload cannot flap the shedder open for an
-        // 8-second-deep gulp of doomed admissions. Then serve. A server
-        // touched this tick — it had arrivals or backlog — is one
-        // fleet event.
+        // 8-second-deep gulp of doomed admissions. Then serve.
         for s in servers.iter_mut() {
             if s.eff_cap == 0 {
                 s.over_ticks = 0;
                 s.shedding = false;
-                events_seen += u64::from(std::mem::take(&mut s.blackholed));
                 continue;
             }
             if shed {
@@ -1098,7 +1089,6 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
             if s.backlog == 0 {
                 continue;
             }
-            events_seen += 1;
             let (good, waste) = s.serve(segmented);
             totals.goodput += good;
             totals.waste_served += waste;
@@ -1160,7 +1150,7 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
         (Some(t0), Some(t1)) => (true, t1 - t0),
         (Some(t0), None) => (false, p.duration_ticks - t0),
     };
-    crate::flush_run_counters(p.duration_ticks, events_seen);
+    crate::flush_run_counters(p.duration_ticks);
     FleetOutcome {
         params: *params,
         plain: PLAIN,

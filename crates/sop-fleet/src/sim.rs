@@ -23,9 +23,6 @@
 //!    plus FIFO queueing delay at the current capacity) into the window
 //!    histogram, then serves up to its capacity.
 //!
-//! A server touched in a tick — it had arrivals or backlog — is one
-//! fleet event ([`crate::events_processed`]).
-//!
 //! [`simulate`] runs that loop in its *plain* configuration: flat
 //! topology (no domain faults), retry `none` (open-loop demand, no
 //! client gives up or retries, so queued work is a bare backlog count),

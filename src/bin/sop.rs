@@ -37,9 +37,6 @@
 //!                                             analysis over a report's `series`
 //!                                             section: burn table, incident timeline
 //!                                             with cause tags, TTD vs TTR
-//! sop bench  [--quick] [--jobs N] [--only ch3[,ch4...]] [--json FILE]
-//!            [--baseline FILE] [--tol PCT]    time the simulator hot paths and
-//!                                             append the run to the bench history
 //! sop prof   [<workload>] [--topo T] [--quick] [--cores N] [--json FILE]
 //!                                             run a self-profiled pod window and
 //!                                             print the host-side component
@@ -59,13 +56,9 @@
 //! sop list                                    list design names
 //! ```
 //!
-//! `sop sweep`, `sop bench` and `sop prof` reject any flag outside their
-//! usage line with exit 2 before doing any work.
+//! Every subcommand rejects any flag outside its usage line with exit 2
+//! before doing any work.
 
-use scale_out_processors::bench::bench::{
-    append_history, check_regression, commit_hash, history_entry, run_suite_with_metrics,
-    today_utc, BENCH_CAMPAIGNS,
-};
 use scale_out_processors::bench::campaign::{run_campaign, CAMPAIGNS};
 use scale_out_processors::bench::check_flags;
 use scale_out_processors::core::designs::{reference_chip, DesignKind};
@@ -100,17 +93,16 @@ fn main() {
         "sweep" => sweep(&args),
         "fleet" => fleet(&args),
         "slo" => slo_cmd(&args),
-        "bench" => bench(&args),
         "prof" => prof(&args),
         "top" => top(&args),
         "metrics" => metrics_cmd(&args),
         "cache" => cache(&args),
-        "list" => list(),
+        "list" => list(&args),
         "help" | "--help" | "-h" => usage(),
         other => {
             eprintln!(
                 "unknown subcommand {other:?}; one of: pod chip dc stack trace diff sweep \
-                 fleet slo bench prof top metrics cache list"
+                 fleet slo prof top metrics cache list"
             );
             usage();
         }
@@ -173,9 +165,9 @@ fn exec_config(args: &[String]) -> ExecConfig {
 
 /// Reads `--tol PCT` (default `default_pct`) and every `--tol-path
 /// PREFIX=PCT` rule into a [`DiffConfig`]: the one tolerance parser
-/// behind `sop diff`, `sop prof --analyze` and `sop bench --baseline`.
-/// A missing or unparsable percentage exits 2, so a gate can never
-/// quietly run at the default tolerance.
+/// behind `sop diff` and `sop prof --analyze`. A missing or unparsable
+/// percentage exits 2, so a gate can never quietly run at the default
+/// tolerance.
 fn diff_config(args: &[String], default_pct: f64) -> DiffConfig {
     let value = |i: usize| -> &str {
         args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
@@ -237,10 +229,6 @@ fn usage() {
     eprintln!(
         "       sop slo <report.json> [--target PCT] [--latency-ms N] [--latency-target PCT] \
          [--ascii-sparkline]"
-    );
-    eprintln!(
-        "       sop bench [--quick] [--jobs N] [--only ch3[,ch4...]] \
-         [--json FILE] [--baseline FILE] [--tol PCT]"
     );
     eprintln!(
         "       sop prof [<workload>] [--topo mesh|fbfly|nocout] [--quick] [--cores N] \
@@ -334,6 +322,35 @@ fn fleet(args: &[String]) {
         add_slo_metrics, fleet_points, grid, resilience_grid, resilience_points, storm_pair,
         DomainTopology, Policy, RetryPolicy, ORGS,
     };
+    accept_flags(
+        args,
+        &[
+            &[
+                "--quick",
+                "--stable",
+                "--resilience",
+                "--storm",
+                "--series",
+                "--slo",
+            ],
+            &ExecConfig::SWITCHES[..],
+        ]
+        .concat(),
+        &[
+            &[
+                "--servers",
+                "--seed",
+                "--org",
+                "--policy",
+                "--topology",
+                "--retry",
+                "--shed",
+                "--json",
+            ],
+            &ExecConfig::VALUED[..],
+        ]
+        .concat(),
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let stable = args.iter().any(|a| a == "--stable");
     let resilience = args.iter().any(|a| a == "--resilience");
@@ -655,6 +672,11 @@ fn slo_cmd(args: &[String]) {
     use scale_out_processors::obs::slo::evaluate;
     use scale_out_processors::obs::{BurnRule, ScriptedCause, SeriesSet, SloSpec};
 
+    accept_flags(
+        args,
+        &["--ascii-sparkline"],
+        &["--target", "--latency-ms", "--latency-target"],
+    );
     let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
         eprintln!(
             "usage: sop slo <report.json> [--target PCT] [--latency-ms N] \
@@ -814,6 +836,7 @@ fn print_slo_analysis(a: &scale_out_processors::obs::SloAnalysis, ttr: Option<f6
 /// content hash, stray `*.tmp.*` debris and foreign files called out.
 /// Exits non-zero if anything but valid entries is found.
 fn cache(args: &[String]) {
+    accept_flags(args, &[], &["--dir"]);
     let dir = value_flag(args, "--dir")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(scale_out_processors::exec::default_cache_dir);
@@ -840,97 +863,6 @@ fn cache(args: &[String]) {
     }
     if !audit.is_clean() {
         std::process::exit(1);
-    }
-}
-
-/// Times the simulator micro-benchmarks and cold chapter campaigns and
-/// writes the numbers as a `bench` section in a `sop-report/v1`
-/// document. The run is appended to the `history` array carried forward
-/// from the previous document at the output path (commit, date, per-tier
-/// Mcycles/s), and the engine registry populates the report's top-level
-/// `metrics`. With `--baseline FILE` the run becomes a regression gate:
-/// any campaign more than `--tol` percent (default 25) slower than the
-/// baseline document's latest history entry fails the command.
-fn bench(args: &[String]) {
-    accept_flags(
-        args,
-        &["--quick"],
-        &["--jobs", "--only", "--json", "--baseline", "--tol"],
-    );
-    let quick = args.iter().any(|a| a == "--quick");
-    let jobs: usize = numeric_flag(args, "--jobs").unwrap_or(0);
-    let only: Option<Vec<&str>> = value_flag(args, "--only").map(|list| {
-        list.split(',')
-            .map(|name| {
-                BENCH_CAMPAIGNS
-                    .iter()
-                    .copied()
-                    .find(|c| *c == name)
-                    .unwrap_or_else(|| {
-                        eprintln!(
-                            "unknown bench campaign {name:?}; one of: {}",
-                            BENCH_CAMPAIGNS.join(" ")
-                        );
-                        std::process::exit(2);
-                    })
-            })
-            .collect()
-    });
-    let out = value_flag(args, "--json").unwrap_or("BENCH_sim.json");
-    let tol = diff_config(args, 25.0).tol * 100.0;
-
-    let mut spans = SpanLog::new();
-    let (mut data, metrics) = spans.time("bench", |_| {
-        run_suite_with_metrics(quick, jobs, only.as_deref())
-    });
-    // Carry the bench trajectory forward from the previous document at
-    // the output path, then append this run.
-    let previous = std::fs::read_to_string(out)
-        .ok()
-        .and_then(|text| scale_out_processors::obs::json::parse(&text).ok());
-    let entry = history_entry(&data, &commit_hash(), &today_utc());
-    append_history(&mut data, previous.as_ref(), entry);
-    let mut report = Report::new("bench", "Scale-Out Processors: simulator benchmarks");
-    report.set("bench", data.clone());
-    let doc = report.to_json(&spans, &metrics);
-    write_report(out, &doc);
-    for row in data.get("campaigns").and_then(Json::as_arr).unwrap_or(&[]) {
-        let name = row.get("campaign").and_then(Json::as_str).unwrap_or("?");
-        let wall = row.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
-        match (
-            row.get("mcycles_per_sec").and_then(Json::as_f64),
-            row.get("events_per_sec").and_then(Json::as_f64),
-        ) {
-            (Some(rate), _) => println!("{name:5} {wall:7.0}ms  {rate:8.3} Mcycles/s"),
-            (None, Some(rate)) => {
-                println!("{name:5} {wall:7.0}ms  {:8.3} Mevents/s", rate / 1e6);
-            }
-            (None, None) => println!("{name:5} {wall:7.0}ms  (analytic)"),
-        }
-    }
-    if let Some(x) = data.get("speedup_vs_baseline").and_then(Json::as_f64) {
-        println!("speedup vs per-cycle baseline: {x:.2}x");
-    }
-    println!("wrote {out}");
-
-    if let Some(path) = value_flag(args, "--baseline") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let base = scale_out_processors::obs::json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("baseline {path} is not valid JSON: {e:?}");
-            std::process::exit(1);
-        });
-        let violations = check_regression(&doc, &base, tol);
-        if violations.is_empty() {
-            println!("bench within {tol:.0}% of {path}");
-        } else {
-            for v in &violations {
-                eprintln!("REGRESSION {v}");
-            }
-            std::process::exit(1);
-        }
     }
 }
 
@@ -990,13 +922,15 @@ fn roster() -> Vec<(&'static str, DesignKind)> {
     ]
 }
 
-fn list() {
+fn list(args: &[String]) {
+    accept_flags(args, &[], &[]);
     for (name, _) in roster() {
         println!("{name}");
     }
 }
 
 fn pod(args: &[String]) {
+    accept_flags(args, &[], &["--node"]);
     let kind = core_kind(args);
     let node = node(args);
     let space = PodSearchSpace::thesis_chapter3(kind, node);
@@ -1014,6 +948,7 @@ fn pod(args: &[String]) {
 }
 
 fn chip(args: &[String]) {
+    accept_flags(args, &[], &["--node"]);
     let d = design(args);
     let node = node(args);
     let c = reference_chip(d, node);
@@ -1028,6 +963,7 @@ fn chip(args: &[String]) {
 }
 
 fn dc(args: &[String]) {
+    accept_flags(args, &[], &["--mem"]);
     let d = design(args);
     let mem: u32 = numeric_flag(args, "--mem").unwrap_or(64);
     let params = TcoParams::thesis();
@@ -1054,6 +990,11 @@ fn dc(args: &[String]) {
 /// additionally prints the per-stage latency breakdown table. `--cores N`
 /// runs the chapter-3 validation point instead of the full 64-core pod.
 fn trace(args: &[String]) {
+    accept_flags(
+        args,
+        &["--quick", "--analyze"],
+        &["--topo", "--out", "--sample", "--cores"],
+    );
     let name = args.get(1).map(String::as_str).unwrap_or("websearch");
     let workload = workload_by_name(name);
     let topo = topology_arg(args);
@@ -1280,6 +1221,7 @@ fn prof_analyze(args: &[String]) {
 /// `--once` renders a single snapshot and exits (1 when the stream
 /// holds no campaign yet).
 fn top(args: &[String]) {
+    accept_flags(args, &["--once"], &["--file", "--interval-ms"]);
     let file = value_flag(args, "--file")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| scale_out_processors::exec::default_cache_dir().join(PROGRESS_FILE));
@@ -1318,6 +1260,7 @@ fn top(args: &[String]) {
 /// default, Prometheus text exposition with `--text` (counters, gauges,
 /// and histograms re-expanded into cumulative `_bucket` samples).
 fn metrics_cmd(args: &[String]) {
+    accept_flags(args, &["--text"], &[]);
     let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
         eprintln!("usage: sop metrics <report.json> [--text]");
         std::process::exit(2);
@@ -1368,6 +1311,7 @@ fn metrics_cmd(args: &[String]) {
 /// moved beyond tolerance or a key appeared/vanished, 2 on usage or IO
 /// errors.
 fn diff(args: &[String]) {
+    accept_flags(args, &[], &["--tol", "--tol-path"]);
     let (Some(path_a), Some(path_b)) = (args.get(1), args.get(2)) else {
         eprintln!("usage: sop diff <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]");
         std::process::exit(2);
@@ -1406,6 +1350,7 @@ fn diff(args: &[String]) {
 }
 
 fn stack(args: &[String]) {
+    accept_flags(args, &["--fixed-distance"], &[]);
     let kind = core_kind(args);
     let dies = match args.get(2).map(|v| (v, v.parse::<u32>())) {
         Some((_, Ok(dies))) if dies > 0 => dies,

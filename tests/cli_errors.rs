@@ -1,12 +1,13 @@
-//! Flags and values that do not parse fail loudly. `sop sweep`, `sop
-//! bench` and `sop prof` reject any flag outside their usage line with
-//! exit 2 and a message naming it, before doing any work; numeric flags
-//! (the engine's `--jobs`, `--timeout-secs` and `--retries`, `--cores`,
-//! `--sample`), choice flags (`--node`, `--policy`) and `sop stack`'s
-//! die count reject a value that does not parse or is not a choice
-//! instead of running at the default, and a flag missing its value
-//! fails the same way; `sop diff` rejects a tolerance that does not
-//! parse instead of gating at the default.
+//! Flags and values that do not parse fail loudly. Every `sop`
+//! subcommand rejects any flag outside its usage line with exit 2 and a
+//! message naming it, before doing any work, and an unknown subcommand
+//! exits 2 naming it; numeric flags (the engine's `--jobs`,
+//! `--timeout-secs` and `--retries`, `--cores`, `--sample`), choice
+//! flags (`--node`, `--policy`) and `sop stack`'s die count reject a
+//! value that does not parse or is not a choice instead of running at
+//! the default, and a flag missing its value fails the same way; `sop
+//! diff` rejects a tolerance that does not parse instead of gating at
+//! the default.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -34,6 +35,15 @@ fn sop(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
     )
 }
 
+/// Nothing ran, so nothing was written into `dir`.
+fn assert_nothing_written(dir: &Path) {
+    let written: Vec<_> = std::fs::read_dir(dir)
+        .expect("scratch dir")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    assert!(written.is_empty(), "a rejected run wrote {written:?}");
+}
+
 /// The removed intra-run threading flag, spelled out in pieces so a
 /// search for leftover uses of it finds none here.
 const REMOVED: &str = concat!("--", "threads");
@@ -41,13 +51,26 @@ const REMOVED: &str = concat!("--", "threads");
 #[test]
 fn unknown_flags_exit_2_naming_the_flag() {
     let dir = scratch("flags");
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 16] = [
         (&["sweep", "ch3", "--quick", REMOVED, "2"], REMOVED),
         (&["sweep", "ch3", "--quick", "--bogus"], "--bogus"),
-        (&["bench", "--quick", REMOVED, "2"], REMOVED),
-        (&["bench", "--quick", "--bogus"], "--bogus"),
         (&["prof", "websearch", "--quick", REMOVED, "2"], REMOVED),
         (&["prof", "websearch", "--quick", "--bogus"], "--bogus"),
+        (
+            &["fleet", "--quick", "--servers", "8", "--bogus"],
+            "--bogus",
+        ),
+        (&["trace", "websearch", "--quick", "--bogus"], "--bogus"),
+        (&["cache", "--bogus"], "--bogus"),
+        (&["pod", "ooo", "--bogus"], "--bogus"),
+        (&["top", "--bogus", "--once"], "--bogus"),
+        (&["dc", "scaleout-ooo", "--bogus"], "--bogus"),
+        (&["chip", "scaleout-ooo", "--bogus"], "--bogus"),
+        (&["stack", "ooo", "2", "--bogus"], "--bogus"),
+        (&["list", "--bogus"], "--bogus"),
+        (&["diff", "a.json", "b.json", "--bogus"], "--bogus"),
+        (&["slo", "a.json", "--bogus"], "--bogus"),
+        (&["metrics", "a.json", "--bogus"], "--bogus"),
     ];
     for (args, flag) in cases {
         let (code, stderr) = sop(&dir, args);
@@ -57,13 +80,18 @@ fn unknown_flags_exit_2_naming_the_flag() {
             "sop {args:?}: {stderr}"
         );
     }
+    // The retired benchmark subcommand is gone, not ignored.
+    let (code, stderr) = sop(&dir, &["bench", "--quick"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains(r#"unknown subcommand "bench""#), "{stderr}");
+    assert_nothing_written(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
 fn unparsable_numeric_values_exit_2_naming_flag_and_value() {
     let dir = scratch("values");
-    let cases: [(&[&str], &str); 15] = [
+    let cases: [(&[&str], &str); 14] = [
         (&["sweep", "ch2", "--jobs", "two"], "--jobs: two"),
         (
             &["sweep", "ch2", "--timeout-secs", "soon"],
@@ -72,7 +100,6 @@ fn unparsable_numeric_values_exit_2_naming_flag_and_value() {
         (&["sweep", "ch2", "--retries", "-1"], "--retries: -1"),
         (&["fleet", "--quick", "--jobs", "2.5"], "--jobs: 2.5"),
         (&["fleet", "--quick", "--servers", "abc"], "--servers: abc"),
-        (&["bench", "--quick", "--jobs", "two"], "--jobs: two"),
         (
             &["prof", "websearch", "--quick", "--cores", "abc"],
             "--cores: abc",
@@ -106,12 +133,7 @@ fn unparsable_numeric_values_exit_2_naming_flag_and_value() {
             "sop {args:?}: {stderr}"
         );
     }
-    // Nothing ran, so nothing was written.
-    let written: Vec<_> = std::fs::read_dir(&dir)
-        .expect("scratch dir")
-        .map(|e| e.expect("entry").file_name())
-        .collect();
-    assert!(written.is_empty(), "a rejected run wrote {written:?}");
+    assert_nothing_written(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
