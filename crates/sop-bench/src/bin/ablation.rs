@@ -9,22 +9,25 @@
 //! * instruction replication — what IR buys a mesh at each LLC size.
 //!
 //! ```text
-//! cargo run --release -p sop-bench --bin ablation \
-//!     [pods|llcrow|links|ir] [--json <path>] [--jobs N] [--no-cache] [--resume]
+//! usage: ablation [<pods|llcrow|links|ir|all>] [--json FILE] [--jobs N]
+//!            [--timeout-secs N] [--retries N] [--no-cache] [--resume]
+//!            [--no-heartbeat]
 //! ```
+//!
+//! `<section>` runs one ablation; without one, `all` runs every section.
 //!
 //! The simulation-backed sections (`llcrow`, `links`) run through the
 //! execution engine: their points are cached under `target/sop-cache/`,
 //! spread over `--jobs` workers, and resumable with `--resume`.
 //!
-//! With `--json <path>` the run also writes a schema-versioned report:
+//! With `--json FILE` the run also writes a schema-versioned report:
 //! one section of rows per ablation, a span per section, and
 //! `ablation.*` gauges for the simulation-backed sweeps.
 
 use sop_bench::points::{sim_points, SimPointSpec};
 use sop_core::chip::try_compose_pods;
 use sop_core::PodConfig;
-use sop_exec::{Exec, ExecConfig};
+use sop_exec::{Exec, ExecConfig, Spec};
 use sop_model::{DesignPoint, Interconnect};
 use sop_noc::{NocAreaBreakdown, NocConfig, TopologyKind};
 use sop_obs::{Json, Registry, Report, SpanLog};
@@ -32,53 +35,38 @@ use sop_tech::{ChipBudget, CoreKind, TechnologyNode};
 use sop_workloads::Workload;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let exec = Exec::new(ExecConfig::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("ablation: {e}");
-        std::process::exit(2);
-    }));
-    let which = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--")
-                && (*i == 0
-                    || !matches!(
-                        args.get(i - 1).map(String::as_str),
-                        Some("--json" | "--jobs")
-                    ))
-        })
-        .map(|(_, a)| a.clone())
-        .next()
-        .unwrap_or_else(|| "all".to_owned());
+    let spec = Spec::new("ablation")
+        .optional("<section>")
+        .one_of(["pods", "llcrow", "links", "ir", "all"])
+        .values([("--json", "FILE")])
+        .engine();
+    let args = spec.parse(&std::env::args().skip(1).collect::<Vec<_>>());
+    let json_path = args.value("--json");
+    let exec = Exec::new(ExecConfig::from_args(&args));
+    let which = args.value("<section>").unwrap_or("all");
 
     let mut spans = SpanLog::new();
     let mut metrics = Registry::new();
     let mut report = Report::new("ablation", "Design-choice ablations");
-    if matches!(which.as_str(), "pods" | "all") {
+    if matches!(which, "pods" | "all") {
         let rows = spans.time("pods", |_| pods());
         report.set("pods", rows);
     }
-    if matches!(which.as_str(), "llcrow" | "all") {
+    if matches!(which, "llcrow" | "all") {
         let rows = spans.time("llcrow", |_| llc_row(&exec, &mut metrics));
         report.set("llcrow", rows);
     }
-    if matches!(which.as_str(), "links" | "all") {
+    if matches!(which, "links" | "all") {
         let rows = spans.time("links", |_| links(&exec, &mut metrics));
         report.set("links", rows);
     }
-    if matches!(which.as_str(), "ir" | "all") {
+    if matches!(which, "ir" | "all") {
         let rows = spans.time("ir", |_| instruction_replication());
         report.set("ir", rows);
     }
     if let Some(path) = json_path {
         metrics.merge(&exec.metrics_snapshot());
-        if let Err(e) = report.write_to(&path, &spans, &metrics) {
+        if let Err(e) = report.write_to(path, &spans, &metrics) {
             eprintln!("ablation: cannot write {path}: {e}");
             std::process::exit(1);
         }

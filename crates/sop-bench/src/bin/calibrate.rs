@@ -2,21 +2,21 @@
 //! target so profile constants can be tuned against the thesis.
 //!
 //! ```text
-//! cargo run --release -p sop-bench --bin calibrate \
-//!     [--json <path>] [--jobs N]
+//! usage: calibrate [--json FILE] [--jobs N] [--timeout-secs N] [--retries N]
+//!            [--no-cache] [--resume] [--no-heartbeat]
 //! ```
 //!
 //! Sections render into string buffers on the execution engine's worker
 //! pool (`--jobs` workers, one task per section) and print in a fixed
 //! order, so the dashboard is byte-identical for any worker count.
 //!
-//! With `--json <path>` the dashboard is also written as a
+//! With `--json FILE` the dashboard is also written as a
 //! schema-versioned report: one section per calibration surface.
 
 use sop_core::designs::{reference_chip, DesignKind};
 use sop_core::pod::{optimal_pod, preferred_pod, PodSearchSpace};
 use sop_core::PodConfig;
-use sop_exec::{Exec, ExecConfig};
+use sop_exec::{Exec, ExecConfig, Spec};
 use sop_model::{DesignPoint, Interconnect};
 use sop_obs::{Json, Registry, Report, SpanLog};
 use sop_tech::{CoreKind, TechnologyNode};
@@ -31,16 +31,10 @@ macro_rules! outln {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let exec = Exec::new(ExecConfig::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("calibrate: {e}");
-        std::process::exit(2);
-    }));
+    let spec = Spec::new("calibrate").values([("--json", "FILE")]).engine();
+    let args = spec.parse(&std::env::args().skip(1).collect::<Vec<_>>());
+    let json_path = args.value("--json");
+    let exec = Exec::new(ExecConfig::from_args(&args));
 
     type Section = (&'static str, fn(&mut String) -> Json);
     let sections: Vec<Section> = vec![
@@ -69,7 +63,7 @@ fn main() {
     if let Some(path) = json_path {
         let mut metrics = Registry::new();
         metrics.merge(&exec.metrics_snapshot());
-        if let Err(e) = report.write_to(&path, &spans, &metrics) {
+        if let Err(e) = report.write_to(path, &spans, &metrics) {
             eprintln!("calibrate: cannot write {path}: {e}");
             std::process::exit(1);
         }

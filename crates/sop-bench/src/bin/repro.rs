@@ -1,18 +1,21 @@
 //! Regenerates the thesis' tables and figures.
 //!
 //! ```text
-//! repro <id>...        one or more of: fig2.1 fig2.2 fig2.3 tab2.1 tab2.3
-//!                      tab2.4 fig3.1 fig3.3 fig3.4 fig3.5 fig3.6 tab3.2
-//!                      fig4.3 tab4.1 fig4.6 fig4.7 fig4.8 fig4.9 tab5.1
-//!                      tab5.2 fig5.1 fig5.2 fig5.3 fig5.4 fig5.5 fig6.4
-//!                      fig6.5 fig6.6 fig6.7 tab6.2
-//! repro all            everything (simulation-backed figures take minutes)
-//! repro all --quick    everything with shortened simulation windows
+//! usage: repro <id>... [--quick] [--quiet] [--stable] [--json FILE]
+//!            [--fault routers:N@CYCLE[:seed=S]] [--jobs N] [--timeout-secs N]
+//!            [--retries N] [--no-cache] [--resume] [--no-heartbeat]
 //! ```
+//!
+//! `<id>` is one or more of fig2.1 fig2.2 fig2.3 tab2.1 tab2.2 tab2.3 tab2.4
+//! fig3.1 fig3.3 fig3.4 fig3.5 fig3.6 tab3.2 sec3.4.5 fig4.3 tab4.1 fig4.6
+//! fig4.7 fig4.8 fig4.9 sec4.5 tab5.1 tab5.2 fig5.1 fig5.2 fig5.3 fig5.4
+//! fig5.5 fig6.4 fig6.5 fig6.6 fig6.7 tab6.1 tab6.2 degradation, or `all`:
+//! everything but `degradation` (simulation-backed figures take minutes;
+//! `--quick` shortens their windows).
 //!
 //! Flags:
 //!
-//! * `--json <path>` — also write a schema-versioned run report
+//! * `--json FILE` — also write a schema-versioned run report
 //!   (`sop-report/v1`): per-chapter/per-figure timing spans, the golden
 //!   check results, named metrics (`sim.llc.*`, `sim.l1.*`, `noc.*`,
 //!   `mem.*`) from a sample pod simulation, and the execution engine's
@@ -36,7 +39,8 @@
 //!   is never contaminated; goldens are measured on the healthy machine
 //!   and may legitimately fail under damage.
 //!
-//! Any other flag is rejected with exit 2 before anything runs.
+//! Anything else — an unknown flag or id, a missing or unparsable value,
+//! a repeated flag — is rejected with exit 2 before anything runs.
 //!
 //! The `degradation` experiment id prints the seeded router-death sweep
 //! (pod throughput vs fraction of failed routers); it is not part of
@@ -46,76 +50,55 @@
 //! values (see `tests/golden.rs` and EXPERIMENTS.md) and exits non-zero
 //! if any reproduced value deviates beyond tolerance.
 
-use sop_bench::check_flags;
 use sop_bench::points::{set_global_faults, SpecFaults};
 use sop_bench::report::{checks_json, golden_checks, pod_sample_metrics};
 use sop_bench::{ch2, ch3, ch4, ch5, ch6, degradation};
-use sop_exec::{Exec, ExecConfig};
+use sop_exec::{Exec, ExecConfig, Spec};
 use sop_obs::{stabilized, write_atomic, Json, Registry, Report, SpanLog};
 use sop_tech::{CoreKind, TechnologyNode};
 
-/// Flags `repro` accepts on their own, beyond the engine's.
-const SWITCHES: [&str; 3] = ["--quick", "--quiet", "--stable"];
-/// Flags `repro` accepts with a value, beyond the engine's.
-const VALUED: [&str; 2] = ["--json", "--fault"];
+/// The experiments `all` runs, in order.
+const ALL: [&str; 31] = [
+    "fig2.1", "fig2.2", "fig2.3", "tab2.1", "tab2.3", "tab2.4", "fig3.1", "fig3.3", "fig3.4",
+    "fig3.5", "fig3.6", "tab3.2", "sec3.4.5", "fig4.3", "tab4.1", "fig4.6", "fig4.7", "fig4.8",
+    "fig4.9", "sec4.5", "tab5.1", "tab5.2", "fig5.1", "fig5.2", "fig5.3", "fig5.5", "fig6.4",
+    "fig6.5", "fig6.6", "fig6.7", "tab6.2",
+];
 
-const USAGE: &str = "usage: repro <experiment id>... | all [--quick] [--json <path>] [--quiet] \
-                     [--jobs N] [--no-cache] [--resume] [--stable] [--fault routers:N@CYCLE] \
-                     [--timeout-secs N] [--retries N] [--no-heartbeat]";
+/// The other ids `repro` takes: figures printed together with one in
+/// [`ALL`], the fault sweep `all` leaves out, and `all` itself.
+const MORE: [&str; 5] = ["tab2.2", "fig5.4", "tab6.1", "degradation", "all"];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let switches = [&SWITCHES[..], &ExecConfig::SWITCHES[..]].concat();
-    let valued = [&VALUED[..], &ExecConfig::VALUED[..]].concat();
-    if let Err(e) = check_flags(&args, &switches, &valued) {
-        eprintln!("repro: {e}");
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let quiet = args.iter().any(|a| a == "--quiet");
-    let stable = args.iter().any(|a| a == "--stable");
-    let json_path = flag_value(&args, "--json");
-    let fault = match flag_value(&args, "--fault").as_deref().map(parse_fault) {
-        None => None,
-        Some(Ok(f)) => {
-            set_global_faults(f);
-            Some(f)
-        }
-        Some(Err(e)) => {
-            eprintln!("repro: bad --fault value: {e}");
-            eprintln!("       expected routers:<count>@<cycle>[:seed=<seed>]");
-            std::process::exit(2);
-        }
-    };
-    let exec = Exec::new(ExecConfig::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("repro: {e}");
-        std::process::exit(2);
-    }));
-    let ids = experiment_ids(&args, &valued);
-    if ids.is_empty() {
-        eprintln!("{USAGE}");
-        eprintln!("see DESIGN.md for the experiment index");
-        std::process::exit(2);
-    }
+    let spec = Spec::new("repro")
+        .arg("<id>")
+        .one_of(ALL.into_iter().chain(MORE))
+        .repeats()
+        .switches(["--quick", "--quiet", "--stable"])
+        .values([("--json", "FILE"), ("--fault", "routers:N@CYCLE[:seed=S]")])
+        .engine();
+    let args = spec.parse(&std::env::args().skip(1).collect::<Vec<_>>());
+    let quick = args.has("--quick");
+    let quiet = args.has("--quiet");
+    let stable = args.has("--stable");
+    let json_path = args.value("--json");
+    let fault = args.value("--fault").map(|v| {
+        let f = parse_fault(v).unwrap_or_else(|e| args.fail(&format!("bad --fault value: {e}")));
+        set_global_faults(f);
+        f
+    });
+    let exec = Exec::new(ExecConfig::from_args(&args));
     if quiet {
         let Some(path) = json_path else {
-            eprintln!("repro: --quiet requires --json <path> (nothing would be printed)");
-            std::process::exit(2);
+            args.fail("--quiet requires --json FILE (nothing would be printed)");
         };
-        rerun_quietly(&path);
+        rerun_quietly(path);
     }
 
-    let all = [
-        "fig2.1", "fig2.2", "fig2.3", "tab2.1", "tab2.3", "tab2.4", "fig3.1", "fig3.3", "fig3.4",
-        "fig3.5", "fig3.6", "tab3.2", "sec3.4.5", "fig4.3", "tab4.1", "fig4.6", "fig4.7", "fig4.8",
-        "fig4.9", "sec4.5", "tab5.1", "tab5.2", "fig5.1", "fig5.2", "fig5.3", "fig5.5", "fig6.4",
-        "fig6.5", "fig6.6", "fig6.7", "tab6.2",
-    ];
-    let run: Vec<&str> = if ids.iter().any(|i| i == "all") {
-        all.to_vec()
+    let run: Vec<&str> = if args.values("<id>").any(|i| i == "all") {
+        ALL.to_vec()
     } else {
-        ids.iter().map(String::as_str).collect()
+        args.values("<id>").collect()
     };
 
     // Time every figure, grouped under a span per chapter.
@@ -195,7 +178,7 @@ fn main() {
         }
         let doc = report.to_json(&spans, &metrics);
         let doc = if stable { stabilized(&doc) } else { doc };
-        if let Err(e) = write_atomic(&path, &(doc.to_pretty_string() + "\n")) {
+        if let Err(e) = write_atomic(path, &(doc.to_pretty_string() + "\n")) {
             eprintln!("repro: cannot write {path}: {e}");
             std::process::exit(1);
         }
@@ -247,29 +230,6 @@ fn exec_summary(exec: &Exec) -> Json {
         .with("cache_hits", m.counter("exec.cache.hits"))
         .with("cache_misses", m.counter("exec.cache.misses"))
         .with("cache_invalid", m.counter("exec.cache.invalid"))
-}
-
-/// The value following `flag`, if present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Positional experiment ids: everything that is not a flag or a
-/// valued flag's value (`valued` as accepted by [`check_flags`]).
-fn experiment_ids(args: &[String], valued: &[&str]) -> Vec<String> {
-    let mut ids = Vec::new();
-    let mut rest = args.iter();
-    while let Some(a) = rest.next() {
-        if valued.contains(&a.as_str()) {
-            rest.next();
-        } else if !a.starts_with("--") {
-            ids.push(a.clone());
-        }
-    }
-    ids
 }
 
 /// `"fig4.6"` -> `"ch4"`; chapter spans group the per-figure spans.
@@ -351,9 +311,6 @@ fn dispatch(id: &str, quick: bool, exec: &Exec) {
         "tab6.1" => ch2::print_tab2_1(),
         "tab6.2" => ch6::print_tab6_2(),
         "degradation" => degradation::print_sweep_on(exec, quick),
-        other => {
-            eprintln!("unknown experiment id: {other}");
-            std::process::exit(2);
-        }
+        other => unreachable!("{other} is not in the spec's id list"),
     }
 }

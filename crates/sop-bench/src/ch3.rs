@@ -151,14 +151,10 @@ pub fn fig3_3_on(
     fig3_3_rows(&specs, &points)
 }
 
-/// Prints Fig 3.3 for every workload and fabric, with error statistics.
-pub fn print_fig3_3(quick: bool) {
-    print_fig3_3_on(&Exec::sequential(), quick);
-}
-
-/// [`print_fig3_3`] with every simulation of every workload/fabric pair
-/// batched into one campaign on `exec`, so the whole figure parallelizes
-/// instead of one row at a time. Output is identical either way.
+/// Prints Fig 3.3 for every workload and fabric, with error statistics,
+/// every simulation of every workload/fabric pair batched into one
+/// campaign on `exec`, so the whole figure parallelizes instead of one
+/// row at a time.
 pub fn print_fig3_3_on(exec: &Exec, quick: bool) {
     // Collect every pair's specs first, evaluate them as one campaign,
     // then print in the original order.

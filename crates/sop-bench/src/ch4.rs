@@ -5,7 +5,6 @@ use crate::geomean;
 use crate::points::{sim_points, SimPointSpec};
 use sop_exec::Exec;
 use sop_noc::{NocAreaBreakdown, NocConfig, NocPowerEstimate, TopologyKind};
-use sop_sim::{Machine, SimConfig, SimResult};
 use sop_workloads::Workload;
 
 /// The fabrics compared in chapter 4.
@@ -15,25 +14,8 @@ pub const FABRICS: [TopologyKind; 3] = [
     TopologyKind::NocOut,
 ];
 
-/// Runs the 64-core pod for one workload/fabric (Fig 4.6 machinery).
-pub fn run_pod(
-    workload: Workload,
-    topology: TopologyKind,
-    link_bits: u32,
-    quick: bool,
-) -> SimResult {
-    let mut cfg = SimConfig::pod_64(workload, topology);
-    cfg.noc = cfg.noc.with_link_bits(link_bits);
-    let (warm, measure) = if quick {
-        (2_000, 4_000)
-    } else {
-        (8_000, 16_000)
-    };
-    Machine::new(cfg).run(warm, measure)
-}
-
-/// The spec equivalent of [`run_pod`], for scheduling through the
-/// execution engine.
+/// The 64-core pod for one workload/fabric (Fig 4.6 machinery), as a
+/// spec for scheduling through the execution engine.
 pub fn pod_spec(
     workload: Workload,
     topology: TopologyKind,
@@ -75,12 +57,7 @@ pub fn fig4_3_on(exec: &Exec, quick: bool) -> Vec<(Workload, f64)> {
         .collect()
 }
 
-/// Prints Fig 4.3.
-pub fn print_fig4_3(quick: bool) {
-    print_fig4_3_on(&Exec::sequential(), quick);
-}
-
-/// [`print_fig4_3`] on `exec`.
+/// Prints Fig 4.3, its simulations on `exec`.
 pub fn print_fig4_3_on(exec: &Exec, quick: bool) {
     println!("Fig 4.3 — % of LLC accesses triggering a snoop (64-core pod)");
     let rows = fig4_3_on(exec, quick);
@@ -120,12 +97,7 @@ pub fn noc_performance_on(
         .collect()
 }
 
-/// Prints Fig 4.6 (full-width links).
-pub fn print_fig4_6(quick: bool) {
-    print_fig4_6_on(&Exec::sequential(), quick);
-}
-
-/// [`print_fig4_6`] on `exec`.
+/// Prints Fig 4.6 (full-width links), its simulations on `exec`.
 pub fn print_fig4_6_on(exec: &Exec, quick: bool) {
     println!("Fig 4.6 — pod performance normalised to mesh (128-bit links)");
     print_noc_rows(&noc_performance_on(exec, [128, 128, 128], quick));
@@ -152,12 +124,7 @@ pub fn equal_area_widths() -> [u32; 3] {
     ]
 }
 
-/// Prints Fig 4.8 (equal-area links).
-pub fn print_fig4_8(quick: bool) {
-    print_fig4_8_on(&Exec::sequential(), quick);
-}
-
-/// [`print_fig4_8`] on `exec`.
+/// Prints Fig 4.8 (equal-area links), its simulations on `exec`.
 pub fn print_fig4_8_on(exec: &Exec, quick: bool) {
     let widths = equal_area_widths();
     println!("Fig 4.8 — pod performance normalised to mesh under NOC-Out's area budget");
@@ -213,12 +180,8 @@ pub fn print_fig4_7() {
     }
 }
 
-/// §4.4.4: mean NOC power per fabric, averaged across workloads.
-pub fn fig4_9_power(quick: bool) -> Vec<(TopologyKind, f64)> {
-    fig4_9_power_on(&Exec::sequential(), quick)
-}
-
-/// [`fig4_9_power`] with all 21 pod simulations batched on `exec`.
+/// §4.4.4: mean NOC power per fabric, averaged across workloads, with
+/// all 21 pod simulations batched on `exec`.
 pub fn fig4_9_power_on(exec: &Exec, quick: bool) -> Vec<(TopologyKind, f64)> {
     let (warm, measure) = if quick {
         (1_000, 3_000)
@@ -261,12 +224,7 @@ pub fn fig4_9_power_on(exec: &Exec, quick: bool) -> Vec<(TopologyKind, f64)> {
         .collect()
 }
 
-/// Prints the §4.4.4 power analysis.
-pub fn print_fig4_9_power(quick: bool) {
-    print_fig4_9_power_on(&Exec::sequential(), quick);
-}
-
-/// [`print_fig4_9_power`] on `exec`.
+/// Prints the §4.4.4 power analysis, its simulations on `exec`.
 pub fn print_fig4_9_power_on(exec: &Exec, quick: bool) {
     println!("§4.4.4 — NOC power (W) averaged across workloads");
     for (kind, mean) in fig4_9_power_on(exec, quick) {

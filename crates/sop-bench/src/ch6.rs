@@ -10,13 +10,9 @@ pub const CORE_SWEEP: [u32; 9] = [4, 8, 16, 32, 64, 128, 256, 512, 1024];
 /// LLC capacities swept in Figs 6.4/6.6.
 pub const LLC_SWEEP: [f64; 5] = [2.0, 4.0, 8.0, 16.0, 32.0];
 
-/// Prints Fig 6.4 (OoO) or Fig 6.6 (in-order): PD3D sweeps per die count.
-pub fn print_pd3d_sweep(kind: CoreKind) {
-    print_pd3d_sweep_on(&Exec::sequential(), kind);
-}
-
-/// [`print_pd3d_sweep`] with one worker task per (dies, LLC) row; the
-/// rows are computed first and printed in order.
+/// Prints Fig 6.4 (OoO) or Fig 6.6 (in-order): PD3D sweeps per die
+/// count, with one worker task per (dies, LLC) row; the rows are
+/// computed first and printed in order.
 pub fn print_pd3d_sweep_on(exec: &Exec, kind: CoreKind) {
     let fig = if kind == CoreKind::OutOfOrder {
         "6.4"

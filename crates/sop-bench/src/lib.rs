@@ -16,29 +16,6 @@ pub mod degradation;
 pub mod points;
 pub mod report;
 
-/// Checks every `--flag` in `args` against the flags one command
-/// accepts: `switches` stand alone, `valued` take the next argument as
-/// their value. Positional arguments pass through for the command to
-/// validate. Returns the message for the first flag the command does not
-/// accept, or for a valued flag with nothing after it; callers print it
-/// and exit 2 before doing any work, so a removed or misspelled flag can
-/// never be silently ignored.
-pub fn check_flags(args: &[String], switches: &[&str], valued: &[&str]) -> Result<(), String> {
-    let mut rest = args.iter();
-    while let Some(a) = rest.next() {
-        if !a.starts_with("--") || switches.contains(&a.as_str()) {
-            continue;
-        }
-        if !valued.contains(&a.as_str()) {
-            return Err(format!("unknown flag {a}"));
-        }
-        if rest.next().is_none() {
-            return Err(format!("{a} needs a value"));
-        }
-    }
-    Ok(())
-}
-
 /// Formats a ratio row for figure-style output.
 pub fn fmt_series(label: &str, values: &[f64]) -> String {
     let cells: Vec<String> = values.iter().map(|v| format!("{v:7.3}")).collect();
@@ -82,31 +59,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn geomean_rejects_zero() {
         geomean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn flags_are_checked_against_the_accepted_lists() {
-        let args =
-            |list: &[&str]| -> Vec<String> { list.iter().map(|s| (*s).to_owned()).collect() };
-        let ok = check_flags(
-            &args(&["ch3", "--quick", "--jobs", "2", "--json", "x.json"]),
-            &["--quick"],
-            &["--jobs", "--json"],
-        );
-        assert_eq!(ok, Ok(()));
-        // A valued flag's value is never mistaken for a flag.
-        assert_eq!(
-            check_flags(&args(&["--json", "--x"]), &[], &["--json"]),
-            Ok(())
-        );
-        assert_eq!(
-            check_flags(&args(&["ch3", "--bogus", "2"]), &["--quick"], &["--jobs"]),
-            Err("unknown flag --bogus".to_owned())
-        );
-        assert_eq!(
-            check_flags(&args(&["--jobs"]), &[], &["--jobs"]),
-            Err("--jobs needs a value".to_owned())
-        );
     }
 
     #[test]

@@ -1,10 +1,105 @@
-//! `repro` rejects any flag outside its usage line with exit 2 and a
-//! message naming it, before running anything — in particular a flag is
-//! never mistaken for an experiment id and dropped because `all` wins.
-//! `repro`, `ablation` and `calibrate` likewise reject an engine flag
-//! whose value does not parse instead of running at the default.
+//! `repro`, `ablation` and `calibrate` parse argv with the same
+//! spec-driven parser as `sop`. One table holds a row per binary; every
+//! row is run with a bad value, an unknown flag, a missing value, a value
+//! that is a flag, a repeated flag and an extra positional, and each must
+//! exit 2 with a message naming the flag or argument and write nothing.
+//! In particular a flag is never mistaken for an experiment id or an
+//! ablation section, and a valued flag never takes the next flag as its
+//! value. Each binary's crate doc quotes the usage line it prints.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+/// A fresh scratch directory: the binaries run inside it, so a check
+/// that wrongly let one start would write nothing into the repository.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sop-bench-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// Runs `bin` in `dir`, returning its exit code, stdout and stderr.
+fn run(bin: &str, dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(bin)
+        .args(args)
+        .current_dir(dir)
+        .env("SOP_CACHE_DIR", dir.join("cache"))
+        .output()
+        .expect("binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// `bin args` exits 2 with `needle` in its message.
+fn assert_rejected(bin: &str, dir: &Path, args: &[&str], needle: &str) {
+    let (code, _, stderr) = run(bin, dir, args);
+    assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{bin} {args:?}: {stderr}");
+}
+
+/// Nothing ran, so nothing was written into `dir`.
+fn assert_nothing_written(dir: &Path) {
+    let written: Vec<_> = std::fs::read_dir(dir)
+        .expect("scratch dir")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    assert!(written.is_empty(), "a rejected run wrote {written:?}");
+}
+
+/// One binary.
+struct Row {
+    bin: &'static str,
+    /// Its crate doc, which quotes its usage line.
+    source: &'static str,
+    /// Arguments that reach the binary's work.
+    base: &'static [&'static str],
+    /// A valued flag with a good and a bad value.
+    valued: (&'static str, &'static str, &'static str),
+    /// A switch the binary takes.
+    switch: &'static str,
+    /// What an extra positional's message names.
+    extra: &'static str,
+}
+
+const TABLE: [Row; 3] = [
+    Row {
+        bin: env!("CARGO_BIN_EXE_repro"),
+        source: include_str!("../src/bin/repro.rs"),
+        base: &["fig4.7"],
+        valued: ("--jobs", "2", "two"),
+        switch: "--quick",
+        extra: "invalid value for <id>: extra",
+    },
+    Row {
+        bin: env!("CARGO_BIN_EXE_ablation"),
+        source: include_str!("../src/bin/ablation.rs"),
+        base: &["pods"],
+        valued: ("--jobs", "1", "two"),
+        switch: "--no-cache",
+        extra: "unexpected argument extra",
+    },
+    Row {
+        bin: env!("CARGO_BIN_EXE_calibrate"),
+        source: include_str!("../src/bin/calibrate.rs"),
+        base: &[],
+        valued: ("--jobs", "1", "two"),
+        switch: "--no-cache",
+        extra: "unexpected argument extra",
+    },
+];
+
+/// The row's arguments followed by `more`.
+fn with<'a>(row: &Row, more: &[&'a str]) -> Vec<&'a str> {
+    row.base
+        .iter()
+        .copied()
+        .chain(more.iter().copied())
+        .collect()
+}
 
 /// The removed intra-run threading flag, spelled out in pieces so a
 /// search for leftover uses of it finds none here.
@@ -12,78 +107,126 @@ const REMOVED: &str = concat!("--", "threads");
 
 #[test]
 fn unknown_flags_exit_2_naming_the_flag() {
-    let dir = std::env::temp_dir().join(format!("repro-cli-errors-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let cases: [(&[&str], &str); 4] = [
-        (&["all", "--quick", REMOVED, "2"], REMOVED),
-        (&["all", "--quick", "--bogus"], "--bogus"),
-        (&["fig4.7", REMOVED, "2"], REMOVED),
-        (&["fig4.7", "--bogus"], "--bogus"),
-    ];
-    for (args, flag) in cases {
-        // Run inside a scratch directory so a check that wrongly let the
-        // run start would write nothing into the repository.
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(args)
-            .current_dir(&dir)
-            .env("SOP_CACHE_DIR", dir.join("cache"))
-            .output()
-            .expect("repro runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");
-        assert!(
-            stderr.contains(&format!("unknown flag {flag}")),
-            "repro {args:?}: {stderr}"
+    let dir = scratch("flags");
+    let repro = env!("CARGO_BIN_EXE_repro");
+    for row in &TABLE {
+        assert_rejected(
+            row.bin,
+            &dir,
+            &with(row, &["--bogus"]),
+            "unknown flag --bogus",
         );
+        // A bad flag before the positional, as well as after it.
+        let before = [&["--bogus"], row.base].concat();
+        assert_rejected(row.bin, &dir, &before, "unknown flag --bogus");
     }
+    let removed = format!("unknown flag {REMOVED}");
+    assert_rejected(repro, &dir, &["all", "--quick", REMOVED, "2"], &removed);
+    assert_rejected(repro, &dir, &["fig4.7", REMOVED, "2"], &removed);
+    assert_nothing_written(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
 fn unparsable_engine_values_exit_2_naming_flag_and_value() {
-    let dir = std::env::temp_dir().join(format!("repro-cli-values-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let cases: [(&str, &[&str], &str); 5] = [
-        (
-            env!("CARGO_BIN_EXE_repro"),
-            &["all", "--quick", "--jobs", "two"],
-            "--jobs: two",
-        ),
-        (
-            env!("CARGO_BIN_EXE_repro"),
-            &["fig4.7", "--retries", "x"],
-            "--retries: x",
-        ),
-        (
-            env!("CARGO_BIN_EXE_repro"),
-            &["fig4.7", "--timeout-secs", "1m"],
-            "--timeout-secs: 1m",
-        ),
-        (
-            env!("CARGO_BIN_EXE_ablation"),
-            &["--jobs", "two"],
-            "--jobs: two",
-        ),
-        (
-            env!("CARGO_BIN_EXE_calibrate"),
-            &["--jobs", "two"],
-            "--jobs: two",
-        ),
+    let dir = scratch("values");
+    let repro = env!("CARGO_BIN_EXE_repro");
+    for row in &TABLE {
+        let (flag, _, bad) = row.valued;
+        let needle = format!("invalid value for {flag}: {bad}");
+        assert_rejected(row.bin, &dir, &with(row, &[flag, bad]), &needle);
+    }
+    let cases: [(&[&str], &str); 3] = [
+        (&["fig4.7", "--retries", "x"], "--retries: x"),
+        (&["fig4.7", "--timeout-secs", "1m"], "--timeout-secs: 1m"),
+        (&["all", "fig9.9"], "<id>: fig9.9"),
     ];
-    for (bin, args, what) in cases {
-        let out = Command::new(bin)
-            .args(args)
-            .current_dir(&dir)
-            .env("SOP_CACHE_DIR", dir.join("cache"))
-            .output()
-            .expect("binary runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    for (args, what) in cases {
+        assert_rejected(repro, &dir, args, &format!("invalid value for {what}"));
+    }
+    assert_nothing_written(&dir);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn missing_values_and_values_that_are_flags_exit_2() {
+    let dir = scratch("missing");
+    for row in &TABLE {
+        let (flag, _, _) = row.valued;
+        assert_rejected(
+            row.bin,
+            &dir,
+            &with(row, &[flag]),
+            &format!("{flag} needs a value"),
+        );
+        let args = with(row, &["--json", row.switch]);
+        let needle = format!("--json needs a value, got flag {}", row.switch);
+        assert_rejected(row.bin, &dir, &args, &needle);
+    }
+    assert_rejected(
+        env!("CARGO_BIN_EXE_repro"),
+        &dir,
+        &["--quick"],
+        "<id> needs a value",
+    );
+    assert_nothing_written(&dir);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn repeated_flags_and_extra_positionals_exit_2() {
+    let dir = scratch("repeated");
+    for row in &TABLE {
+        let (flag, good, _) = row.valued;
+        let twice = with(row, &[flag, good, flag, good]);
+        let needle = format!("{flag} given more than once");
+        assert_rejected(row.bin, &dir, &twice, &needle);
+        let twice = with(row, &[row.switch, row.switch]);
+        let needle = format!("{} given more than once", row.switch);
+        assert_rejected(row.bin, &dir, &twice, &needle);
+        assert_rejected(row.bin, &dir, &with(row, &["extra"]), row.extra);
+    }
+    assert_nothing_written(&dir);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// `ablation` takes at most one section, from a fixed list; an engine
+/// flag's value is never read as a section name.
+#[test]
+fn ablation_takes_one_section_from_its_list() {
+    let dir = scratch("ablation");
+    let ablation = env!("CARGO_BIN_EXE_ablation");
+    assert_rejected(
+        ablation,
+        &dir,
+        &["bogus"],
+        "invalid value for <section>: bogus; one of: pods llcrow links ir all",
+    );
+    assert_rejected(ablation, &dir, &["ir", "pods"], "unexpected argument pods");
+    assert_nothing_written(&dir);
+    let (code, stdout, stderr) = run(ablation, &dir, &["--retries", "3", "ir"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("instruction replication"), "{stdout}");
+    assert!(!stdout.contains("pod granularity"), "{stdout}");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The usage line each binary prints is the one its crate doc quotes.
+#[test]
+fn crate_docs_quote_the_printed_usage() {
+    let dir = scratch("usage");
+    for row in &TABLE {
+        let (_, _, stderr) = run(row.bin, &dir, &["--bogus"]);
+        let usage = &stderr[stderr.find("usage: ").expect("usage line")..];
+        let doc: Vec<&str> = row
+            .source
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! ").or(l.strip_prefix("//!")))
+            .collect();
         assert!(
-            stderr.contains(&format!("invalid value for {what}")),
-            "{bin} {args:?}: {stderr}"
+            doc.join("\n").contains(usage.trim_end()),
+            "{} doc does not quote:\n{usage}",
+            row.bin
         );
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");

@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 
 use sop_obs::{Json, Registry};
 
+use crate::args::{Args, Spec};
 use crate::cache::ResultCache;
 use crate::hash::{hash_hex, parse_hash_hex, spec_hash};
 use crate::heartbeat::Heartbeat;
@@ -250,49 +251,29 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// The stand-alone flags [`ExecConfig::from_args`] reads, for a host
-    /// binary's list of accepted flags.
-    pub const SWITCHES: [&'static str; 3] = ["--no-cache", "--resume", "--no-heartbeat"];
-    /// The flags [`ExecConfig::from_args`] reads with a value.
-    pub const VALUED: [&'static str; 3] = ["--jobs", "--timeout-secs", "--retries"];
-
-    /// Parses the engine's standard flags from argv: `--jobs N`,
-    /// `--no-cache`, `--resume`, `--timeout-secs N`, `--retries N`,
-    /// `--no-heartbeat`.
-    /// Unknown arguments are ignored (they belong to the host binary). A
-    /// valued flag with a missing or unparsable value is an error (see
-    /// [`parse_flag`]); callers print it and exit 2 rather than run at
-    /// the default.
-    pub fn from_args(args: &[String]) -> Result<Self, String> {
+    /// The engine settings from the flags [`Spec::engine`] declares; a
+    /// value that does not parse exits 2 (see [`Args::read`]).
+    pub fn from_args(args: &Args) -> Self {
         let defaults = ExecConfig::default();
-        Ok(ExecConfig {
-            jobs: parse_flag(args, "--jobs")?.unwrap_or(0),
-            no_cache: args.iter().any(|a| a == "--no-cache"),
-            resume: args.iter().any(|a| a == "--resume"),
-            timeout_secs: parse_flag(args, "--timeout-secs")?,
-            retries: parse_flag(args, "--retries")?.unwrap_or(defaults.retries),
-            heartbeat: !args.iter().any(|a| a == "--no-heartbeat"),
+        ExecConfig {
+            jobs: args.read("--jobs").unwrap_or(0),
+            no_cache: args.has("--no-cache"),
+            resume: args.has("--resume"),
+            timeout_secs: args.read("--timeout-secs"),
+            retries: args.read("--retries").unwrap_or(defaults.retries),
+            heartbeat: !args.has("--no-heartbeat"),
             ..defaults
-        })
+        }
     }
 }
 
-/// The value of `flag` in argv, parsed: `Ok(None)` when the flag is
-/// absent, and an error naming the flag when its value is missing
-/// (`--jobs needs a value`) or does not parse (`invalid value for
-/// --jobs: two`). The one parser behind every numeric CLI flag, so no
-/// typo can quietly fall back to a default.
-pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or_else(|| format!("{flag} needs a value"))?;
-    value
-        .parse()
-        .map(Some)
-        .map_err(|_| format!("invalid value for {flag}: {value}"))
+impl Spec {
+    /// Adds the engine flags [`ExecConfig::from_args`] reads: the one
+    /// fragment every engine-driven command shares.
+    pub fn engine(self) -> Spec {
+        let values = [("--jobs", "N"), ("--timeout-secs", "N"), ("--retries", "N")];
+        (self.values(values)).switches(["--no-cache", "--resume", "--no-heartbeat"])
+    }
 }
 
 /// The execution engine handle: a worker-count choice, a result cache,

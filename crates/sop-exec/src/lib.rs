@@ -20,6 +20,8 @@
 //! * [`heartbeat`] — the live campaign telemetry stream: workers append
 //!   NDJSON progress events to `<cache-dir>/progress.ndjson`, which
 //!   `sop top` tails and aggregates into a [`TopSnapshot`].
+//! * [`args`] — the one argv parser: a [`Spec`] per command gives both the
+//!   checks and the usage text; [`Spec::engine`] adds the engine flags.
 //!
 //! The engine never makes anything *less* deterministic: a campaign run
 //! with one worker, eight workers, a cold cache, or a warm cache yields
@@ -27,16 +29,16 @@
 //! `exec.*` namespace, span timings) vary — and reports can strip those
 //! via `sop_obs::report::stabilized` for byte-for-byte comparison.
 
+pub mod args;
 pub mod cache;
 pub mod campaign;
 pub mod hash;
 pub mod heartbeat;
 pub mod pool;
 
+pub use args::{Args, Spec};
 pub use cache::{audit_dir, default_cache_dir, CacheAudit, ResultCache};
-pub use campaign::{
-    parse_flag, CampaignRun, Exec, ExecConfig, Job, JobFailure, JobOutcome, JobSource,
-};
+pub use campaign::{CampaignRun, Exec, ExecConfig, Job, JobFailure, JobOutcome, JobSource};
 pub use hash::{canonicalize, hash_hex, parse_hash_hex, spec_hash};
 pub use heartbeat::{Heartbeat, TopSnapshot, WorkerActivity};
 pub use pool::{
@@ -353,39 +355,18 @@ mod tests {
     }
 
     #[test]
-    fn exec_config_parses_standard_flags() {
-        let args: Vec<String> = ["prog", "--quick", "--jobs", "4", "--no-cache", "--resume"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let cfg = ExecConfig::from_args(&args).expect("flags parse");
-        assert_eq!(cfg.jobs, 4);
-        assert!(cfg.no_cache);
-        assert!(cfg.resume);
-        let none = ExecConfig::from_args(&["prog".to_owned()]).expect("no flags parse");
-        assert_eq!(none.jobs, 0);
-        assert!(!none.no_cache && !none.resume);
-    }
-
-    #[test]
-    fn exec_config_rejects_unparsable_values() {
+    fn exec_config_reads_the_engine_fragment() {
+        let spec = Spec::new("prog").switches(["--quick"]).engine();
         let parse = |list: &[&str]| {
-            let args: Vec<String> = list.iter().map(|s| (*s).to_owned()).collect();
-            ExecConfig::from_args(&args).map(|cfg| cfg.jobs)
+            let argv: Vec<String> = list.iter().map(|s| (*s).to_owned()).collect();
+            ExecConfig::from_args(&spec.try_parse(&argv).expect("flags parse"))
         };
-        assert_eq!(parse(&["--jobs", "3"]), Ok(3));
-        assert_eq!(
-            parse(&["--jobs", "two"]),
-            Err("invalid value for --jobs: two".to_owned())
-        );
-        assert_eq!(
-            parse(&["--timeout-secs", "-1"]),
-            Err("invalid value for --timeout-secs: -1".to_owned())
-        );
-        assert_eq!(
-            parse(&["--retries", "1.5"]),
-            Err("invalid value for --retries: 1.5".to_owned())
-        );
-        assert_eq!(parse(&["--jobs"]), Err("--jobs needs a value".to_owned()));
+        let cfg = parse(&["--quick", "--jobs", "4", "--no-cache", "--resume"]);
+        assert_eq!(cfg.jobs, 4);
+        assert!(cfg.no_cache && cfg.resume && cfg.heartbeat);
+        let cfg = parse(&["--timeout-secs", "9", "--retries", "0", "--no-heartbeat"]);
+        assert_eq!((cfg.timeout_secs, cfg.retries), (Some(9), 0));
+        assert!(!cfg.heartbeat);
+        assert_eq!(parse(&[]), ExecConfig::default());
     }
 }

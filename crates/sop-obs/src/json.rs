@@ -282,6 +282,12 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deeply arrays and objects may nest in a document [`parse`] reads,
+/// far above the 11 levels the tools write. It bounds the recursive
+/// parser's stack on any thread, so a deeper document is a
+/// [`ParseError`], not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
@@ -289,7 +295,7 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
         pos: 0,
     };
     p.skip_ws();
-    let value = p.value()?;
+    let value = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.error("trailing characters after document"));
@@ -338,20 +344,23 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
+    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(self.error(&format!("nested deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -361,7 +370,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -374,7 +383,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
+    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -388,7 +397,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             members.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -594,6 +603,18 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("too deep");
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.to_string().contains("nested deeper than 128 levels"));
+        let objects = "{\"a\":".repeat(200_000) + "1" + &"}".repeat(200_000);
+        assert!(parse(&objects).is_err());
+        assert!(parse(&nested(200_000)).is_err());
     }
 
     #[test]

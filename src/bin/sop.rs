@@ -1,76 +1,55 @@
 //! `sop` — interactive design-space explorer.
 //!
 //! ```text
-//! sop pod    <ooo|io> [--node 40|32|20]       derive the PD-optimal pod
-//! sop chip   <design> [--node 40|32|20]       compose a reference chip
-//! sop dc     <design> [--mem GB]              size a 20MW datacenter
-//! sop stack  <ooo|io> <dies> [--fixed-distance]   evaluate a 3D pod
-//! sop trace  <workload> [--topo mesh|fbfly|nocout] [--out FILE] [--quick]
-//!            [--analyze] [--sample N] [--cores N]
-//!                                             capture a Chrome trace of a pod run;
-//!                                             --analyze prints the per-stage latency
-//!                                             breakdown (NOC, bank, directory, memory)
-//! sop diff   <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]
-//!                                             structurally compare two sop-report/v1
-//!                                             documents; exit 1 on any divergence
-//! sop sweep  <ch2|ch3|ch4|ch5|ch6|degradation|all> [--jobs N] [--no-cache]
-//!            [--resume] [--json FILE] [--quick] [--stable] [--no-heartbeat]
-//!            [--timeout-secs N] [--retries N] run a named experiment campaign
-//! sop fleet  [--servers N] [--policy drain|derate] [--org NAME] [--seed S] [--quick]
-//!            [--jobs N] [--no-cache] [--resume] [--json FILE] [--stable] [--no-heartbeat]
-//!            [--series]                       simulate a fleet of SOP servers behind a
-//!                                             load balancer: cost per sustained QPS and
-//!                                             tail latency vs utilization per chip
-//!                                             organization; --series exports per-window
-//!                                             telemetry as a `series` report section
-//! sop fleet  --resilience [--topology flat|rack|wide] [--retry none|naive|backoff|hedge]
-//!            [--shed on|off] [--storm] [--slo] [...]
-//!                                             the resilience layer: correlated failure
-//!                                             domains, retry/hedge/timeout clients,
-//!                                             health-checked balancing, adaptive
-//!                                             overload shedding; --storm runs the
-//!                                             committed PDU-outage scenario (its rows
-//!                                             always arm the SLO monitoring plane);
-//!                                             --slo arms it on the ambient sweep too
-//! sop slo    <report.json> [--target PCT] [--latency-ms N] [--latency-target PCT]
-//!            [--ascii-sparkline]              replay the multi-window burn-rate
-//!                                             analysis over a report's `series`
-//!                                             section: burn table, incident timeline
-//!                                             with cause tags, TTD vs TTR
-//! sop prof   [<workload>] [--topo T] [--quick] [--cores N] [--json FILE]
-//!                                             run a self-profiled pod window and
-//!                                             print the host-side component
-//!                                             self-time table
-//! sop prof   --analyze <a.json> [b.json] [--tol PCT] [--tol-path PREFIX=PCT]
-//!                                             re-render the table from a report's
-//!                                             prof metrics; with two files, diff
-//!                                             the prof sections under tolerance
-//! sop top    [--file PATH] [--once] [--interval-ms N]
-//!                                             live terminal monitor over a
-//!                                             campaign's progress.ndjson heartbeat
-//! sop metrics <report.json> [--text]          dump a report's metrics object;
-//!                                             --text emits Prometheus exposition
-//!                                             (plus `series` last-value samples
-//!                                             when the report carries telemetry)
-//! sop cache  [--dir DIR]                      audit the result cache for debris
-//! sop list                                    list design names
+//! usage: sop pod <ooo|io|conv> [--node 40|32|20]
+//!        sop chip <design> [--node 40|32|20]
+//!        sop dc <design> [--mem GB]
+//!        sop stack <ooo|io|conv> <dies> [--fixed-distance]
+//!        sop trace [<workload>] [--topo mesh|fbfly|nocout] [--out FILE]
+//!            [--sample N] [--cores N] [--quick] [--analyze]
+//!        sop diff <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]...
+//!        sop sweep <ch2|ch3|ch4|ch5|ch6|degradation|fleet|resilience|all>
+//!            [--quick] [--stable] [--json FILE] [--jobs N] [--timeout-secs N]
+//!            [--retries N] [--no-cache] [--resume] [--no-heartbeat]
+//!        sop fleet [--servers N] [--seed S]
+//!            [--org scaleout-ooo|scaleout-io|smallpod-ooo|bigpod-ooo] [--quick]
+//!            [--stable] [--json FILE] [--policy drain|derate] [--series]
+//!            [--jobs N] [--timeout-secs N] [--retries N] [--no-cache] [--resume]
+//!            [--no-heartbeat]
+//!        sop fleet --resilience [--servers N] [--seed S]
+//!            [--org scaleout-ooo|scaleout-io|smallpod-ooo|bigpod-ooo] [--quick]
+//!            [--stable] [--json FILE] [--topology flat|rack|wide]
+//!            [--retry none|naive|backoff|hedge] [--shed on|off] [--storm] [--slo]
+//!            [--jobs N] [--timeout-secs N] [--retries N] [--no-cache] [--resume]
+//!            [--no-heartbeat]
+//!        sop slo <report.json> [--target PCT] [--latency-ms N]
+//!            [--latency-target PCT] [--ascii-sparkline]
+//!        sop prof [<workload>] [--topo mesh|fbfly|nocout] [--cores N]
+//!            [--json FILE] [--quick]
+//!        sop prof --analyze <a.json> [<b.json>] [--tol PCT]
+//!            [--tol-path PREFIX=PCT]...
+//!        sop top [--file PATH] [--interval-ms N] [--once]
+//!        sop metrics <report.json> [--text]
+//!        sop cache [--dir DIR]
+//!        sop list
 //! ```
 //!
-//! Every subcommand rejects any flag outside its usage line with exit 2
-//! before doing any work.
+//! The text above is generated from [`specs`], the grammar the parser
+//! checks argv against before any work (see `sop_exec::args`). Each
+//! subcommand's function documents what it does.
 
 use scale_out_processors::bench::campaign::{run_campaign, CAMPAIGNS};
-use scale_out_processors::bench::check_flags;
 use scale_out_processors::core::designs::{reference_chip, DesignKind};
 use scale_out_processors::core::pod::{optimal_pod, preferred_pod, PodSearchSpace};
 use scale_out_processors::exec::audit_dir;
 use scale_out_processors::exec::heartbeat::{read_events, snapshot, PROGRESS_FILE};
-use scale_out_processors::exec::{parse_flag, Exec, ExecConfig};
+use scale_out_processors::exec::{Args, Exec, ExecConfig, Spec};
+use scale_out_processors::fleet::{DomainTopology, Policy, RetryPolicy, ORGS};
 use scale_out_processors::noc::TopologyKind;
 use scale_out_processors::obs::prom::{exposition_from_json, metric_name};
 use scale_out_processors::obs::{
-    diff_reports, stabilized, write_atomic, DiffConfig, Json, ProfBreakdown, Registry, Report,
-    SpanLog, TxnBreakdown,
+    diff_reports, json, stabilized, write_atomic, DiffConfig, Json, ProfBreakdown, Registry,
+    Report, SpanLog, TxnBreakdown,
 };
 use scale_out_processors::sim::{Machine, SimConfig};
 use scale_out_processors::tco::{Datacenter, TcoParams};
@@ -80,9 +59,122 @@ use scale_out_processors::threed::{
 };
 use scale_out_processors::workloads::Workload;
 
+/// Every subcommand's grammar, in `sop help` order. A subcommand with
+/// two modes declares one spec per mode, the plain one first.
+fn specs() -> Vec<Spec> {
+    let cores = ["ooo", "io", "conv"];
+    let nodes = ["40", "32", "20"];
+    let topos = ["mesh", "fbfly", "nocout"];
+    let designs: Vec<&str> = roster().into_iter().map(|(name, _)| name).collect();
+    let tol = [("--tol", "PCT"), ("--tol-path", "PREFIX=PCT")];
+    let fleet = || {
+        let flags = [("--servers", "N"), ("--seed", "S"), ("--org", "ORG")];
+        let spec = Spec::new("sop fleet").values(flags);
+        let spec = spec.one_of(ORGS.iter().map(|o| o.name));
+        spec.switches(["--quick", "--stable"])
+            .values([("--json", "FILE")])
+    };
+    vec![
+        Spec::new("sop pod")
+            .arg("<core>")
+            .one_of(cores)
+            .values([("--node", "NODE")])
+            .one_of(nodes),
+        Spec::new("sop chip")
+            .arg("<design>")
+            .one_of(designs.clone())
+            .values([("--node", "NODE")])
+            .one_of(nodes),
+        Spec::new("sop dc")
+            .arg("<design>")
+            .one_of(designs)
+            .values([("--mem", "GB")]),
+        Spec::new("sop stack")
+            .arg("<core>")
+            .one_of(cores)
+            .arg("<dies>")
+            .switches(["--fixed-distance"]),
+        Spec::new("sop trace")
+            .optional("<workload>")
+            .values([("--topo", "TOPO")])
+            .one_of(topos)
+            .values([("--out", "FILE"), ("--sample", "N"), ("--cores", "N")])
+            .switches(["--quick", "--analyze"]),
+        Spec::new("sop diff")
+            .arg("<a.json>")
+            .arg("<b.json>")
+            .values(tol)
+            .repeats(),
+        Spec::new("sop sweep")
+            .arg("<campaign>")
+            .one_of(CAMPAIGNS)
+            .switches(["--quick", "--stable"])
+            .values([("--json", "FILE")])
+            .engine(),
+        fleet()
+            .values([("--policy", "POLICY")])
+            .one_of(Policy::ALL.iter().map(|p| p.label()))
+            .switches(["--series"])
+            .engine(),
+        fleet()
+            .with_mode("--resilience")
+            .values([("--topology", "TOPOLOGY")])
+            .one_of(DomainTopology::labels())
+            .values([("--retry", "RETRY")])
+            .one_of(RetryPolicy::labels())
+            .values([("--shed", "SHED")])
+            .one_of(["on", "off"])
+            .switches(["--storm", "--slo"])
+            .engine(),
+        Spec::new("sop slo")
+            .arg("<report.json>")
+            .values([("--target", "PCT"), ("--latency-ms", "N")])
+            .values([("--latency-target", "PCT")])
+            .switches(["--ascii-sparkline"]),
+        Spec::new("sop prof")
+            .optional("<workload>")
+            .values([("--topo", "TOPO")])
+            .one_of(topos)
+            .values([("--cores", "N"), ("--json", "FILE")])
+            .switches(["--quick"]),
+        Spec::new("sop prof")
+            .with_mode("--analyze")
+            .arg("<a.json>")
+            .optional("<b.json>")
+            .values(tol)
+            .repeats(),
+        Spec::new("sop top")
+            .values([("--file", "PATH"), ("--interval-ms", "N")])
+            .switches(["--once"]),
+        Spec::new("sop metrics")
+            .arg("<report.json>")
+            .switches(["--text"]),
+        Spec::new("sop cache").values([("--dir", "DIR")]),
+        Spec::new("sop list"),
+    ]
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let specs = specs();
+    let cmd = argv.first().map_or("help", String::as_str);
+    let rest = argv.get(1..).unwrap_or_default();
+    // The spec of the mode whose switch is given, else the plain one.
+    let named = || (specs.iter()).filter(|s| s.command().strip_prefix("sop ") == Some(cmd));
+    let Some(spec) = named()
+        .find(|s| s.mode().is_some_and(|m| rest.iter().any(|a| a == m)))
+        .or_else(|| named().find(|s| s.mode().is_none()))
+    else {
+        let lines: Vec<String> = specs.iter().map(Spec::usage).collect();
+        let usage = format!("usage: {}", lines.join("\n       "));
+        if matches!(cmd, "help" | "--help" | "-h") {
+            println!("{usage}");
+            return;
+        }
+        eprintln!("unknown subcommand {cmd:?}\n{usage}");
+        std::process::exit(2);
+    };
+    let args = spec.parse(rest);
     match cmd {
         "pod" => pod(&args),
         "chip" => chip(&args),
@@ -91,175 +183,63 @@ fn main() {
         "trace" => trace(&args),
         "diff" => diff(&args),
         "sweep" => sweep(&args),
-        "fleet" => fleet(&args),
+        "fleet" => fleet(&args, spec.mode().is_some()),
         "slo" => slo_cmd(&args),
+        "prof" if spec.mode().is_some() => prof_analyze(&args),
         "prof" => prof(&args),
         "top" => top(&args),
         "metrics" => metrics_cmd(&args),
         "cache" => cache(&args),
-        "list" => list(&args),
-        "help" | "--help" | "-h" => usage(),
-        other => {
-            eprintln!(
-                "unknown subcommand {other:?}; one of: pod chip dc stack trace diff sweep \
-                 fleet slo prof top metrics cache list"
-            );
-            usage();
-        }
+        _ => list(),
     }
-}
-
-/// Exits 2 naming the first flag `sop <cmd>` does not accept (see
-/// [`check_flags`]), before the command does any work.
-fn accept_flags(args: &[String], switches: &[&str], valued: &[&str]) {
-    if let Err(e) = check_flags(&args[1..], switches, valued) {
-        eprintln!("sop {}: {e}; see `sop help`", args[0]);
-        std::process::exit(2);
-    }
-}
-
-/// The value of `flag` in `sop <cmd>`'s arguments, parsed; exits 2
-/// naming the flag when the value is missing or does not parse (see
-/// [`parse_flag`]), so a typo never runs at the default.
-fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    parse_flag(args, flag).unwrap_or_else(|e| {
-        eprintln!("sop {}: {e}", args[0]);
-        std::process::exit(2);
-    })
-}
-
-/// The value of `flag` in `sop <cmd>`'s arguments; exits 2 naming the
-/// flag when it has none, so a flag never silently reads as absent.
-fn value_flag<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    let i = args.iter().position(|a| a == flag)?;
-    let Some(value) = args.get(i + 1) else {
-        eprintln!("sop {}: {flag} needs a value", args[0]);
-        std::process::exit(2);
-    };
-    Some(value)
-}
-
-/// The value of `flag`, which must be one of `known`; exits 2 naming
-/// the flag, the value and the choices otherwise (see [`value_flag`]).
-fn choice_flag<'a>(args: &'a [String], flag: &str, known: &[&str]) -> Option<&'a str> {
-    let value = value_flag(args, flag)?;
-    if !known.contains(&value) {
-        eprintln!(
-            "sop {}: invalid value for {flag}: {value}; one of: {}",
-            args[0],
-            known.join(" ")
-        );
-        std::process::exit(2);
-    }
-    Some(value)
-}
-
-/// The engine flags of `sop <cmd>`; exits 2 on a bad value like
-/// [`numeric_flag`].
-fn exec_config(args: &[String]) -> ExecConfig {
-    ExecConfig::from_args(args).unwrap_or_else(|e| {
-        eprintln!("sop {}: {e}", args[0]);
-        std::process::exit(2);
-    })
 }
 
 /// Reads `--tol PCT` (default `default_pct`) and every `--tol-path
-/// PREFIX=PCT` rule into a [`DiffConfig`]: the one tolerance parser
-/// behind `sop diff` and `sop prof --analyze`. A missing or unparsable
-/// percentage exits 2, so a gate can never quietly run at the default
-/// tolerance.
-fn diff_config(args: &[String], default_pct: f64) -> DiffConfig {
-    let value = |i: usize| -> &str {
-        args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("{} needs a value", args[i]);
-            std::process::exit(2);
-        })
+/// PREFIX=PCT` rule into a [`DiffConfig`]: the one tolerance reader
+/// behind `sop diff` and `sop prof --analyze`. An unparsable percentage
+/// exits 2, so a gate can never quietly run at the default tolerance.
+fn diff_config(args: &Args, default_pct: f64) -> DiffConfig {
+    let fraction = |flag: &str, pct: f64| match pct {
+        p if p.is_finite() && p >= 0.0 => p / 100.0,
+        _ => args.fail(&format!("{flag} must be a non-negative percentage")),
     };
-    let fraction = |flag: &str, pct: &str| -> f64 {
-        match pct.parse::<f64>() {
-            Ok(p) if p.is_finite() && p >= 0.0 => p / 100.0,
-            _ => {
-                eprintln!("{flag}: {pct:?} is not a non-negative number");
-                std::process::exit(2);
-            }
-        }
-    };
-    let mut cfg = DiffConfig::with_tol(default_pct / 100.0);
-    for (i, a) in args.iter().enumerate() {
-        match a.as_str() {
-            "--tol" => cfg.tol = fraction(a, value(i)),
-            "--tol-path" => {
-                let rule = value(i);
-                let Some((prefix, pct)) = rule.split_once('=') else {
-                    eprintln!("--tol-path needs PREFIX=PCT, got {rule:?}");
-                    std::process::exit(2);
-                };
-                cfg.rules.push((prefix.to_owned(), fraction(a, pct)));
-            }
-            _ => {}
-        }
+    let mut cfg =
+        DiffConfig::with_tol(fraction("--tol", args.read("--tol").unwrap_or(default_pct)));
+    for rule in args.values("--tol-path") {
+        let split = rule
+            .split_once('=')
+            .map(|(prefix, pct)| (prefix, pct.parse()));
+        let Some((prefix, Ok(pct))) = split else {
+            args.fail(&format!(
+                "invalid value for --tol-path: {rule} (PREFIX=PCT)"
+            ));
+        };
+        cfg.rules
+            .push((prefix.to_owned(), fraction("--tol-path", pct)));
     }
     cfg
 }
 
-fn usage() {
-    eprintln!("usage: sop pod <ooo|io> [--node 40|32|20]");
-    eprintln!("       sop chip <design> [--node 40|32|20]");
-    eprintln!("       sop dc <design> [--mem GB]");
-    eprintln!("       sop stack <ooo|io> <dies> [--fixed-distance]");
-    eprintln!(
-        "       sop trace <workload> [--topo mesh|fbfly|nocout] [--out FILE] [--quick] \
-         [--analyze] [--sample N] [--cores N]"
-    );
-    eprintln!("       sop diff <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]");
-    eprintln!(
-        "       sop sweep <ch2|ch3|ch4|ch5|ch6|degradation|all> [--jobs N] [--no-cache] \
-         [--resume] [--json FILE] [--quick] [--stable] [--no-heartbeat] [--timeout-secs N] \
-         [--retries N]"
-    );
-    eprintln!(
-        "       sop fleet [--servers N] [--policy drain|derate] [--org NAME] [--seed S] \
-         [--quick] [--jobs N] [--no-cache] [--resume] [--json FILE] [--stable] [--no-heartbeat] \
-         [--series]"
-    );
-    eprintln!(
-        "       sop fleet --resilience [--topology flat|rack|wide] \
-         [--retry none|naive|backoff|hedge] [--shed on|off] [--storm] [--slo] [...]"
-    );
-    eprintln!(
-        "       sop slo <report.json> [--target PCT] [--latency-ms N] [--latency-target PCT] \
-         [--ascii-sparkline]"
-    );
-    eprintln!(
-        "       sop prof [<workload>] [--topo mesh|fbfly|nocout] [--quick] [--cores N] \
-         [--json FILE]"
-    );
-    eprintln!("       sop prof --analyze <a.json> [b.json] [--tol PCT] [--tol-path PREFIX=PCT]");
-    eprintln!("       sop top [--file PATH] [--once] [--interval-ms N]");
-    eprintln!("       sop metrics <report.json> [--text]");
-    eprintln!("       sop cache [--dir DIR]");
-    eprintln!("       sop list");
-    std::process::exit(2);
+/// Reads and parses the JSON document at `path`; exits 2 when it cannot.
+fn load_json(path: &str) -> Json {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let parse = |t: String| json::parse(&t).map_err(|e| format!("{path} is not valid JSON: {e}"));
+    text.and_then(parse).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 /// Runs a named experiment campaign on the execution engine and writes
 /// its data as a `sop-report/v1` document.
-fn sweep(args: &[String]) {
-    accept_flags(
-        args,
-        &[&["--quick", "--stable"], &ExecConfig::SWITCHES[..]].concat(),
-        &[&["--json"], &ExecConfig::VALUED[..]].concat(),
-    );
-    let name = args.get(1).map(String::as_str).unwrap_or("");
-    if !CAMPAIGNS.contains(&name) {
-        eprintln!("unknown campaign {name:?}; one of: {}", CAMPAIGNS.join(" "));
-        std::process::exit(2);
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let stable = args.iter().any(|a| a == "--stable");
-    let out =
-        value_flag(args, "--json").map_or_else(|| format!("sweep-{name}.json"), str::to_owned);
-    let exec = Exec::new(exec_config(args));
+fn sweep(args: &Args) {
+    let name = args.arg("<campaign>");
+    let quick = args.has("--quick");
+    let stable = args.has("--stable");
+    let out = args
+        .value("--json")
+        .map_or_else(|| format!("sweep-{name}.json"), str::to_owned);
+    let exec = Exec::new(ExecConfig::from_args(args));
 
     let mut spans = SpanLog::new();
     let data = spans.time(name, |_| {
@@ -317,73 +297,35 @@ fn exit_on_failures(exec: &Exec, cmd: &str) {
 /// off (retry-storm collapse) and on (bounded brownout). Every run is a
 /// pure, cacheable engine job; the report is byte-identical across
 /// worker counts.
-fn fleet(args: &[String]) {
+fn fleet(args: &Args, resilience: bool) {
     use scale_out_processors::fleet::{
         add_slo_metrics, fleet_points, grid, resilience_grid, resilience_points, storm_pair,
-        DomainTopology, Policy, RetryPolicy, ORGS,
     };
-    accept_flags(
-        args,
-        &[
-            &[
-                "--quick",
-                "--stable",
-                "--resilience",
-                "--storm",
-                "--series",
-                "--slo",
-            ],
-            &ExecConfig::SWITCHES[..],
-        ]
-        .concat(),
-        &[
-            &[
-                "--servers",
-                "--seed",
-                "--org",
-                "--policy",
-                "--topology",
-                "--retry",
-                "--shed",
-                "--json",
-            ],
-            &ExecConfig::VALUED[..],
-        ]
-        .concat(),
-    );
-    let quick = args.iter().any(|a| a == "--quick");
-    let stable = args.iter().any(|a| a == "--stable");
-    let resilience = args.iter().any(|a| a == "--resilience");
-    let storm = args.iter().any(|a| a == "--storm");
-    let series = args.iter().any(|a| a == "--series");
-    let slo = args.iter().any(|a| a == "--slo");
-    let servers: u32 = numeric_flag(args, "--servers").unwrap_or(if quick { 64 } else { 256 });
+    let quick = args.has("--quick");
+    let stable = args.has("--stable");
+    let servers: u32 = args
+        .read("--servers")
+        .unwrap_or(if quick { 64 } else { 256 });
     if servers == 0 {
-        eprintln!("--servers must be at least 1");
-        std::process::exit(2);
+        args.fail("--servers must be at least 1");
     }
-    let seed: u64 = numeric_flag(args, "--seed").unwrap_or(42);
-    let orgs: Vec<&str> = ORGS.iter().map(|o| o.name).collect();
-    let org = choice_flag(args, "--org", &orgs);
-    let policies: Vec<&str> = Policy::ALL.iter().map(|p| p.label()).collect();
-    let policy = choice_flag(args, "--policy", &policies).and_then(Policy::from_label);
-    let topology = choice_flag(args, "--topology", &DomainTopology::labels());
-    let retry = choice_flag(args, "--retry", &RetryPolicy::labels());
-    let shed = choice_flag(args, "--shed", &["on", "off"]).map(|v| v == "on");
-    if !resilience && (storm || slo || topology.is_some() || retry.is_some() || shed.is_some()) {
-        eprintln!("--storm/--topology/--retry/--shed/--slo require --resilience");
-        std::process::exit(2);
-    }
-    if resilience && series {
-        eprintln!("--series applies to the plain fleet sweep; use --slo with --resilience");
-        std::process::exit(2);
-    }
+    let seed: u64 = args.read("--seed").unwrap_or(42);
+    let org = args.value("--org");
+    // Each mode's own flags: the other mode's spec does not declare them.
+    let own = |flag, mode| if mode { args.value(flag) } else { None };
+    let policy = own("--policy", !resilience).and_then(Policy::from_label);
+    let series = own("--series", !resilience).is_some();
+    let (storm, slo) = (own("--storm", resilience), own("--slo", resilience));
+    let (storm, slo) = (storm.is_some(), slo.is_some());
+    let (topology, retry) = (own("--topology", resilience), own("--retry", resilience));
+    let shed = own("--shed", resilience).map(|v| v == "on");
     if storm && (topology.is_some() || retry.is_some()) {
-        eprintln!("the storm scenario pins --topology rack --retry naive");
-        std::process::exit(2);
+        args.fail("the storm scenario pins --topology rack --retry naive");
     }
     let section = if resilience { "resilience" } else { "fleet" };
-    let out = value_flag(args, "--json").map_or_else(|| format!("{section}.json"), str::to_owned);
+    let out = args
+        .value("--json")
+        .map_or_else(|| format!("{section}.json"), str::to_owned);
     // Heartbeat job_finish events carry the fleet tick counter so
     // `sop top` can report simulated-hours per second, and the SLO
     // alert counters so it can render live alert state when a run arms
@@ -394,7 +336,7 @@ fn fleet(args: &[String]) {
     scale_out_processors::exec::heartbeat::set_slo_source(
         scale_out_processors::fleet::slo_alert_state,
     );
-    let exec = Exec::new(exec_config(args));
+    let exec = Exec::new(ExecConfig::from_args(args));
 
     // Deterministic aggregates are summed from the rows, so cached and
     // fresh evaluations export identical values; the engine's own
@@ -668,43 +610,24 @@ fn lift_series(rows: &mut [Json], names: &[String]) -> Option<Json> {
 /// availability objective (default 99.9%); `--latency-ms N` adds a
 /// latency objective at `--latency-target` (default 99%);
 /// `--ascii-sparkline` renders the per-window goodness ratio.
-fn slo_cmd(args: &[String]) {
+fn slo_cmd(args: &Args) {
     use scale_out_processors::obs::slo::evaluate;
     use scale_out_processors::obs::{BurnRule, ScriptedCause, SeriesSet, SloSpec};
 
-    accept_flags(
-        args,
-        &["--ascii-sparkline"],
-        &["--target", "--latency-ms", "--latency-target"],
-    );
-    let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!(
-            "usage: sop slo <report.json> [--target PCT] [--latency-ms N] \
-             [--latency-target PCT] [--ascii-sparkline]"
-        );
-        std::process::exit(2);
-    };
+    let path = args.arg("<report.json>");
     let pct = |flag: &str, default: f64| -> f64 {
-        let v: f64 = numeric_flag(args, flag).unwrap_or(default);
+        let v: f64 = args.read(flag).unwrap_or(default);
         if v <= 0.0 || v >= 100.0 {
-            eprintln!("{flag} must be a percentage in (0, 100)");
-            std::process::exit(2);
+            args.fail(&format!("{flag} must be a percentage in (0, 100)"));
         }
         v / 100.0
     };
     let target = pct("--target", 99.9);
-    let latency_ms: Option<u64> = numeric_flag(args, "--latency-ms");
+    let latency_ms: Option<u64> = args.read("--latency-ms");
     let latency_target = pct("--latency-target", 99.0);
-    let sparkline = args.iter().any(|a| a == "--ascii-sparkline");
+    let sparkline = args.has("--ascii-sparkline");
 
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = scale_out_processors::obs::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{path} is not valid JSON: {e:?}");
-        std::process::exit(2);
-    });
+    let doc = load_json(path);
     let Some(entries) = doc
         .get("sections")
         .and_then(|s| s.get("series"))
@@ -835,9 +758,9 @@ fn print_slo_analysis(a: &scale_out_processors::obs::SloAnalysis, ttr: Option<f6
 /// Audits the on-disk result cache: every entry re-validated against its
 /// content hash, stray `*.tmp.*` debris and foreign files called out.
 /// Exits non-zero if anything but valid entries is found.
-fn cache(args: &[String]) {
-    accept_flags(args, &[], &["--dir"]);
-    let dir = value_flag(args, "--dir")
+fn cache(args: &Args) {
+    let dir = args
+        .value("--dir")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(scale_out_processors::exec::default_cache_dir);
     let audit = match audit_dir(&dir) {
@@ -866,36 +789,29 @@ fn cache(args: &[String]) {
     }
 }
 
-fn core_kind(args: &[String]) -> CoreKind {
-    match args.get(1).map(String::as_str) {
+fn core_kind(args: &Args) -> CoreKind {
+    match args.value("<core>") {
         Some("ooo") => CoreKind::OutOfOrder,
         Some("io") => CoreKind::InOrder,
-        Some("conv") => CoreKind::Conventional,
-        _ => {
-            eprintln!("expected a core type: ooo | io | conv");
-            std::process::exit(2);
-        }
+        _ => CoreKind::Conventional,
     }
 }
 
-fn node(args: &[String]) -> TechnologyNode {
-    match choice_flag(args, "--node", &["40", "32", "20"]) {
+fn node(args: &Args) -> TechnologyNode {
+    match args.value("--node") {
         Some("20") => TechnologyNode::N20,
         Some("32") => TechnologyNode::N32,
         _ => TechnologyNode::N40,
     }
 }
 
-fn design(args: &[String]) -> DesignKind {
-    let name = args.get(1).map(String::as_str).unwrap_or("");
-    let all = roster();
-    all.iter()
+fn design(args: &Args) -> DesignKind {
+    let name = args.arg("<design>");
+    let mut roster = roster().into_iter();
+    roster
         .find(|(n, _)| *n == name)
-        .map(|(_, d)| *d)
-        .unwrap_or_else(|| {
-            eprintln!("unknown design {name:?}; try `sop list`");
-            std::process::exit(2);
-        })
+        .expect("the spec takes only roster names")
+        .1
 }
 
 fn roster() -> Vec<(&'static str, DesignKind)> {
@@ -922,15 +838,13 @@ fn roster() -> Vec<(&'static str, DesignKind)> {
     ]
 }
 
-fn list(args: &[String]) {
-    accept_flags(args, &[], &[]);
+fn list() {
     for (name, _) in roster() {
         println!("{name}");
     }
 }
 
-fn pod(args: &[String]) {
-    accept_flags(args, &[], &["--node"]);
+fn pod(args: &Args) {
     let kind = core_kind(args);
     let node = node(args);
     let space = PodSearchSpace::thesis_chapter3(kind, node);
@@ -947,8 +861,7 @@ fn pod(args: &[String]) {
     );
 }
 
-fn chip(args: &[String]) {
-    accept_flags(args, &[], &["--node"]);
+fn chip(args: &Args) {
     let d = design(args);
     let node = node(args);
     let c = reference_chip(d, node);
@@ -962,10 +875,9 @@ fn chip(args: &[String]) {
     println!("  perf/W            {:.3}", c.perf_per_watt);
 }
 
-fn dc(args: &[String]) {
-    accept_flags(args, &[], &["--mem"]);
+fn dc(args: &Args) {
     let d = design(args);
-    let mem: u32 = numeric_flag(args, "--mem").unwrap_or(64);
+    let mem: u32 = args.read("--mem").unwrap_or(64);
     let params = TcoParams::thesis();
     let dc = Datacenter::for_design(d, &params, mem);
     println!(
@@ -989,34 +901,13 @@ fn dc(args: &[String]) {
 /// transactions appear as per-component `txn.hop` lanes; `--analyze`
 /// additionally prints the per-stage latency breakdown table. `--cores N`
 /// runs the chapter-3 validation point instead of the full 64-core pod.
-fn trace(args: &[String]) {
-    accept_flags(
-        args,
-        &["--quick", "--analyze"],
-        &["--topo", "--out", "--sample", "--cores"],
-    );
-    let name = args.get(1).map(String::as_str).unwrap_or("websearch");
-    let workload = workload_by_name(name);
-    let topo = topology_arg(args);
-    let out = value_flag(args, "--out").unwrap_or("trace.json");
-    let (warm, measure) = if args.iter().any(|a| a == "--quick") {
-        (1_000, 2_000)
-    } else {
-        (4_000, 8_000)
-    };
-    let sample: u64 = numeric_flag(args, "--sample").unwrap_or(1);
+fn trace(args: &Args) {
+    let (cfg, point, workload, topo, (warm, measure)) = pod_window(args);
+    let out = args.value("--out").unwrap_or("trace.json");
+    let sample: u64 = args.read("--sample").unwrap_or(1);
     if sample == 0 {
-        eprintln!("--sample must be at least 1");
-        std::process::exit(2);
+        args.fail("--sample must be at least 1");
     }
-    let cores: Option<u32> = numeric_flag(args, "--cores");
-    let (cfg, point) = match cores {
-        Some(n) => (
-            SimConfig::validation(workload, n, topo),
-            format!("validation_{n}"),
-        ),
-        None => (SimConfig::pod_64(workload, topo), "pod_64".to_owned()),
-    };
 
     let mut machine = Machine::new(cfg);
     machine.enable_tracing(1 << 16);
@@ -1036,7 +927,7 @@ fn trace(args: &[String]) {
         result.aggregate_ipc()
     );
     println!("wrote {out}");
-    if args.iter().any(|a| a == "--analyze") {
+    if args.has("--analyze") {
         let breakdown = TxnBreakdown::from_registry(&result.metrics)
             .expect("transaction tracing was armed, sim.txn.total is exported");
         println!();
@@ -1047,9 +938,11 @@ fn trace(args: &[String]) {
     }
 }
 
-/// Resolves a workload by its debug name or label (case- and
-/// punctuation-insensitive), exiting with usage help when unknown.
-fn workload_by_name(name: &str) -> Workload {
+/// Resolves the `<workload>` argument (default Web Search) by its debug
+/// name or label (case- and punctuation-insensitive), exiting 2 with the
+/// list of workloads when unknown.
+fn workload_by_name(args: &Args) -> Workload {
+    let name = args.value("<workload>").unwrap_or("websearch");
     Workload::ALL
         .iter()
         .copied()
@@ -1060,21 +953,42 @@ fn workload_by_name(name: &str) -> Workload {
             debug == wanted || label == wanted
         })
         .unwrap_or_else(|| {
-            eprintln!("unknown workload {name:?}; one of:");
-            for w in Workload::ALL {
-                eprintln!("  {:?}", w);
-            }
-            std::process::exit(2);
+            let names: Vec<String> = Workload::ALL.iter().map(|w| format!("{w:?}")).collect();
+            args.fail(&format!(
+                "unknown workload {name:?}; one of: {}",
+                names.join(" ")
+            ))
         })
 }
 
-/// Parses `--topo mesh|fbfly|nocout` (default NOC-Out).
-fn topology_arg(args: &[String]) -> TopologyKind {
-    match choice_flag(args, "--topo", &["mesh", "fbfly", "nocout"]) {
+/// Reads `--topo mesh|fbfly|nocout` (default NOC-Out).
+fn topology_arg(args: &Args) -> TopologyKind {
+    match args.value("--topo") {
         Some("mesh") => TopologyKind::Mesh,
         Some("fbfly") => TopologyKind::FlattenedButterfly,
         _ => TopologyKind::NocOut,
     }
+}
+
+/// The pod window `trace` and `prof` run: `<workload>` on `--topo`, the
+/// chapter-3 validation point with `--cores N` or else the 64-core pod,
+/// shortened by `--quick`. Returns its config, point name, workload,
+/// fabric and (warm-up, measured) cycles.
+fn pod_window(args: &Args) -> (SimConfig, String, Workload, TopologyKind, (u64, u64)) {
+    let (workload, topo) = (workload_by_name(args), topology_arg(args));
+    let (cfg, point) = match args.read("--cores") {
+        Some(n) => (
+            SimConfig::validation(workload, n, topo),
+            format!("validation_{n}"),
+        ),
+        None => (SimConfig::pod_64(workload, topo), "pod_64".to_owned()),
+    };
+    let window = if args.has("--quick") {
+        (1_000, 2_000)
+    } else {
+        (4_000, 8_000)
+    };
+    (cfg, point, workload, topo, window)
 }
 
 /// Runs a self-profiled pod window and prints the host-side component
@@ -1088,34 +1002,9 @@ fn topology_arg(args: &[String]) -> TopologyKind {
 /// With `--analyze FILE [FILE2]` no simulation runs: the table is
 /// re-rendered from the report's metrics, and a second file is diffed
 /// against the first under `sop diff` tolerance rules.
-fn prof(args: &[String]) {
-    if args.iter().any(|a| a == "--analyze") {
-        accept_flags(args, &["--analyze"], &["--tol", "--tol-path"]);
-        prof_analyze(args);
-        return;
-    }
-    accept_flags(args, &["--quick"], &["--topo", "--cores", "--json"]);
-    let name = args
-        .get(1)
-        .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
-        .unwrap_or("websearch");
-    let workload = workload_by_name(name);
-    let topo = topology_arg(args);
-    let (warm, measure) = if args.iter().any(|a| a == "--quick") {
-        (1_000, 2_000)
-    } else {
-        (4_000, 8_000)
-    };
-    let cores: Option<u32> = numeric_flag(args, "--cores");
-    let out = value_flag(args, "--json").unwrap_or("prof.json");
-    let (cfg, point) = match cores {
-        Some(n) => (
-            SimConfig::validation(workload, n, topo),
-            format!("validation_{n}"),
-        ),
-        None => (SimConfig::pod_64(workload, topo), "pod_64".to_owned()),
-    };
+fn prof(args: &Args) {
+    let (cfg, point, workload, topo, (warm, measure)) = pod_window(args);
+    let out = args.value("--json").unwrap_or("prof.json");
 
     let mut machine = Machine::new(cfg);
     machine.enable_profiling();
@@ -1146,30 +1035,9 @@ fn prof(args: &[String]) {
 /// one or two report documents' `prof.*` metrics; with two, diffs the
 /// `prof` sections under `--tol`/`--tol-path` (default 25% — host
 /// timings are noisy).
-fn prof_analyze(args: &[String]) {
-    let at = args
-        .iter()
-        .position(|a| a == "--analyze")
-        .expect("checked by caller");
-    let files: Vec<&String> = args[at + 1..]
-        .iter()
-        .take_while(|a| !a.starts_with("--"))
-        .collect();
-    if files.is_empty() || files.len() > 2 {
-        eprintln!("usage: sop prof --analyze <a.json> [b.json] [--tol PCT] [--tol-path P=PCT]");
-        std::process::exit(2);
-    }
+fn prof_analyze(args: &Args) {
+    let path_a = args.arg("<a.json>");
     let cfg = diff_config(args, 25.0);
-    let load = |path: &str| -> Json {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        scale_out_processors::obs::json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{path} is not valid JSON: {e:?}");
-            std::process::exit(2);
-        })
-    };
     let breakdown_of = |doc: &Json, path: &str| -> ProfBreakdown {
         doc.get("metrics")
             .and_then(ProfBreakdown::from_metrics_json)
@@ -1178,13 +1046,13 @@ fn prof_analyze(args: &[String]) {
                 std::process::exit(1);
             })
     };
-    let doc_a = load(files[0]);
-    let a = breakdown_of(&doc_a, files[0]);
-    println!("{}:", files[0]);
+    let doc_a = load_json(path_a);
+    let a = breakdown_of(&doc_a, path_a);
+    println!("{path_a}:");
     print!("{}", a.render());
     let mut failed = !a.consistent();
-    if let Some(path_b) = files.get(1) {
-        let doc_b = load(path_b);
+    if let Some(path_b) = args.value("<b.json>") {
+        let doc_b = load_json(path_b);
         let b = breakdown_of(&doc_b, path_b);
         println!();
         println!("{path_b}:");
@@ -1220,13 +1088,13 @@ fn prof_analyze(args: &[String]) {
 /// every `--interval-ms` (default 500) until the campaign ends;
 /// `--once` renders a single snapshot and exits (1 when the stream
 /// holds no campaign yet).
-fn top(args: &[String]) {
-    accept_flags(args, &["--once"], &["--file", "--interval-ms"]);
-    let file = value_flag(args, "--file")
+fn top(args: &Args) {
+    let file = args
+        .value("--file")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| scale_out_processors::exec::default_cache_dir().join(PROGRESS_FILE));
-    let once = args.iter().any(|a| a == "--once");
-    let interval: u64 = numeric_flag(args, "--interval-ms").unwrap_or(500);
+    let once = args.has("--once");
+    let interval: u64 = args.read("--interval-ms").unwrap_or(500);
     loop {
         let snap = snapshot(&read_events(&file));
         if once {
@@ -1259,22 +1127,10 @@ fn top(args: &[String]) {
 /// Dumps a report's top-level `metrics` object — pretty JSON by
 /// default, Prometheus text exposition with `--text` (counters, gauges,
 /// and histograms re-expanded into cumulative `_bucket` samples).
-fn metrics_cmd(args: &[String]) {
-    accept_flags(args, &["--text"], &[]);
-    let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: sop metrics <report.json> [--text]");
-        std::process::exit(2);
-    };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = scale_out_processors::obs::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{path} is not valid JSON: {e:?}");
-        std::process::exit(2);
-    });
+fn metrics_cmd(args: &Args) {
+    let doc = load_json(args.arg("<report.json>"));
     let metrics = doc.get("metrics").cloned().unwrap_or(Json::Null);
-    if args.iter().any(|a| a == "--text") {
+    if args.has("--text") {
         print!("{}", exposition_from_json(&metrics));
         // Telemetry last-values: one sample per series in the report's
         // `series` section (when the run armed telemetry), so scrapes
@@ -1310,25 +1166,12 @@ fn metrics_cmd(args: &[String]) {
 /// subtrees (`spans`, exec timings) are ignored. Exits 1 when any value
 /// moved beyond tolerance or a key appeared/vanished, 2 on usage or IO
 /// errors.
-fn diff(args: &[String]) {
-    accept_flags(args, &[], &["--tol", "--tol-path"]);
-    let (Some(path_a), Some(path_b)) = (args.get(1), args.get(2)) else {
-        eprintln!("usage: sop diff <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]");
-        std::process::exit(2);
-    };
+fn diff(args: &Args) {
+    let path_a = args.arg("<a.json>");
+    let path_b = args.arg("<b.json>");
     let cfg = diff_config(args, 0.0);
-    let load = |path: &str| -> Json {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        scale_out_processors::obs::json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{path} is not valid JSON: {e:?}");
-            std::process::exit(2);
-        })
-    };
-    let a = load(path_a);
-    let b = load(path_b);
+    let a = load_json(path_a);
+    let b = load_json(path_b);
     let result = diff_reports(&a, &b, &cfg);
     if result.ok() {
         println!(
@@ -1349,21 +1192,13 @@ fn diff(args: &[String]) {
     }
 }
 
-fn stack(args: &[String]) {
-    accept_flags(args, &["--fixed-distance"], &[]);
+fn stack(args: &Args) {
     let kind = core_kind(args);
-    let dies = match args.get(2).map(|v| (v, v.parse::<u32>())) {
-        Some((_, Ok(dies))) if dies > 0 => dies,
-        Some((v, _)) => {
-            eprintln!("sop stack: invalid value for <dies>: {v} (a die count of at least 1)");
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("sop stack: <dies> needs a value");
-            std::process::exit(2);
-        }
-    };
-    let strategy = if args.iter().any(|a| a == "--fixed-distance") {
+    let dies: u32 = args.read("<dies>").expect("a required positional");
+    if dies == 0 {
+        args.fail("invalid value for <dies>: 0 (a die count of at least 1)");
+    }
+    let strategy = if args.has("--fixed-distance") {
         StackStrategy::FixedDistance
     } else {
         StackStrategy::FixedPod

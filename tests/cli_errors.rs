@@ -1,13 +1,13 @@
-//! Flags and values that do not parse fail loudly. Every `sop`
-//! subcommand rejects any flag outside its usage line with exit 2 and a
-//! message naming it, before doing any work, and an unknown subcommand
-//! exits 2 naming it; numeric flags (the engine's `--jobs`,
-//! `--timeout-secs` and `--retries`, `--cores`, `--sample`), choice
-//! flags (`--node`, `--policy`) and `sop stack`'s die count reject a
-//! value that does not parse or is not a choice instead of running at
-//! the default, and a flag missing its value fails the same way; `sop
-//! diff` rejects a tolerance that does not parse instead of gating at
-//! the default.
+//! Flags and values that do not parse fail loudly. One table holds a row
+//! per `sop` subcommand (and per mode); every row is run with a bad
+//! value, an unknown flag, a missing value, a value that is a flag, a
+//! repeated flag and an extra positional, and each must exit 2 with a
+//! message naming the flag or argument before doing any work. Numeric
+//! flags, choice flags and `sop stack`'s die count reject a value that
+//! does not parse or is not a choice instead of running at the default;
+//! `sop diff` rejects a tolerance that does not parse instead of gating
+//! at the default. `sop help` is generated from the same specs the
+//! parser walks, and the module doc and README quote it verbatim.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -21,8 +21,8 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs `sop` in `dir`, returning its exit code and stderr.
-fn sop(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
+/// Runs `sop` in `dir`, returning its exit code, stdout and stderr.
+fn sop(dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_sop"))
         .args(args)
         .current_dir(dir)
@@ -31,8 +31,16 @@ fn sop(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
         .expect("sop runs");
     (
         out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+/// `sop args` exits 2 with `needle` in its message.
+fn assert_rejected(dir: &Path, args: &[&str], needle: &str) {
+    let (code, _, stderr) = sop(dir, args);
+    assert_eq!(code, Some(2), "sop {args:?}: {stderr}");
+    assert!(stderr.contains(needle), "sop {args:?}: {stderr}");
 }
 
 /// Nothing ran, so nothing was written into `dir`.
@@ -44,6 +52,105 @@ fn assert_nothing_written(dir: &Path) {
     assert!(written.is_empty(), "a rejected run wrote {written:?}");
 }
 
+/// One subcommand (or mode) of `sop`.
+struct Row {
+    /// Arguments that fill every positional the command takes.
+    base: &'static [&'static str],
+    /// A valued flag with a good value and, if any value can be bad, a
+    /// bad one.
+    valued: Option<(&'static str, &'static str, Option<&'static str>)>,
+    /// A switch, repeated where the command has no valued flag.
+    switch: Option<&'static str>,
+}
+
+const TABLE: [Row; 16] = [
+    Row {
+        base: &["pod", "ooo"],
+        valued: Some(("--node", "40", Some("28"))),
+        switch: None,
+    },
+    Row {
+        base: &["chip", "scaleout-ooo"],
+        valued: Some(("--node", "40", Some("45"))),
+        switch: None,
+    },
+    Row {
+        base: &["dc", "scaleout-ooo"],
+        valued: Some(("--mem", "64", Some("lots"))),
+        switch: None,
+    },
+    Row {
+        base: &["stack", "ooo", "2"],
+        valued: None,
+        switch: Some("--fixed-distance"),
+    },
+    Row {
+        base: &["trace", "websearch"],
+        valued: Some(("--sample", "1", Some("1e3"))),
+        switch: Some("--quick"),
+    },
+    Row {
+        base: &["diff", "a.json", "b.json"],
+        valued: Some(("--tol", "5", Some("5%"))),
+        switch: None,
+    },
+    Row {
+        base: &["sweep", "ch2"],
+        valued: Some(("--jobs", "2", Some("two"))),
+        switch: Some("--quick"),
+    },
+    Row {
+        base: &["fleet"],
+        valued: Some(("--servers", "8", Some("abc"))),
+        switch: Some("--quick"),
+    },
+    Row {
+        base: &["fleet", "--resilience"],
+        valued: Some(("--retry", "naive", Some("always"))),
+        switch: Some("--storm"),
+    },
+    Row {
+        base: &["slo", "a.json"],
+        valued: Some(("--target", "99", Some("x"))),
+        switch: Some("--ascii-sparkline"),
+    },
+    Row {
+        base: &["prof", "websearch"],
+        valued: Some(("--cores", "4", Some("abc"))),
+        switch: Some("--quick"),
+    },
+    Row {
+        base: &["prof", "--analyze", "a.json", "b.json"],
+        valued: Some(("--tol", "5", Some("x"))),
+        switch: None,
+    },
+    Row {
+        base: &["top"],
+        valued: Some(("--interval-ms", "500", Some("soon"))),
+        switch: Some("--once"),
+    },
+    Row {
+        base: &["metrics", "a.json"],
+        valued: None,
+        switch: Some("--text"),
+    },
+    Row {
+        base: &["cache"],
+        valued: Some(("--dir", "d", None)),
+        switch: None,
+    },
+    Row {
+        base: &["list"],
+        valued: None,
+        switch: None,
+    },
+];
+
+/// The row's arguments followed by `more`.
+fn with(row: &Row, more: &[&'static str]) -> Vec<&'static str> {
+    [row.base, more].concat()
+}
+
 /// The removed intra-run threading flag, spelled out in pieces so a
 /// search for leftover uses of it finds none here.
 const REMOVED: &str = concat!("--", "threads");
@@ -51,39 +158,28 @@ const REMOVED: &str = concat!("--", "threads");
 #[test]
 fn unknown_flags_exit_2_naming_the_flag() {
     let dir = scratch("flags");
-    let cases: [(&[&str], &str); 16] = [
-        (&["sweep", "ch3", "--quick", REMOVED, "2"], REMOVED),
-        (&["sweep", "ch3", "--quick", "--bogus"], "--bogus"),
-        (&["prof", "websearch", "--quick", REMOVED, "2"], REMOVED),
-        (&["prof", "websearch", "--quick", "--bogus"], "--bogus"),
-        (
-            &["fleet", "--quick", "--servers", "8", "--bogus"],
-            "--bogus",
-        ),
-        (&["trace", "websearch", "--quick", "--bogus"], "--bogus"),
-        (&["cache", "--bogus"], "--bogus"),
-        (&["pod", "ooo", "--bogus"], "--bogus"),
-        (&["top", "--bogus", "--once"], "--bogus"),
-        (&["dc", "scaleout-ooo", "--bogus"], "--bogus"),
-        (&["chip", "scaleout-ooo", "--bogus"], "--bogus"),
-        (&["stack", "ooo", "2", "--bogus"], "--bogus"),
-        (&["list", "--bogus"], "--bogus"),
-        (&["diff", "a.json", "b.json", "--bogus"], "--bogus"),
-        (&["slo", "a.json", "--bogus"], "--bogus"),
-        (&["metrics", "a.json", "--bogus"], "--bogus"),
-    ];
-    for (args, flag) in cases {
-        let (code, stderr) = sop(&dir, args);
-        assert_eq!(code, Some(2), "sop {args:?}: {stderr}");
-        assert!(
-            stderr.contains(&format!("unknown flag {flag}")),
-            "sop {args:?}: {stderr}"
-        );
+    for row in &TABLE {
+        assert_rejected(&dir, &with(row, &["--bogus"]), "unknown flag --bogus");
     }
+    assert_rejected(
+        &dir,
+        &["sweep", "ch3", "--quick", REMOVED, "2"],
+        &format!("unknown flag {REMOVED}"),
+    );
+    assert_rejected(
+        &dir,
+        &["prof", "websearch", "--quick", REMOVED, "2"],
+        &format!("unknown flag {REMOVED}"),
+    );
+    // A flag of the other fleet mode is unknown to this one.
+    assert_rejected(&dir, &["fleet", "--storm"], "unknown flag --storm");
+    assert_rejected(
+        &dir,
+        &["fleet", "--resilience", "--series"],
+        "unknown flag --series",
+    );
     // The retired benchmark subcommand is gone, not ignored.
-    let (code, stderr) = sop(&dir, &["bench", "--quick"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains(r#"unknown subcommand "bench""#), "{stderr}");
+    assert_rejected(&dir, &["bench", "--quick"], r#"unknown subcommand "bench""#);
     assert_nothing_written(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
@@ -91,47 +187,38 @@ fn unknown_flags_exit_2_naming_the_flag() {
 #[test]
 fn unparsable_numeric_values_exit_2_naming_flag_and_value() {
     let dir = scratch("values");
-    let cases: [(&[&str], &str); 14] = [
-        (&["sweep", "ch2", "--jobs", "two"], "--jobs: two"),
+    for row in &TABLE {
+        if let Some((flag, _, Some(bad))) = row.valued {
+            let needle = format!("invalid value for {flag}: {bad}");
+            assert_rejected(&dir, &with(row, &[flag, bad]), &needle);
+        }
+    }
+    let cases: [(&[&str], &str); 10] = [
         (
             &["sweep", "ch2", "--timeout-secs", "soon"],
             "--timeout-secs: soon",
         ),
         (&["sweep", "ch2", "--retries", "-1"], "--retries: -1"),
         (&["fleet", "--quick", "--jobs", "2.5"], "--jobs: 2.5"),
-        (&["fleet", "--quick", "--servers", "abc"], "--servers: abc"),
-        (
-            &["prof", "websearch", "--quick", "--cores", "abc"],
-            "--cores: abc",
-        ),
         (
             &["trace", "websearch", "--quick", "--cores", "abc"],
             "--cores: abc",
         ),
         (
-            &["trace", "websearch", "--quick", "--sample", "1e3"],
-            "--sample: 1e3",
-        ),
-        (
             &["trace", "websearch", "--quick", "--sample", ""],
             "--sample: ",
         ),
-        (&["pod", "ooo", "--node", "28"], "--node: 28"),
-        (&["chip", "scaleout-ooo", "--node", "45"], "--node: 45"),
         (&["stack", "ooo", "abc"], "<dies>: abc"),
         (&["stack", "ooo", "0"], "<dies>: 0"),
+        (&["stack", "cisc", "2"], "<core>: cisc"),
         (
             &["fleet", "--quick", "--policy", "repair"],
             "--policy: repair",
         ),
+        (&["sweep", "ch9"], "<campaign>: ch9"),
     ];
     for (args, what) in cases {
-        let (code, stderr) = sop(&dir, args);
-        assert_eq!(code, Some(2), "sop {args:?}: {stderr}");
-        assert!(
-            stderr.contains(&format!("invalid value for {what}")),
-            "sop {args:?}: {stderr}"
-        );
+        assert_rejected(&dir, args, &format!("invalid value for {what}"));
     }
     assert_nothing_written(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -140,20 +227,67 @@ fn unparsable_numeric_values_exit_2_naming_flag_and_value() {
 #[test]
 fn missing_values_exit_2_naming_the_flag() {
     let dir = scratch("missing");
-    let cases: [(&[&str], &str); 4] = [
-        (&["pod", "ooo", "--node"], "--node"),
-        (&["chip", "scaleout-ooo", "--node"], "--node"),
-        (&["stack", "ooo"], "<dies>"),
-        (&["fleet", "--quick", "--org"], "--org"),
-    ];
-    for (args, what) in cases {
-        let (code, stderr) = sop(&dir, args);
-        assert_eq!(code, Some(2), "sop {args:?}: {stderr}");
-        assert!(
-            stderr.contains(&format!("{what} needs a value")),
-            "sop {args:?}: {stderr}"
-        );
+    for row in &TABLE {
+        if let Some((flag, _, _)) = row.valued {
+            assert_rejected(&dir, &with(row, &[flag]), &format!("{flag} needs a value"));
+        }
     }
+    assert_rejected(&dir, &["stack", "ooo"], "<dies> needs a value");
+    assert_rejected(&dir, &["fleet", "--quick", "--org"], "--org needs a value");
+    assert_rejected(&dir, &["diff", "a.json"], "<b.json> needs a value");
+    assert_nothing_written(&dir);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A valued flag never takes the next flag as its value: `--json
+/// --no-cache` once wrote the report to a file named `--no-cache`.
+#[test]
+fn values_that_are_flags_exit_2_naming_the_flag() {
+    let dir = scratch("flag-values");
+    for row in &TABLE {
+        if let Some((flag, _, _)) = row.valued {
+            let needle = format!("{flag} needs a value, got flag --quick");
+            assert_rejected(&dir, &with(row, &[flag, "--quick"]), &needle);
+        }
+    }
+    assert_rejected(
+        &dir,
+        &["fleet", "--quick", "--servers", "8", "--json", "--no-cache"],
+        "--json needs a value, got flag --no-cache",
+    );
+    assert_rejected(
+        &dir,
+        &["sweep", "ch2", "--json", "--quick"],
+        "--json needs a value, got flag --quick",
+    );
+    assert_nothing_written(&dir);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A second `--servers` once silently lost to the first.
+#[test]
+fn repeated_flags_exit_2_naming_the_flag() {
+    let dir = scratch("repeated");
+    for row in &TABLE {
+        let twice = match (row.valued, row.switch) {
+            (Some((flag, good, _)), _) => vec![flag, good, flag, good],
+            (None, Some(switch)) => vec![switch, switch],
+            (None, None) => continue,
+        };
+        let needle = format!("{} given more than once", twice[0]);
+        assert_rejected(&dir, &with(row, &twice), &needle);
+    }
+    assert_nothing_written(&dir);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn extra_positionals_exit_2_naming_the_argument() {
+    let dir = scratch("extra");
+    for row in &TABLE {
+        assert_rejected(&dir, &with(row, &["extra"]), "unexpected argument extra");
+    }
+    assert_nothing_written(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -162,7 +296,7 @@ fn missing_values_exit_2_naming_the_flag() {
 fn every_technology_node_is_accepted() {
     let dir = scratch("nodes");
     for node in ["40", "32", "20"] {
-        let (code, stderr) = sop(&dir, &["pod", "ooo", "--node", node]);
+        let (code, _, stderr) = sop(&dir, &["pod", "ooo", "--node", node]);
         assert_eq!(code, Some(0), "--node {node}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -175,18 +309,93 @@ fn unparsable_tolerances_exit_2() {
     std::fs::write(dir.join("a.json"), doc).expect("write a");
     std::fs::write(dir.join("b.json"), doc).expect("write b");
     // The control: identical documents match under a well-formed gate.
-    let (code, stderr) = sop(&dir, &["diff", "a.json", "b.json", "--tol", "5"]);
+    let (code, _, stderr) = sop(&dir, &["diff", "a.json", "b.json", "--tol", "5"]);
     assert_eq!(code, Some(0), "{stderr}");
-    let cases: [&[&str]; 4] = [
+    let cases: [&[&str]; 5] = [
         &["diff", "a.json", "b.json", "--tol", "5%"],
         &["diff", "a.json", "b.json", "--tol", "-1"],
         &["diff", "a.json", "b.json", "--tol-path", "metrics.=5%"],
+        &["diff", "a.json", "b.json", "--tol-path", "metrics."],
         &["diff", "a.json", "b.json", "--tol"],
     ];
     for args in cases {
-        let (code, stderr) = sop(&dir, args);
-        assert_eq!(code, Some(2), "sop {args:?}: {stderr}");
-        assert!(stderr.contains("--tol"), "sop {args:?}: {stderr}");
+        assert_rejected(&dir, args, "--tol");
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A document nested past the JSON reader's depth limit is a parse
+/// error (exit 2), not a stack overflow.
+#[test]
+fn deeply_nested_documents_exit_2_with_a_parse_error() {
+    let dir = scratch("deep");
+    let depth = 200_000;
+    let arrays = "[".repeat(depth) + &"]".repeat(depth);
+    std::fs::write(dir.join("arrays.json"), arrays).expect("write");
+    let series = "{\"x\":".repeat(depth) + "1" + &"}".repeat(depth);
+    let slo = format!(r#"{{"sections":{{"series":[{{"name":"a","series":{series}}}]}}}}"#);
+    std::fs::write(dir.join("slo.json"), slo).expect("write");
+    for args in [["metrics", "arrays.json"], ["slo", "slo.json"]] {
+        assert_rejected(&dir, &args, "is not valid JSON: JSON parse error at byte");
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Every table row's subcommand and mode, as `sop help` spells it.
+fn row_key(row: &Row) -> String {
+    let mode = row.base.get(1).filter(|a| a.starts_with("--"));
+    match mode {
+        Some(mode) => format!("sop {} {mode}", row.base[0]),
+        None => format!("sop {}", row.base[0]),
+    }
+}
+
+/// `sop help` comes from the parser's specs: it lists every campaign
+/// `sop sweep` takes, the table above has a row for each of its lines,
+/// and the module doc and README quote it verbatim.
+#[test]
+fn help_is_generated_and_quoted_verbatim() {
+    let dir = scratch("help");
+    let (code, help, stderr) = sop(&dir, &["help"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    for campaign in scale_out_processors::bench::campaign::CAMPAIGNS {
+        assert!(help.contains(campaign), "help omits {campaign}: {help}");
+    }
+    for flag in ["--timeout-secs N", "--retries N", "--no-heartbeat"] {
+        assert_eq!(help.matches(flag).count(), 3, "{flag}: {help}");
+    }
+    let commands: Vec<String> = help
+        .lines()
+        .filter_map(|l| {
+            l.strip_prefix("usage: ")
+                .or_else(|| l.strip_prefix("       "))
+        })
+        .filter(|l| l.starts_with("sop "))
+        .map(|l| {
+            let words: Vec<&str> = l.split(' ').take(3).collect();
+            match words.get(2) {
+                Some(mode) if mode.starts_with("--") => words.join(" "),
+                _ => words[..2].join(" "),
+            }
+        })
+        .collect();
+    let rows: Vec<String> = TABLE.iter().map(row_key).collect();
+    assert_eq!(commands, rows, "one table row per usage line, in order");
+
+    let module_doc: String = include_str!("../src/bin/sop.rs")
+        .lines()
+        .filter_map(|l| l.strip_prefix("//! ").or(l.strip_prefix("//!")))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let readme = include_str!("../README.md");
+    for (name, text) in [
+        ("src/bin/sop.rs", module_doc.as_str()),
+        ("README.md", readme),
+    ] {
+        assert!(
+            text.contains(help.trim_end()),
+            "{name} does not quote `sop help`"
+        );
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -6,6 +6,7 @@ use scale_out_processors::core::PodConfig;
 use scale_out_processors::model::{DesignPoint, Interconnect};
 use scale_out_processors::noc::slab::Slab;
 use scale_out_processors::noc::{MessageClass, Network, NocConfig, TopologyKind};
+use scale_out_processors::obs::{json, Json};
 use scale_out_processors::sim::{DirectoryState, LlcBank};
 use scale_out_processors::tco::estimated_price_usd;
 use scale_out_processors::tech::{CacheGeometry, CoreKind, TechnologyNode};
@@ -887,5 +888,106 @@ proptest! {
             twice.to_json().to_compact_string(),
             reloaded.to_json().to_compact_string()
         );
+    }
+}
+
+/// A JSON document built from a tape of random words: every value kind
+/// the writer emits, nested at most `depth` levels, with strings that
+/// need escaping (quotes, backslashes, control and non-ASCII chars).
+/// Only values that survive a write exactly are drawn: finite floats,
+/// and `Int` for negative integers alone (a non-negative one reads back
+/// as `UInt`).
+fn tape_document(tape: &mut impl Iterator<Item = u64>, depth: usize) -> Json {
+    let mut next = || tape.next().unwrap_or(0);
+    let string = |word: u64| -> String {
+        (0..word % 6)
+            .map(|i| {
+                let code = (word >> (8 * i)) as u32 % 0x300;
+                match code % 5 {
+                    0 => ['"', '\\', '\n', '\u{1}', '/'][(code / 5 % 5) as usize],
+                    _ => char::from_u32(code).unwrap_or('?'),
+                }
+            })
+            .collect()
+    };
+    let kinds = if depth == 0 { 6 } else { 8 };
+    match next() % kinds {
+        0 => Json::Null,
+        1 => Json::Bool(next() % 2 == 0),
+        2 => Json::UInt(next()),
+        3 => Json::Int(-1 - (next() >> 1) as i64),
+        4 => {
+            let n = f64::from_bits(next());
+            Json::Num(if n.is_finite() { n } else { 0.5 })
+        }
+        5 => Json::Str(string(next())),
+        6 => Json::Arr(
+            (0..next() % 4)
+                .map(|_| tape_document(tape, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..next() % 4)
+                .map(|_| {
+                    (
+                        string(tape.next().unwrap_or(0)),
+                        tape_document(tape, depth - 1),
+                    )
+                })
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The JSON reader returns a document or an error for any input —
+    /// random JSON-ish bytes, written documents cut short or with a
+    /// byte changed, and nesting far past the depth limit — and never
+    /// panics or overflows the stack.
+    #[test]
+    fn json_parse_never_panics(
+        pieces in prop::collection::vec(0usize..24, 0..64),
+        nesting in 0usize..100_000,
+        tape in prop::collection::vec(0u64..u64::MAX, 1..64),
+        cut in 0usize..4096,
+        flip in 0u8..255,
+    ) {
+        const PIECES: [&[u8]; 24] = [
+            b"[", b"]", b"{", b"}", b"\"", b":", b",", b"\\", b"\\u", b"0", b"7", b"-",
+            b".", b"e", b"E+", b"true", b"nul", b" ", b"\n", b"\"k\":", b"\xc3\xa9",
+            b"\xff", b"\x01", b"1e999",
+        ];
+        let mut bytes = if nesting % 2 == 0 {
+            b"[".repeat(nesting)
+        } else {
+            b"{\"a\":".repeat(nesting)
+        };
+        for p in &pieces {
+            bytes.extend_from_slice(PIECES[*p]);
+        }
+        let _ = json::parse(&String::from_utf8_lossy(&bytes));
+
+        let mut written = tape_document(&mut tape.into_iter(), 6)
+            .to_compact_string()
+            .into_bytes();
+        let at = cut % (written.len() + 1);
+        let _ = json::parse(&String::from_utf8_lossy(&written[..at]));
+        if at < written.len() {
+            written[at] ^= flip;
+            let _ = json::parse(&String::from_utf8_lossy(&written));
+        }
+    }
+
+    /// Reading a written document gives back the same document, in
+    /// compact and pretty form alike.
+    #[test]
+    fn json_write_then_parse_is_identity(
+        tape in prop::collection::vec(0u64..u64::MAX, 1..96),
+    ) {
+        let doc = tape_document(&mut tape.into_iter(), 6);
+        prop_assert_eq!(&json::parse(&doc.to_compact_string()).expect("compact parses"), &doc);
+        prop_assert_eq!(&json::parse(&doc.to_pretty_string()).expect("pretty parses"), &doc);
     }
 }
