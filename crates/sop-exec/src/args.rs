@@ -111,6 +111,15 @@ impl Spec {
         flags.into_iter().fold(self, item)
     }
 
+    /// A flag that takes one of `choices`, which usage shows.
+    pub fn choice(
+        self,
+        name: &'static str,
+        choices: impl IntoIterator<Item = &'static str>,
+    ) -> Spec {
+        self.values([(name, "")]).one_of(choices)
+    }
+
     /// A required positional argument.
     pub fn arg(self, name: &'static str) -> Spec {
         self.item(name, None, Count::Once)
@@ -121,8 +130,8 @@ impl Spec {
         self.item(name, None, Count::Optional)
     }
 
-    /// Restricts the last declared flag or positional to `choices`, which
-    /// usage then shows in place of its metavar.
+    /// Restricts the last declared flag or positional to `choices`; a
+    /// positional's usage shows them when they fit on a line.
     pub fn one_of(mut self, choices: impl IntoIterator<Item = &'static str>) -> Spec {
         let last = self.items.last_mut().expect("one_of follows an item");
         last.choices = choices.into_iter().collect();
@@ -310,8 +319,8 @@ mod tests {
             .one_of(["ooo", "io"])
             .optional("<dies>")
             .switches(["--quick"])
-            .values([("--json", "FILE"), ("--node", "NODE")])
-            .one_of(["40", "20"])
+            .values([("--json", "FILE")])
+            .choice("--node", ["40", "20"])
             .values([("--tol-path", "PREFIX=PCT")])
             .repeats()
     }

@@ -68,9 +68,8 @@ fn specs() -> Vec<Spec> {
     let designs: Vec<&str> = roster().into_iter().map(|(name, _)| name).collect();
     let tol = [("--tol", "PCT"), ("--tol-path", "PREFIX=PCT")];
     let fleet = || {
-        let flags = [("--servers", "N"), ("--seed", "S"), ("--org", "ORG")];
-        let spec = Spec::new("sop fleet").values(flags);
-        let spec = spec.one_of(ORGS.iter().map(|o| o.name));
+        let spec = Spec::new("sop fleet").values([("--servers", "N"), ("--seed", "S")]);
+        let spec = spec.choice("--org", ORGS.iter().map(|o| o.name));
         spec.switches(["--quick", "--stable"])
             .values([("--json", "FILE")])
     };
@@ -78,13 +77,11 @@ fn specs() -> Vec<Spec> {
         Spec::new("sop pod")
             .arg("<core>")
             .one_of(cores)
-            .values([("--node", "NODE")])
-            .one_of(nodes),
+            .choice("--node", nodes),
         Spec::new("sop chip")
             .arg("<design>")
             .one_of(designs.clone())
-            .values([("--node", "NODE")])
-            .one_of(nodes),
+            .choice("--node", nodes),
         Spec::new("sop dc")
             .arg("<design>")
             .one_of(designs)
@@ -96,8 +93,7 @@ fn specs() -> Vec<Spec> {
             .switches(["--fixed-distance"]),
         Spec::new("sop trace")
             .optional("<workload>")
-            .values([("--topo", "TOPO")])
-            .one_of(topos)
+            .choice("--topo", topos)
             .values([("--out", "FILE"), ("--sample", "N"), ("--cores", "N")])
             .switches(["--quick", "--analyze"]),
         Spec::new("sop diff")
@@ -112,18 +108,14 @@ fn specs() -> Vec<Spec> {
             .values([("--json", "FILE")])
             .engine(),
         fleet()
-            .values([("--policy", "POLICY")])
-            .one_of(Policy::ALL.iter().map(|p| p.label()))
+            .choice("--policy", Policy::ALL.iter().map(|p| p.label()))
             .switches(["--series"])
             .engine(),
         fleet()
             .with_mode("--resilience")
-            .values([("--topology", "TOPOLOGY")])
-            .one_of(DomainTopology::labels())
-            .values([("--retry", "RETRY")])
-            .one_of(RetryPolicy::labels())
-            .values([("--shed", "SHED")])
-            .one_of(["on", "off"])
+            .choice("--topology", DomainTopology::labels())
+            .choice("--retry", RetryPolicy::labels())
+            .choice("--shed", ["on", "off"])
             .switches(["--storm", "--slo"])
             .engine(),
         Spec::new("sop slo")
@@ -133,8 +125,7 @@ fn specs() -> Vec<Spec> {
             .switches(["--ascii-sparkline"]),
         Spec::new("sop prof")
             .optional("<workload>")
-            .values([("--topo", "TOPO")])
-            .one_of(topos)
+            .choice("--topo", topos)
             .values([("--cores", "N"), ("--json", "FILE")])
             .switches(["--quick"]),
         Spec::new("sop prof")
