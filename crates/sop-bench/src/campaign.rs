@@ -29,26 +29,10 @@ pub const CAMPAIGNS: [&str; 9] = [
     "all",
 ];
 
-/// The process-wide simulated-work counter the heartbeat stamps into
-/// `job_finish` events: engine cycles plus fleet ticks. At most one of
-/// the two advances for any given job (a job is either a machine
-/// simulation or a fleet run), so per-campaign deltas stay meaningful
-/// — cycles/sec for chapter campaigns, simulated seconds/sec for fleet
-/// campaigns.
-pub fn simulated_work_counter() -> u64 {
-    sop_sim::cycles_simulated() + sop_fleet::ticks_simulated()
-}
-
 /// Runs the named campaign and returns its data as a JSON section:
 /// one member per figure, rows in figure order. `None` for an unknown
 /// name.
 pub fn run_campaign(name: &str, quick: bool, exec: &Exec) -> Option<Json> {
-    // Let the engine's heartbeat stamp job_finish events with the
-    // process-wide simulated-work counter and the SLO alert state
-    // (sop-exec cannot depend on sop-sim or sop-fleet, so the hooks are
-    // installed from here).
-    sop_exec::heartbeat::set_cycle_source(simulated_work_counter);
-    sop_exec::heartbeat::set_slo_source(sop_fleet::slo_alert_state);
     match name {
         "ch2" => Some(ch2_data(exec)),
         "ch3" => Some(ch3_data(quick, exec)),

@@ -15,7 +15,7 @@
 use sop_exec::{Exec, Job};
 use sop_fault::FaultPlan;
 use sop_noc::TopologyKind;
-use sop_obs::Json;
+use sop_obs::{Json, Registry};
 use sop_sim::{HaltReason, Machine, SimConfig};
 use sop_workloads::Workload;
 
@@ -162,6 +162,15 @@ impl SimPointSpec {
         match self.faults() {
             Some(f) => format!("{base}/kill{}r@{}s{}", f.dead, f.cycle, f.seed),
             None => base,
+        }
+    }
+
+    /// The timed cycles a run of this spec simulates: warm-up plus
+    /// measurement.
+    fn cycles(&self) -> u64 {
+        match *self {
+            SimPointSpec::Validation { warm, measure, .. }
+            | SimPointSpec::Pod64 { warm, measure, .. } => warm + measure,
         }
     }
 
@@ -332,8 +341,10 @@ pub fn sim_points(exec: &Exec, campaign: &str, specs: &[SimPointSpec]) -> Vec<Si
                 (None, Some(g)) => spec.with_faults(Some(g)),
                 _ => *spec,
             };
-            Job::new(spec.name(), spec.to_json(), move |_| {
-                spec.evaluate().to_json()
+            Job::with_work(spec.name(), spec.to_json(), move |_| {
+                let mut work = Registry::new();
+                work.counter_add("cycles", spec.cycles());
+                (spec.evaluate().to_json(), work)
             })
         })
         .collect();

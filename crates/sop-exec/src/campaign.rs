@@ -31,7 +31,10 @@ use crate::pool;
 
 /// One unit of work: a serializable spec plus the pure function that
 /// evaluates it. The closure must derive its answer from the spec alone —
-/// that is what makes the content-addressed cache sound.
+/// that is what makes the content-addressed cache sound. Besides its
+/// result it returns the work it did (simulated `cycles`, fleet `ticks`,
+/// …) as a [`Registry`], whose counters its `job_finish` heartbeat
+/// carries.
 pub struct Job<'a> {
     /// Human-readable label (shows up in manifests and job summaries).
     pub name: String,
@@ -41,15 +44,27 @@ pub struct Job<'a> {
     pub deps: Vec<usize>,
     /// Whether a failure is worth retrying (see [`Job::transient`]).
     pub retryable: bool,
-    run: Box<dyn Fn(&Json) -> Json + Send + Sync + 'a>,
+    run: Box<RunFn<'a>>,
 }
 
+/// A job's closure: the spec in, the result and the job's work out.
+type RunFn<'a> = dyn Fn(&Json) -> (Json, Registry) + Send + Sync + 'a;
+
 impl<'a> Job<'a> {
-    /// A dependency-free job.
+    /// A dependency-free job that reports no work.
     pub fn new(
         name: impl Into<String>,
         spec: Json,
         run: impl Fn(&Json) -> Json + Send + Sync + 'a,
+    ) -> Self {
+        Job::with_work(name, spec, move |spec| (run(spec), Registry::new()))
+    }
+
+    /// A dependency-free job whose closure also returns its work.
+    pub fn with_work(
+        name: impl Into<String>,
+        spec: Json,
+        run: impl Fn(&Json) -> (Json, Registry) + Send + Sync + 'a,
     ) -> Self {
         Job {
             name: name.into(),
@@ -554,10 +569,16 @@ impl Exec {
                         let mut attempt = 0u32;
                         loop {
                             match catch_unwind(AssertUnwindSafe(|| (job.run)(&job.spec))) {
-                                Ok(result) => {
+                                Ok((result, work)) => {
                                     let us = started.elapsed().as_micros() as u64;
                                     if let Some(hb) = &heartbeat {
-                                        hb.job_finish(&campaign, &job.name, worker as u64, us);
+                                        hb.job_finish(
+                                            &campaign,
+                                            &job.name,
+                                            worker as u64,
+                                            us,
+                                            &work,
+                                        );
                                     }
                                     return Ok((result, us, attempt));
                                 }

@@ -8,24 +8,26 @@
 //! interleave bytes and an external reader (`sop top`) can tail the
 //! stream mid-run; a reader must still tolerate a torn final line.
 //!
-//! Event identity (`ev`, `job`, `source`) is deterministic for a given
-//! campaign regardless of worker count; timing fields (`t_us`,
-//! `wall_us`, `worker`, `queue`, `eta_us`, `cycles`) are not — the
-//! heartbeat determinism test compares the identity subset only.
+//! Event identity (`ev`, `job`, `source`) and each `job_finish`'s work
+//! fields are deterministic for a given campaign regardless of worker
+//! count; timing fields (`t_us`, `wall_us`, `worker`, `queue`,
+//! `eta_us`) are not — the heartbeat determinism test compares the
+//! deterministic subset only.
 //!
-//! The simulated-cycle counter lives in `sop-sim`, which this crate
-//! cannot depend on; binaries install it via [`set_cycle_source`] so
-//! `job_finish` events can carry a process-wide cycle snapshot and
-//! `sop top` can report Mcycles/s.
+//! A job reports its own work: the counters of the [`Registry`] its
+//! closure returns (`cycles` for a simulation point, `ticks` for a
+//! fleet run, `slo_fired`/`slo_active` for an armed one) become fields
+//! of its `job_finish` event, and `sop top` sums them over the
+//! campaign.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use sop_obs::Json;
+use sop_obs::{Json, Metric, Registry};
 
 /// File name of the progress stream inside the cache directory.
 pub const PROGRESS_FILE: &str = "progress.ndjson";
@@ -33,37 +35,6 @@ pub const PROGRESS_FILE: &str = "progress.ndjson";
 /// Streams larger than this are truncated when the next heartbeat
 /// opens, bounding unattended disk growth.
 const ROTATE_BYTES: u64 = 8 * 1024 * 1024;
-
-static CYCLE_SOURCE: OnceLock<fn() -> u64> = OnceLock::new();
-
-/// Installs the process-wide simulated-cycle counter sampled into
-/// `job_finish` events. First installation wins; later calls are
-/// ignored (the counter is global either way).
-pub fn set_cycle_source(f: fn() -> u64) {
-    let _ = CYCLE_SOURCE.set(f);
-}
-
-fn cycles_now() -> Option<u64> {
-    CYCLE_SOURCE.get().map(|f| f())
-}
-
-/// Live SLO alert state: `(incidents_fired_total, incidents_active)`.
-pub type SloAlertState = (u64, u64);
-
-static SLO_SOURCE: OnceLock<fn() -> SloAlertState> = OnceLock::new();
-
-/// Installs the process-wide SLO alert-state source (`sop_fleet::
-/// slo_alert_state`-shaped). First installation wins. `job_finish`
-/// events gain `slo_fired`/`slo_active` fields only once an armed run
-/// has actually fired an alert — campaigns with no SLO spec armed emit
-/// byte-identical events whether or not the source is installed.
-pub fn set_slo_source(f: fn() -> SloAlertState) {
-    let _ = SLO_SOURCE.set(f);
-}
-
-fn slo_now() -> Option<SloAlertState> {
-    SLO_SOURCE.get().map(|f| f())
-}
 
 /// A handle to the progress stream plus the running statistics that
 /// queue-depth and ETA fields are derived from. Shared across worker
@@ -114,9 +85,13 @@ impl Heartbeat {
             .with("ev", ev)
             .with("t_us", self.t0.elapsed().as_micros() as u64)
             .with("campaign", campaign);
+        // The first occurrence of a key wins, so a job's work counters
+        // never overwrite the fields the engine wrote before them.
         if let Json::Obj(members) = fields {
             for (k, v) in members {
-                line.insert(&k, v);
+                if line.get(&k).is_none() {
+                    line.insert(&k, v);
+                }
             }
         }
         let mut text = line.to_compact_string();
@@ -193,8 +168,16 @@ impl Heartbeat {
         );
     }
 
-    /// A worker finished computing a job.
-    pub fn job_finish(&self, campaign: &str, job: &str, worker: u64, wall_us: u64) {
+    /// A worker finished computing a job that did `work`; its counters
+    /// follow the engine's fields.
+    pub fn job_finish(
+        &self,
+        campaign: &str,
+        job: &str,
+        worker: u64,
+        wall_us: u64,
+        work: &Registry,
+    ) {
         self.finished.fetch_add(1, Ordering::Relaxed);
         self.computed_n.fetch_add(1, Ordering::Relaxed);
         self.computed_us.fetch_add(wall_us, Ordering::Relaxed);
@@ -207,13 +190,9 @@ impl Heartbeat {
         if let Some(eta) = self.eta_us() {
             fields.insert("eta_us", Json::UInt(eta));
         }
-        if let Some(c) = cycles_now() {
-            fields.insert("cycles", Json::UInt(c));
-        }
-        if let Some((fired, active)) = slo_now() {
-            if fired > 0 {
-                fields.insert("slo_fired", Json::UInt(fired));
-                fields.insert("slo_active", Json::UInt(active));
+        for (key, metric) in work.iter() {
+            if let Metric::Counter(v) = metric {
+                fields.insert(key, *v);
             }
         }
         self.emit("job_finish", campaign, fields);
@@ -251,12 +230,14 @@ impl Heartbeat {
 }
 
 /// Parses a progress stream into event objects, skipping malformed
-/// lines (a reader can race the writer's final line).
+/// lines (a reader can race the writer's final line, which may end
+/// inside a multi-byte character).
 pub fn read_events(path: &Path) -> Vec<Json> {
-    let Ok(text) = std::fs::read_to_string(path) else {
+    let Ok(bytes) = std::fs::read(path) else {
         return Vec::new();
     };
-    text.lines()
+    String::from_utf8_lossy(&bytes)
+        .lines()
         .filter_map(|l| sop_obs::json::parse(l).ok())
         .collect()
 }
@@ -295,23 +276,18 @@ pub struct TopSnapshot {
     pub per_worker: Vec<WorkerActivity>,
     /// Resolved jobs per second of stream time.
     pub jobs_per_sec: f64,
-    /// Simulated megacycles per second across the observed window
-    /// (`None` when no cycle source was installed in the producer, or
-    /// when the campaign reports fleet time instead).
+    /// Simulated megacycles per second: the `cycles` the campaign's
+    /// jobs reported over the stream span (`None` when none did).
     pub mcycles_per_sec: Option<f64>,
-    /// Simulated fleet hours per second across the observed window.
-    /// Fleet campaigns (name starting with `fleet`) advance the
-    /// installed work counter in simulated seconds rather than core
-    /// cycles, so the same `cycles` deltas are re-interpreted here and
-    /// `mcycles_per_sec` stays `None` for them.
+    /// Simulated fleet hours per second: the `ticks` (simulated
+    /// seconds) the campaign's jobs reported over the stream span.
     pub sim_hours_per_sec: Option<f64>,
     /// Latest ETA estimate in µs, if any job has completed.
     pub eta_us: Option<u64>,
-    /// Total SLO alert incidents fired by armed runs, from the latest
-    /// `job_finish` carrying alert state (`None` when no run armed an
-    /// SLO spec or nothing fired yet).
+    /// SLO alert incidents fired by the campaign's armed runs (`None`
+    /// when no run armed an SLO spec).
     pub slo_fired: Option<u64>,
-    /// SLO incidents still active (uncleared) at that point.
+    /// Of those, incidents still active (uncleared) at each run's end.
     pub slo_active: Option<u64>,
     /// Whether the campaign has ended.
     pub done: bool,
@@ -349,16 +325,18 @@ impl TopSnapshot {
             100.0 * self.hit_rate(),
             self.failed
         ));
-        let mcyc = match (self.mcycles_per_sec, self.sim_hours_per_sec) {
-            (Some(m), _) => format!(" · {m:.1} Mcycles/s"),
-            (None, Some(h)) => format!(" · {h:.2} sim-hours/s"),
-            (None, None) => String::new(),
-        };
+        let mut rates = String::new();
+        if let Some(m) = self.mcycles_per_sec {
+            rates.push_str(&format!(" · {m:.1} Mcycles/s"));
+        }
+        if let Some(h) = self.sim_hours_per_sec {
+            rates.push_str(&format!(" · {h:.2} sim-hours/s"));
+        }
         let eta = match (self.done, self.eta_us) {
             (false, Some(us)) => format!(" · eta {:.1}s", us as f64 / 1e6),
             _ => String::new(),
         };
-        out.push_str(&format!("  {:.2} jobs/s{mcyc}{eta}\n", self.jobs_per_sec));
+        out.push_str(&format!("  {:.2} jobs/s{rates}{eta}\n", self.jobs_per_sec));
         if let Some(fired) = self.slo_fired {
             let active = self.slo_active.unwrap_or(0);
             let state = if active > 0 { "FIRING" } else { "clear" };
@@ -376,6 +354,9 @@ impl TopSnapshot {
         out
     }
 }
+
+/// The work fields of `job_finish` events that [`snapshot`] sums.
+const WORK_FIELDS: [&str; 4] = ["cycles", "ticks", "slo_fired", "slo_active"];
 
 /// Aggregates the most recent campaign's events into a [`TopSnapshot`],
 /// or `None` when the stream holds no `campaign_start` yet.
@@ -398,9 +379,9 @@ pub fn snapshot(events: &[Json]) -> Option<TopSnapshot> {
     let mut eta_us = None;
     let mut t_last = 0.0f64;
     let t_first = num_of(head, "t_us").unwrap_or(0.0);
-    let mut cycles: Option<(f64, f64)> = None;
-    let mut slo_fired = None;
-    let mut slo_active = None;
+    // Work fields summed over the campaign's job_finish events: cycles,
+    // ticks, slo_fired, slo_active. A field no event carried stays None.
+    let mut work: [Option<u64>; 4] = [None; 4];
     let mut activity: Vec<WorkerActivity> = Vec::new();
     for e in events {
         let Some(ev) = str_of(e, "ev") else { continue };
@@ -414,15 +395,12 @@ pub fn snapshot(events: &[Json]) -> Option<TopSnapshot> {
                 if let Some(us) = num_of(e, "eta_us") {
                     eta_us = Some(us as u64);
                 }
-                if let Some(c) = num_of(e, "cycles") {
-                    cycles = Some(match cycles {
-                        None => (c, c),
-                        Some((first, _)) => (first, c),
-                    });
-                }
-                if let Some(f) = num_of(e, "slo_fired") {
-                    slo_fired = Some(f as u64);
-                    slo_active = num_of(e, "slo_active").map(|a| a as u64);
+                for (sum, key) in work.iter_mut().zip(WORK_FIELDS) {
+                    if let Some(v) = num_of(e, key) {
+                        // `as` saturates: a negative or huge value
+                        // cannot make the sum panic.
+                        *sum = Some(sum.unwrap_or(0).saturating_add(v as u64));
+                    }
                 }
             }
             "job_fail" => failed += 1,
@@ -449,16 +427,8 @@ pub fn snapshot(events: &[Json]) -> Option<TopSnapshot> {
     activity.sort_by_key(|a| a.worker);
     let finished = computed + cache_hits + failed;
     let span_s = (t_last - t_first).max(1.0) / 1e6;
-    // Fleet campaigns advance the work counter in simulated seconds,
-    // chapter campaigns in core cycles; the campaign name prefix picks
-    // which unit the delta is rendered in.
-    let is_fleet = campaign.starts_with("fleet");
-    let delta = match cycles {
-        Some((first, last)) if last > first => Some(last - first),
-        _ => None,
-    };
-    let mcycles_per_sec = delta.filter(|_| !is_fleet).map(|d| d / 1e6 / span_s);
-    let sim_hours_per_sec = delta.filter(|_| is_fleet).map(|d| d / 3600.0 / span_s);
+    let [cycles, ticks, slo_fired, slo_active] = work;
+    let rate = |sum: Option<u64>, unit: f64| sum.map(|v| v as f64 / unit / span_s);
     Some(TopSnapshot {
         campaign,
         total,
@@ -469,8 +439,8 @@ pub fn snapshot(events: &[Json]) -> Option<TopSnapshot> {
         workers,
         per_worker: activity,
         jobs_per_sec: finished as f64 / span_s,
-        mcycles_per_sec,
-        sim_hours_per_sec,
+        mcycles_per_sec: rate(cycles, 1e6),
+        sim_hours_per_sec: rate(ticks, 3600.0),
         eta_us,
         slo_fired,
         slo_active,
@@ -494,7 +464,7 @@ mod tests {
         let hb = Heartbeat::open(&dir).expect("open");
         hb.campaign_start("ch3", 2, 1);
         hb.job_start("ch3", "a", 0);
-        hb.job_finish("ch3", "a", 0, 1500);
+        hb.job_finish("ch3", "a", 0, 1500, &Registry::new());
         hb.cache_hit("ch3", "b", "cached");
         hb.campaign_end("ch3", 1, 1, 0);
         let events = read_events(hb.path());
@@ -526,7 +496,7 @@ mod tests {
         hb.campaign_end("old", 0, 1, 0);
         hb.campaign_start("ch3", 3, 2);
         hb.job_start("ch3", "a", 0);
-        hb.job_finish("ch3", "a", 0, 2000);
+        hb.job_finish("ch3", "a", 0, 2000, &Registry::new());
         hb.cache_hit("ch3", "b", "resumed");
         let s = snapshot(&read_events(hb.path())).expect("campaign present");
         assert_eq!(s.campaign, "ch3");
@@ -550,45 +520,89 @@ mod tests {
         assert!(snapshot(&[]).is_none());
     }
 
-    #[test]
-    fn fleet_campaigns_report_sim_hours_instead_of_mcycles() {
-        // Hand-built events: the cycle counter advances in simulated
-        // seconds for fleet jobs (7200 ticks = 2 sim-hours here) over
-        // a 4-second stream span.
-        let lines = [
-            r#"{"ev":"campaign_start","t_us":0,"campaign":"fleet","jobs":2,"workers":1}"#,
-            r#"{"ev":"job_finish","t_us":2000000,"campaign":"fleet","job":"a","source":"computed","worker":0,"wall_us":2000000,"queue":1,"cycles":7200}"#,
-            r#"{"ev":"job_finish","t_us":4000000,"campaign":"fleet","job":"b","source":"computed","worker":0,"wall_us":2000000,"queue":0,"cycles":14400}"#,
-        ];
-        let events: Vec<Json> = lines
+    /// Parses hand-built NDJSON lines into events.
+    fn parse_lines(lines: &[&str]) -> Vec<Json> {
+        lines
             .iter()
             .map(|l| sop_obs::json::parse(l).expect("event"))
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn job_work_becomes_event_fields_without_overwriting_the_engines() {
+        let dir = temp_dir("work");
+        let hb = Heartbeat::open(&dir).expect("open");
+        let mut work = Registry::new();
+        work.counter_add("ticks", 7200);
+        work.counter_add("worker", 99);
+        work.counter_add("campaign", 1);
+        work.gauge_set("not_a_counter", 1.0);
+        hb.job_finish("fleet", "a", 1, 10, &work);
+        let events = read_events(hb.path());
+        let e = &events[0];
+        assert_eq!(e.get("ticks").and_then(Json::as_f64), Some(7200.0));
+        assert_eq!(e.get("worker").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(e.get("campaign").and_then(Json::as_str), Some("fleet"));
+        assert!(e.get("not_a_counter").is_none(), "{e:?}");
+        let text = std::fs::read_to_string(hb.path()).expect("stream");
+        assert_eq!(text.matches("\"worker\"").count(), 1, "{text}");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn fleet_campaigns_report_sim_hours_instead_of_mcycles() {
+        // Two fleet jobs of 7200 simulated seconds each (2 sim-hours
+        // apiece) over a 4-second stream span.
+        let events = parse_lines(&[
+            r#"{"ev":"campaign_start","t_us":0,"campaign":"fleet","jobs":2,"workers":1}"#,
+            r#"{"ev":"job_finish","t_us":2000000,"campaign":"fleet","job":"a","source":"computed","worker":0,"wall_us":2000000,"queue":1,"ticks":7200}"#,
+            r#"{"ev":"job_finish","t_us":4000000,"campaign":"fleet","job":"b","source":"computed","worker":0,"wall_us":2000000,"queue":0,"ticks":7200}"#,
+        ]);
         let s = snapshot(&events).expect("campaign present");
-        assert_eq!(s.mcycles_per_sec, None, "fleet deltas are not cycles");
+        assert_eq!(s.mcycles_per_sec, None, "no job reported cycles");
         let hours = s.sim_hours_per_sec.expect("sim-hours rate");
-        // 7200 simulated seconds over 4 wall seconds = 0.5 sim-hours/s.
-        assert!((hours - 0.5).abs() < 1e-9, "{hours}");
+        // 14400 simulated seconds over 4 wall seconds = 1.0 sim-hours/s.
+        assert!((hours - 1.0).abs() < 1e-9, "{hours}");
         let panel = s.render();
-        assert!(panel.contains("0.50 sim-hours/s"), "{panel}");
+        assert!(panel.contains("1.00 sim-hours/s"), "{panel}");
         assert!(!panel.contains("Mcycles"), "{panel}");
     }
 
     #[test]
+    fn the_unit_follows_the_work_field_not_the_campaign_name() {
+        let events = parse_lines(&[
+            r#"{"ev":"campaign_start","t_us":0,"campaign":"resilience","jobs":1,"workers":1}"#,
+            r#"{"ev":"job_finish","t_us":1000000,"campaign":"resilience","job":"a","source":"computed","worker":0,"wall_us":1000000,"queue":0,"ticks":3600}"#,
+        ]);
+        let s = snapshot(&events).expect("campaign present");
+        assert_eq!(s.mcycles_per_sec, None);
+        let panel = s.render();
+        assert!(panel.contains("1.00 sim-hours/s"), "{panel}");
+        assert!(!panel.contains("Mcycles"), "{panel}");
+        // And a campaign named like a fleet one that reports cycles
+        // renders cycles.
+        let events = parse_lines(&[
+            r#"{"ev":"campaign_start","t_us":0,"campaign":"fleet-like","jobs":1,"workers":1}"#,
+            r#"{"ev":"job_finish","t_us":1000000,"campaign":"fleet-like","job":"a","source":"computed","worker":0,"wall_us":1000000,"queue":0,"cycles":3000000}"#,
+        ]);
+        let panel = snapshot(&events).expect("campaign present").render();
+        assert!(panel.contains("3.0 Mcycles/s"), "{panel}");
+        assert!(!panel.contains("sim-hours"), "{panel}");
+    }
+
+    #[test]
     fn armed_campaigns_surface_live_alert_state() {
-        let lines = [
+        let events = parse_lines(&[
             r#"{"ev":"campaign_start","t_us":0,"campaign":"resilience","jobs":2,"workers":1}"#,
             r#"{"ev":"job_finish","t_us":1000000,"campaign":"resilience","job":"a","source":"computed","worker":0,"wall_us":1000000,"queue":1,"slo_fired":2,"slo_active":1}"#,
-        ];
-        let events: Vec<Json> = lines
-            .iter()
-            .map(|l| sop_obs::json::parse(l).expect("event"))
-            .collect();
+            r#"{"ev":"job_finish","t_us":2000000,"campaign":"resilience","job":"b","source":"computed","worker":0,"wall_us":1000000,"queue":0,"slo_fired":3,"slo_active":0}"#,
+        ]);
+        // Each job reports its own incidents; the campaign sums them.
         let s = snapshot(&events).expect("campaign present");
-        assert_eq!((s.slo_fired, s.slo_active), (Some(2), Some(1)));
+        assert_eq!((s.slo_fired, s.slo_active), (Some(5), Some(1)));
         let panel = s.render();
         assert!(
-            panel.contains("slo alerts FIRING: 2 fired · 1 active"),
+            panel.contains("slo alerts FIRING: 5 fired · 1 active"),
             "{panel}"
         );
         // Disarmed campaigns carry no alert fields and render none.

@@ -92,7 +92,9 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Unlike [`run_ordered`] the workers are detached threads pulling from a
 /// single shared queue (abandoning a hung job is impossible with scoped
 /// threads, whose join blocks on it), hence the `'static` bounds. Results
-/// still come back in input order.
+/// still come back in input order. `f` receives the id of the worker
+/// running it (0 on the sequential path; a watchdog replacement worker
+/// gets a fresh id) alongside the item.
 pub fn run_ordered_resilient<T, R, F>(
     workers: usize,
     items: Vec<T>,
@@ -110,9 +112,8 @@ where
         // Sequential fast path: no threads, but the same panic isolation.
         let results = items
             .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                catch_unwind(AssertUnwindSafe(|| f(i, t)))
+            .map(|t| {
+                catch_unwind(AssertUnwindSafe(|| f(0, t)))
                     .map_err(|p| JobError::Panicked(panic_message(p)))
             })
             .collect();
@@ -143,7 +144,7 @@ where
                 break;
             };
             started.lock().expect("started lock")[idx] = Some(Instant::now());
-            let result = catch_unwind(AssertUnwindSafe(|| f(idx, item)))
+            let result = catch_unwind(AssertUnwindSafe(|| f(id, item)))
                 .map_err(|p| JobError::Panicked(panic_message(p)));
             {
                 let mut s = stats.lock().expect("stats lock");
@@ -373,14 +374,18 @@ mod tests {
     #[test]
     fn resilient_isolates_panics_to_their_own_slot() {
         for workers in [1, 4] {
-            let (out, stats) =
-                run_ordered_resilient(workers, (0..20u64).collect::<Vec<_>>(), None, |i, x| {
-                    assert_eq!(i as u64, x);
+            let (out, stats) = run_ordered_resilient(
+                workers,
+                (0..20u64).collect::<Vec<_>>(),
+                None,
+                move |w, x| {
+                    assert!(w < workers, "worker id {w} of {workers}");
                     if x % 5 == 3 {
                         panic!("job {x} exploded");
                     }
                     x * 2
-                });
+                },
+            );
             assert_eq!(out.len(), 20);
             for (i, r) in out.iter().enumerate() {
                 if i % 5 == 3 {

@@ -48,43 +48,6 @@ pub use resilience::{simulate_resilience, ResilienceParams, RetryPolicy, RETRY_P
 pub use sim::{simulate, FleetOutcome, Policy, SimParams, WindowStats};
 pub use traffic::TrafficModel;
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static TICKS: AtomicU64 = AtomicU64::new(0);
-
-/// Total simulated ticks (seconds) completed by fleet runs in this
-/// process. The heartbeat cycle-counter hook reads this so `sop top`
-/// can report simulated-hours per wall second for fleet campaigns.
-/// Flushed once per completed run, i.e. exactly when the run's
-/// `job_finish` heartbeat event is about to be written.
-pub fn ticks_simulated() -> u64 {
-    TICKS.load(Ordering::Relaxed)
-}
-
-pub(crate) fn flush_run_counters(ticks: u64) {
-    TICKS.fetch_add(ticks, Ordering::Relaxed);
-}
-
-static SLO_FIRED: AtomicU64 = AtomicU64::new(0);
-static SLO_ACTIVE: AtomicU64 = AtomicU64::new(0);
-
-/// Live SLO alert state across this process's armed fleet runs:
-/// `(incidents_fired_total, incidents_still_active)`. The heartbeat
-/// alert hook reads this so `sop top` can render alert state while a
-/// campaign runs; both counters stay 0 (and the heartbeat emits no
-/// alert fields) when no run arms an SLO spec.
-pub fn slo_alert_state() -> (u64, u64) {
-    (
-        SLO_FIRED.load(Ordering::Relaxed),
-        SLO_ACTIVE.load(Ordering::Relaxed),
-    )
-}
-
-pub(crate) fn flush_slo_counters(fired: u64, active: u64) {
-    SLO_FIRED.fetch_add(fired, Ordering::Relaxed);
-    SLO_ACTIVE.fetch_add(active, Ordering::Relaxed);
-}
-
 /// Derives an independent per-stream seed from a run seed and a stream
 /// tag, so the traffic, burst, jitter, and per-server failure streams
 /// never alias even though they share one user-facing `--seed`.
@@ -109,12 +72,5 @@ mod tests {
                 assert!(seen.insert(stream_seed(seed, stream)));
             }
         }
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let t0 = ticks_simulated();
-        flush_run_counters(10);
-        assert!(ticks_simulated() >= t0 + 10);
     }
 }

@@ -113,6 +113,11 @@ impl FleetPointSpec {
     /// Runs the fleet and reduces it to a report row. With `series`
     /// armed the row additionally carries the per-window series.
     pub fn evaluate(&self) -> Json {
+        self.evaluate_with_work().0
+    }
+
+    /// The row plus the run's work, as its job reports it.
+    fn evaluate_with_work(&self) -> (Json, Registry) {
         let server = self.server();
         let params = self.params();
         let outcome = simulate(&params);
@@ -120,8 +125,15 @@ impl FleetPointSpec {
         if self.series {
             doc.insert("series", outcome.series().to_json());
         }
-        doc
+        (doc, ticks_work(&outcome))
     }
+}
+
+/// A run's work: the `ticks` (simulated seconds) it advanced.
+fn ticks_work(outcome: &FleetOutcome) -> Registry {
+    let mut work = Registry::new();
+    work.counter_add("ticks", outcome.params.base.duration_ticks);
+    work
 }
 
 /// The costed server an organization's fleet is built from.
@@ -288,7 +300,11 @@ pub fn fleet_points(exec: &Exec, campaign: &str, specs: &[FleetPointSpec]) -> Ve
         exec,
         campaign,
         specs,
-        |spec| Job::new(spec.name(), spec.to_json(), move |_| spec.evaluate()),
+        |spec| {
+            Job::with_work(spec.name(), spec.to_json(), move |_| {
+                spec.evaluate_with_work()
+            })
+        },
         |spec| {
             Json::object()
                 .with("org", spec.org.as_str())
@@ -539,9 +555,16 @@ impl ResiliencePointSpec {
     /// objective, standard fast+slow rules, scripted storm cause when
     /// the scenario has one).
     pub fn evaluate(&self) -> Json {
+        self.evaluate_with_work().0
+    }
+
+    /// The row plus the run's work: its `ticks` and, when armed, the
+    /// `slo_fired` and `slo_active` incident counts.
+    fn evaluate_with_work(&self) -> (Json, Registry) {
         let server = self.server();
         let outcome = simulate_resilience(&self.params());
         let mut doc = resilience_row(self, &server, &outcome);
+        let mut work = ticks_work(&outcome);
         if self.slo {
             let series = outcome.series();
             let cause = outcome.scripted_cause();
@@ -551,11 +574,12 @@ impl ResiliencePointSpec {
                 &sop_obs::BurnRule::standard(),
                 cause.as_ref(),
             );
-            crate::flush_slo_counters(analysis.incidents_total(), analysis.incidents_active());
+            work.counter_add("slo_fired", analysis.incidents_total());
+            work.counter_add("slo_active", analysis.incidents_active());
             doc.insert("slo", Json::Arr(vec![analysis.to_json()]));
             doc.insert("series", series.to_json());
         }
-        doc
+        (doc, work)
     }
 }
 
@@ -766,7 +790,11 @@ pub fn resilience_points(exec: &Exec, campaign: &str, specs: &[ResiliencePointSp
         exec,
         campaign,
         specs,
-        |spec| Job::new(spec.name(), spec.to_json(), move |_| spec.evaluate()),
+        |spec| {
+            Job::with_work(spec.name(), spec.to_json(), move |_| {
+                spec.evaluate_with_work()
+            })
+        },
         |spec| {
             Json::object()
                 .with("org", spec.org.as_str())

@@ -1150,7 +1150,6 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
         (Some(t0), Some(t1)) => (true, t1 - t0),
         (Some(t0), None) => (false, p.duration_ticks - t0),
     };
-    crate::flush_run_counters(p.duration_ticks);
     FleetOutcome {
         params: *params,
         plain: PLAIN,

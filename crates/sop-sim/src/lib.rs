@@ -31,7 +31,7 @@ pub mod stats;
 pub use cache::{DirectoryState, LlcBank};
 pub use core::{CoreState, SimCore};
 pub use l1::{L1Cache, MesiState, SnoopOutcome};
-pub use machine::{cycles_simulated, HaltReason, Machine, SimConfig, SimResult};
+pub use machine::{HaltReason, Machine, SimConfig, SimResult};
 pub use memory::MemoryController;
 pub use sampling::{measure, SampledMeasurement};
 pub use stats::Histogram;

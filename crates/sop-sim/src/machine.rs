@@ -24,19 +24,7 @@ use sop_tech::{CacheGeometry, CoreKind, TechnologyNode};
 use sop_workloads::trace::LineAddr;
 use sop_workloads::{TraceConfig, Workload, WorkloadProfile};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Process-wide count of timed cycles simulated by every [`Machine`] on
-/// every thread (warm-up and measurement windows both count; functional
-/// warm-up replays accesses, not cycles, and does not).
-static CYCLES_SIMULATED: AtomicU64 = AtomicU64::new(0);
-
-/// Total timed cycles this process has simulated so far. The bench
-/// suite reads deltas of this around a campaign to report cycles/sec.
-pub fn cycles_simulated() -> u64 {
-    CYCLES_SIMULATED.load(Ordering::Relaxed)
-}
 
 /// Configuration of a simulated machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -980,7 +968,6 @@ impl Machine {
     /// SimFlex sampling pattern — consecutive windows drawn over one long
     /// execution (§3.3).
     pub fn run_window(&mut self, warmup: u64, measure: u64) -> SimResult {
-        CYCLES_SIMULATED.fetch_add(warmup + measure, Ordering::Relaxed);
         if !self.warmed {
             self.functional_warmup();
             self.warmed = true;

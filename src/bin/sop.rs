@@ -317,16 +317,6 @@ fn fleet(args: &Args, resilience: bool) {
     let out = args
         .value("--json")
         .map_or_else(|| format!("{section}.json"), str::to_owned);
-    // Heartbeat job_finish events carry the fleet tick counter so
-    // `sop top` can report simulated-hours per second, and the SLO
-    // alert counters so it can render live alert state when a run arms
-    // a spec (the fields stay absent otherwise).
-    scale_out_processors::exec::heartbeat::set_cycle_source(
-        scale_out_processors::bench::campaign::simulated_work_counter,
-    );
-    scale_out_processors::exec::heartbeat::set_slo_source(
-        scale_out_processors::fleet::slo_alert_state,
-    );
     let exec = Exec::new(ExecConfig::from_args(args));
 
     // Deterministic aggregates are summed from the rows, so cached and

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use scale_out_processors::core::PodConfig;
+use scale_out_processors::exec::heartbeat::{read_events, snapshot};
 use scale_out_processors::model::{DesignPoint, Interconnect};
 use scale_out_processors::noc::slab::Slab;
 use scale_out_processors::noc::{MessageClass, Network, NocConfig, TopologyKind};
@@ -989,5 +990,126 @@ proptest! {
         let doc = tape_document(&mut tape.into_iter(), 6);
         prop_assert_eq!(&json::parse(&doc.to_compact_string()).expect("compact parses"), &doc);
         prop_assert_eq!(&json::parse(&doc.to_pretty_string()).expect("pretty parses"), &doc);
+    }
+}
+
+/// Values a `sop top` stream's numeric fields take: zero, small, huge,
+/// negative, fractional, and past `u64::MAX`.
+const TOP_VALUES: [&str; 10] = [
+    "0",
+    "1",
+    "-1",
+    "0.5",
+    "-2.75",
+    "7200",
+    "18446744073709551615",
+    "123456789012345678901234567890",
+    "1e300",
+    "-1e300",
+];
+const TOP_KEYS: [&str; 11] = [
+    "cycles",
+    "ticks",
+    "slo_fired",
+    "slo_active",
+    "jobs",
+    "workers",
+    "t_us",
+    "eta_us",
+    "worker",
+    "wall_us",
+    "queue",
+];
+const TOP_EVENTS: [&str; 7] = [
+    "campaign_start",
+    "job_start",
+    "job_finish",
+    "cache_hit",
+    "job_fail",
+    "job_retry",
+    "campaign_end",
+];
+/// Lines that are not heartbeat events at all.
+const TOP_JUNK: [&str; 6] = [
+    "",
+    "[1,2]",
+    "42",
+    "{\"ev\":5}",
+    "{\"ev\":\"job_fin",
+    "\u{e9}\u{1f600}",
+];
+
+/// One NDJSON line of a heartbeat stream drawn from a tape of words: an
+/// event of any kind with up to five numeric fields at extreme values
+/// (keys may repeat), or a line that is no event.
+fn top_line(tape: &mut impl Iterator<Item = u64>) -> String {
+    let mut next = || tape.next().unwrap_or(0) as usize;
+    let word = next();
+    if word % 8 == 7 {
+        return TOP_JUNK[next() % TOP_JUNK.len()].to_owned();
+    }
+    let mut line = format!(
+        "{{\"ev\":\"{}\",\"campaign\":\"c{}\",\"job\":\"j\u{e9}{}\"",
+        TOP_EVENTS[word % TOP_EVENTS.len()],
+        next() % 2,
+        next() % 3
+    );
+    for _ in 0..next() % 6 {
+        let key = TOP_KEYS[next() % TOP_KEYS.len()];
+        line.push_str(&format!(
+            ",\"{key}\":{}",
+            TOP_VALUES[next() % TOP_VALUES.len()]
+        ));
+    }
+    line.push('}');
+    line
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `sop top`'s reader never panics: `read_events`, `snapshot` and
+    /// `render` accept arbitrary event lines with extreme values, junk
+    /// bytes, and the stream cut short at any byte (even inside a
+    /// multi-byte character), whose only effect is on the last event.
+    #[test]
+    fn top_reader_never_panics(
+        tape in prop::collection::vec(0u64..u64::MAX, 1..160),
+        noise in prop::collection::vec(0u8..255, 0..32),
+        cut in 0usize..1_000_000,
+    ) {
+        let mut tape = tape.into_iter().peekable();
+        let mut bytes = Vec::new();
+        while tape.peek().is_some() {
+            bytes.extend_from_slice(top_line(&mut tape).as_bytes());
+            bytes.push(b'\n');
+            if tape.peek().is_some_and(|w| w % 13 == 0) {
+                bytes.extend_from_slice(&noise);
+                bytes.push(b'\n');
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("sop-top-prop-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("progress.ndjson");
+        let read = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).expect("write stream");
+            let events = read_events(&path);
+            if let Some(snap) = snapshot(&events) {
+                let _ = snap.render();
+            }
+            events
+        };
+        let full = read(&bytes);
+        let cut = cut % (bytes.len() + 1);
+        let cut_events = read(&bytes[..cut]);
+        let whole = bytes[..cut].iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let whole_events = read(&bytes[..whole]);
+        let _ = std::fs::remove_dir_all(&dir);
+        // Every line the cut left whole reads as it did in the full
+        // stream; the torn line adds at most one event.
+        prop_assert!(whole_events.len() <= full.len());
+        prop_assert_eq!(&whole_events[..], &full[..whole_events.len()]);
+        prop_assert!((whole_events.len()..=whole_events.len() + 1).contains(&cut_events.len()));
+        prop_assert_eq!(&cut_events[..whole_events.len()], &whole_events[..]);
     }
 }
