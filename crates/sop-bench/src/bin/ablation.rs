@@ -10,15 +10,14 @@
 //!
 //! ```text
 //! usage: ablation [<pods|llcrow|links|ir|all>] [--json FILE] [--jobs N]
-//!            [--timeout-secs N] [--retries N] [--no-cache] [--resume]
-//!            [--no-heartbeat]
+//!            [--timeout-secs N] [--retries N] [--no-cache] [--no-heartbeat]
 //! ```
 //!
 //! `<section>` runs one ablation; without one, `all` runs every section.
 //!
 //! The simulation-backed sections (`llcrow`, `links`) run through the
-//! execution engine: their points are cached under `target/sop-cache/`,
-//! spread over `--jobs` workers, and resumable with `--resume`.
+//! execution engine: their points are cached under `target/sop-cache/`
+//! and spread over `--jobs` workers.
 //!
 //! With `--json FILE` the run also writes a schema-versioned report:
 //! one section of rows per ablation, a span per section, and

@@ -2,13 +2,10 @@
 //! target so profile constants can be tuned against the thesis.
 //!
 //! ```text
-//! usage: calibrate [--json FILE] [--jobs N] [--timeout-secs N] [--retries N]
-//!            [--no-cache] [--resume] [--no-heartbeat]
+//! usage: calibrate [--json FILE]
 //! ```
 //!
-//! Sections render into string buffers on the execution engine's worker
-//! pool (`--jobs` workers, one task per section) and print in a fixed
-//! order, so the dashboard is byte-identical for any worker count.
+//! The sections are analytic and print in a fixed order.
 //!
 //! With `--json FILE` the dashboard is also written as a
 //! schema-versioned report: one section per calibration surface.
@@ -16,54 +13,30 @@
 use sop_core::designs::{reference_chip, DesignKind};
 use sop_core::pod::{optimal_pod, preferred_pod, PodSearchSpace};
 use sop_core::PodConfig;
-use sop_exec::{Exec, ExecConfig, Spec};
+use sop_exec::Spec;
 use sop_model::{DesignPoint, Interconnect};
 use sop_obs::{Json, Registry, Report, SpanLog};
 use sop_tech::{CoreKind, TechnologyNode};
 use sop_workloads::Workload;
-use std::fmt::Write as _;
-
-/// `writeln!` into a `String` buffer, discarding the infallible result.
-macro_rules! outln {
-    ($buf:expr, $($arg:tt)*) => {
-        let _ = writeln!($buf, $($arg)*);
-    };
-}
 
 fn main() {
-    let spec = Spec::new("calibrate").values([("--json", "FILE")]).engine();
+    let spec = Spec::new("calibrate").values([("--json", "FILE")]);
     let args = spec.parse(&std::env::args().skip(1).collect::<Vec<_>>());
     let json_path = args.value("--json");
-    let exec = Exec::new(ExecConfig::from_args(&args));
-
-    type Section = (&'static str, fn(&mut String) -> Json);
-    let sections: Vec<Section> = vec![
-        ("fig2.1", fig2_1),
-        ("fig2.2", fig2_2),
-        ("fig2.3", fig2_3),
-        ("pd_surfaces", pod_surfaces),
-        ("pods", pods),
-        ("chips_40nm", |b| chips(b, TechnologyNode::N40)),
-        ("chips_20nm", |b| chips(b, TechnologyNode::N20)),
-    ];
 
     let mut spans = SpanLog::new();
     let mut report = Report::new("calibrate", "Calibration dashboard");
-    let rendered = spans.time("sections", |_| {
-        exec.map(sections, |(name, run)| {
-            let mut buf = String::new();
-            let value = run(&mut buf);
-            (name, buf, value)
-        })
+    spans.time("sections", |_| {
+        report.set("fig2.1", fig2_1());
+        report.set("fig2.2", fig2_2());
+        report.set("fig2.3", fig2_3());
+        report.set("pd_surfaces", pod_surfaces());
+        report.set("pods", pods());
+        report.set("chips_40nm", chips(TechnologyNode::N40));
+        report.set("chips_20nm", chips(TechnologyNode::N20));
     });
-    for (name, buf, value) in rendered {
-        print!("{buf}");
-        report.set(name, value);
-    }
     if let Some(path) = json_path {
-        let mut metrics = Registry::new();
-        metrics.merge(&exec.metrics_snapshot());
-        if let Err(e) = report.write_to(path, &spans, &metrics) {
+        if let Err(e) = report.write_to(path, &spans, &Registry::new()) {
             eprintln!("calibrate: cannot write {path}: {e}");
             std::process::exit(1);
         }
@@ -71,31 +44,22 @@ fn main() {
     }
 }
 
-fn fig2_1(buf: &mut String) -> Json {
-    outln!(
-        buf,
-        "== Fig 2.1: app IPC, aggressive OoO core (targets: MS<1, DS/MRC~1, rest 1-2) =="
-    );
+fn fig2_1() -> Json {
+    println!("== Fig 2.1: app IPC, aggressive OoO core (targets: MS<1, DS/MRC~1, rest 1-2) ==");
     let mut out = Json::object();
     for w in Workload::ALL {
         let ipc = DesignPoint::new(CoreKind::Conventional, 4, 8.0, Interconnect::Ideal)
             .evaluate(w)
             .per_core_ipc;
-        outln!(buf, "  {:16} {:.2}", w.label(), ipc);
+        println!("  {:16} {:.2}", w.label(), ipc);
         out.insert(w.label(), Json::from(ipc));
     }
     out
 }
 
-fn fig2_2(buf: &mut String) -> Json {
-    outln!(
-        buf,
-        "== Fig 2.2: perf vs LLC (4 cores), normalized to 1MB =="
-    );
-    outln!(
-        buf,
-        "  target: knee 2-8MB, MRC/SAT +12-24% at 16MB, 32MB <= 16MB"
-    );
+fn fig2_2() -> Json {
+    println!("== Fig 2.2: perf vs LLC (4 cores), normalized to 1MB ==");
+    println!("  target: knee 2-8MB, MRC/SAT +12-24% at 16MB, 32MB <= 16MB");
     let caps = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
     let mut out = Json::object();
     for w in Workload::ALL {
@@ -112,7 +76,7 @@ fn fig2_2(buf: &mut String) -> Json {
             })
             .collect();
         let row: Vec<String> = ratios.iter().map(|r| format!("{r:.3}")).collect();
-        outln!(buf, "  {:16} {}", w.label(), row.join(" "));
+        println!("  {:16} {}", w.label(), row.join(" "));
         out.insert(
             w.label(),
             Json::Arr(ratios.into_iter().map(Json::from).collect()),
@@ -121,15 +85,9 @@ fn fig2_2(buf: &mut String) -> Json {
     out
 }
 
-fn fig2_3(buf: &mut String) -> Json {
-    outln!(
-        buf,
-        "== Fig 2.3: per-core perf vs cores, 4MB LLC (norm to 1 core) =="
-    );
-    outln!(
-        buf,
-        "  target: ideal 256c ~ -16% vs 2c; mesh 256c ~ -28% vs ideal 256c agg"
-    );
+fn fig2_3() -> Json {
+    println!("== Fig 2.3: per-core perf vs cores, 4MB LLC (norm to 1 core) ==");
+    println!("  target: ideal 256c ~ -16% vs 2c; mesh 256c ~ -28% vs ideal 256c agg");
     let mut out = Json::object();
     for ic in [Interconnect::Ideal, Interconnect::Mesh] {
         let u1 = DesignPoint::new(CoreKind::OutOfOrder, 1, 4.0, ic).mean_per_core_ipc();
@@ -142,15 +100,14 @@ fn fig2_3(buf: &mut String) -> Json {
                 format!("{}:{:.3}", n, u / u1)
             })
             .collect();
-        outln!(buf, "  {:6} {}", ic.label(), row.join(" "));
+        println!("  {:6} {}", ic.label(), row.join(" "));
         out.insert(ic.label(), curve);
     }
     let i =
         DesignPoint::new(CoreKind::OutOfOrder, 256, 4.0, Interconnect::Ideal).mean_aggregate_ipc();
     let m =
         DesignPoint::new(CoreKind::OutOfOrder, 256, 4.0, Interconnect::Mesh).mean_aggregate_ipc();
-    outln!(
-        buf,
+    println!(
         "  mesh-vs-ideal aggregate at 256 cores: {:.3} (target ~0.72)",
         m / i
     );
@@ -158,10 +115,10 @@ fn fig2_3(buf: &mut String) -> Json {
     out
 }
 
-fn pod_surfaces(buf: &mut String) -> Json {
+fn pod_surfaces() -> Json {
     let mut out = Json::object();
     for kind in [CoreKind::OutOfOrder, CoreKind::InOrder] {
-        outln!(buf, "== PD surface ({kind:?}, crossbar, 40nm) ==");
+        println!("== PD surface ({kind:?}, crossbar, 40nm) ==");
         let mut surface = Json::object();
         for &mb in &[1.0, 2.0, 4.0, 8.0] {
             let mut by_cores = Json::object();
@@ -173,7 +130,7 @@ fn pod_surfaces(buf: &mut String) -> Json {
                     format!("{}c:{:.4}", n, m.performance_density)
                 })
                 .collect();
-            outln!(buf, "  {mb}MB  {}", row.join(" "));
+            println!("  {mb}MB  {}", row.join(" "));
             surface.insert(&format!("{mb}MB"), by_cores);
         }
         out.insert(&format!("{kind:?}"), surface);
@@ -181,20 +138,15 @@ fn pod_surfaces(buf: &mut String) -> Json {
     out
 }
 
-fn pods(buf: &mut String) -> Json {
-    outln!(
-        buf,
-        "== Pods (targets: OoO peak 32c/4MB, pick 16c/4MB 92mm2 20W 9.4GB/s;"
-    );
-    outln!(buf, "          IO pick 32c/2MB 52mm2 17W 15GB/s) ==");
+fn pods() -> Json {
+    println!("== Pods (targets: OoO peak 32c/4MB, pick 16c/4MB 92mm2 20W 9.4GB/s;");
+    println!("          IO pick 32c/2MB 52mm2 17W 15GB/s) ==");
     let mut out = Json::object();
     for kind in [CoreKind::OutOfOrder, CoreKind::InOrder] {
         let space = PodSearchSpace::thesis_chapter3(kind, TechnologyNode::N40);
         let opt = optimal_pod(&space);
         let pick = preferred_pod(&space, 0.05);
-        outln!(
-            buf,
-            "  {kind:?}: peak {}c/{}MB pd {:.4}; pick {}c/{}MB pd {:.4} area {:.1} power {:.1} bw {:.1}",
+        println!("  {kind:?}: peak {}c/{}MB pd {:.4}; pick {}c/{}MB pd {:.4} area {:.1} power {:.1} bw {:.1}",
             opt.config.cores,
             opt.config.llc_mb,
             opt.performance_density,
@@ -230,20 +182,11 @@ fn pods(buf: &mut String) -> Json {
     out
 }
 
-fn chips(buf: &mut String, node: TechnologyNode) -> Json {
-    outln!(buf, "== Reference chips at {node} ==");
-    outln!(
-        buf,
+fn chips(node: TechnologyNode) -> Json {
+    println!("== Reference chips at {node} ==");
+    println!(
         "  {:34} {:>6} {:>5} {:>5} {:>3} {:>6} {:>6} {:>6} {:>7}",
-        "design",
-        "PD",
-        "cores",
-        "LLC",
-        "MC",
-        "die",
-        "power",
-        "P/W",
-        "bw"
+        "design", "PD", "cores", "LLC", "MC", "die", "power", "P/W", "bw"
     );
     let mut designs = vec![DesignKind::Conventional];
     for k in [CoreKind::OutOfOrder, CoreKind::InOrder] {
@@ -259,8 +202,7 @@ fn chips(buf: &mut String, node: TechnologyNode) -> Json {
     let mut rows = Vec::new();
     for d in designs {
         let c = reference_chip(d, node);
-        outln!(
-            buf,
+        println!(
             "  {:34} {:>6.3} {:>5} {:>5.1} {:>3} {:>6.1} {:>6.1} {:>6.2} {:>7.1}",
             c.label,
             c.performance_density,

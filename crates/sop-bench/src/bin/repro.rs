@@ -3,7 +3,7 @@
 //! ```text
 //! usage: repro <id>... [--quick] [--quiet] [--stable] [--json FILE]
 //!            [--fault routers:N@CYCLE[:seed=S]] [--jobs N] [--timeout-secs N]
-//!            [--retries N] [--no-cache] [--resume] [--no-heartbeat]
+//!            [--retries N] [--no-cache] [--no-heartbeat]
 //! ```
 //!
 //! `<id>` is one or more of fig2.1 fig2.2 fig2.3 tab2.1 tab2.2 tab2.3 tab2.4
@@ -25,9 +25,8 @@
 //! * `--jobs N` — run simulation points on N worker threads (0 or
 //!   omitted = one per core). Output is byte-identical for any N.
 //! * `--no-cache` — recompute every simulation point, ignoring
-//!   `target/sop-cache/`.
-//! * `--resume` — replay points recorded in the campaign manifests of a
-//!   previous (possibly killed) run.
+//!   `target/sop-cache/`. Without it, rerunning a killed or partly
+//!   failed run recomputes only the points it did not finish.
 //! * `--timeout-secs N`, `--retries N`, `--no-heartbeat` — the execution
 //!   engine's watchdog, retry budget and progress stream (see DESIGN.md).
 //! * `--stable` — strip wall-clock spans and `exec.*` state from the
@@ -226,7 +225,6 @@ fn exec_summary(exec: &Exec) -> Json {
         .with("jobs_completed", m.counter("exec.jobs.completed"))
         .with("jobs_computed", m.counter("exec.jobs.computed"))
         .with("jobs_cached", m.counter("exec.jobs.cached"))
-        .with("jobs_resumed", m.counter("exec.jobs.resumed"))
         .with("cache_hits", m.counter("exec.cache.hits"))
         .with("cache_misses", m.counter("exec.cache.misses"))
         .with("cache_invalid", m.counter("exec.cache.invalid"))
@@ -304,9 +302,9 @@ fn dispatch(id: &str, quick: bool, exec: &Exec) {
         "fig5.2" => ch5::print_fig5_2(),
         "fig5.3" | "fig5.4" => ch5::print_fig5_3_and_5_4(),
         "fig5.5" => ch5::print_fig5_5(),
-        "fig6.4" => ch6::print_pd3d_sweep_on(exec, CoreKind::OutOfOrder),
+        "fig6.4" => ch6::print_pd3d_sweep(CoreKind::OutOfOrder),
         "fig6.5" => ch6::print_strategy_comparison(CoreKind::OutOfOrder),
-        "fig6.6" => ch6::print_pd3d_sweep_on(exec, CoreKind::InOrder),
+        "fig6.6" => ch6::print_pd3d_sweep(CoreKind::InOrder),
         "fig6.7" => ch6::print_strategy_comparison(CoreKind::InOrder),
         "tab6.1" => ch2::print_tab2_1(),
         "tab6.2" => ch6::print_tab6_2(),

@@ -1,16 +1,19 @@
 //! Named experiment campaigns for `sop sweep`.
 //!
-//! Each campaign regenerates one chapter's machine-readable data through
-//! the execution engine: simulation-backed chapters batch their points
-//! into engine jobs (cached, parallel, resumable), analytic chapters fan
-//! out over the worker pool. `all` runs every chapter into one merged
-//! document.
+//! Each campaign regenerates chapters' machine-readable data. A sweep
+//! first collects the simulation specs of every figure it covers, runs
+//! them as one engine campaign named after the sweep (cached, parallel,
+//! duplicates computed once), then builds each figure from its slice of
+//! the results. Analytic figures are computed in place. `all` runs every
+//! chapter into one merged document.
 
+use crate::points::{sim_points, SimPoint, SimPointSpec};
 use crate::{ch2, ch3, ch4, ch5, ch6, degradation};
 use sop_exec::Exec;
-use sop_noc::TopologyKind;
 use sop_obs::Json;
-use sop_workloads::Workload;
+
+/// The chapters `all` merges, in document order.
+const CHAPTERS: [&str; 5] = ["ch2", "ch3", "ch4", "ch5", "ch6"];
 
 /// The campaigns `sop sweep` accepts. `all` merges the chapters only:
 /// `degradation` injects faults, `fleet` simulates dynamic traffic,
@@ -34,27 +37,66 @@ pub const CAMPAIGNS: [&str; 9] = [
 /// name.
 pub fn run_campaign(name: &str, quick: bool, exec: &Exec) -> Option<Json> {
     match name {
-        "ch2" => Some(ch2_data(exec)),
-        "ch3" => Some(ch3_data(quick, exec)),
-        "ch4" => Some(ch4_data(quick, exec)),
-        "ch5" => Some(ch5_data(exec)),
-        "ch6" => Some(ch6_data(exec)),
         "degradation" => Some(degradation_data(quick, exec)),
         "fleet" => Some(fleet_data(quick, exec)),
         "resilience" => Some(resilience_data(quick, exec)),
-        "all" => Some(
-            Json::object()
-                .with("ch2", ch2_data(exec))
-                .with("ch3", ch3_data(quick, exec))
-                .with("ch4", ch4_data(quick, exec))
-                .with("ch5", ch5_data(exec))
-                .with("ch6", ch6_data(exec)),
-        ),
+        "all" => {
+            let data = chapters_data(&CHAPTERS, name, quick, exec);
+            Some(
+                CHAPTERS
+                    .into_iter()
+                    .zip(data)
+                    .fold(Json::object(), |doc, (ch, d)| doc.with(ch, d)),
+            )
+        }
+        ch if CHAPTERS.contains(&ch) => chapters_data(&[ch], name, quick, exec).pop(),
         _ => None,
     }
 }
 
-fn ch2_data(exec: &Exec) -> Json {
+/// The data of each of `chapters`, their simulations run as one engine
+/// campaign named `campaign` (none when no chapter simulates).
+fn chapters_data(chapters: &[&str], campaign: &str, quick: bool, exec: &Exec) -> Vec<Json> {
+    let specs: Vec<Vec<SimPointSpec>> = chapters.iter().map(|&ch| sim_specs(ch, quick)).collect();
+    let all: Vec<SimPointSpec> = specs.concat();
+    let points = if all.is_empty() {
+        Vec::new()
+    } else {
+        sim_points(exec, campaign, &all)
+    };
+    let mut rest = points.as_slice();
+    chapters
+        .iter()
+        .zip(&specs)
+        .map(|(&ch, specs)| {
+            let (mine, next) = rest.split_at(specs.len());
+            rest = next;
+            match ch {
+                "ch2" => ch2_data(),
+                "ch3" => ch3_data(specs, mine),
+                "ch4" => ch4_data(quick, mine),
+                "ch5" => ch5_data(),
+                _ => ch6_data(),
+            }
+        })
+        .collect()
+}
+
+/// The simulation specs a chapter's figures need, in figure order.
+fn sim_specs(chapter: &str, quick: bool) -> Vec<SimPointSpec> {
+    match chapter {
+        "ch3" => ch3::fig3_3_all_specs(quick),
+        "ch4" => [
+            ch4::fig4_3_specs(quick),
+            ch4::noc_performance_specs([128, 128, 128], quick),
+            ch4::fig4_9_specs(quick),
+        ]
+        .concat(),
+        _ => Vec::new(),
+    }
+}
+
+fn ch2_data() -> Json {
     let fig2_1 = Json::Arr(
         ch2::fig2_1()
             .into_iter()
@@ -62,7 +104,7 @@ fn ch2_data(exec: &Exec) -> Json {
             .collect(),
     );
     let fig2_2 = Json::Arr(
-        ch2::fig2_2_on(exec)
+        ch2::fig2_2()
             .into_iter()
             .map(|(w, series)| {
                 Json::object().with("workload", w.label()).with(
@@ -73,7 +115,7 @@ fn ch2_data(exec: &Exec) -> Json {
             .collect(),
     );
     let fig2_3 = Json::Arr(
-        ch2::fig2_3_on(exec)
+        ch2::fig2_3()
             .into_iter()
             .map(|(n, ideal, mesh)| {
                 Json::object()
@@ -89,7 +131,9 @@ fn ch2_data(exec: &Exec) -> Json {
         .with("fig2.3", fig2_3)
 }
 
-fn ch3_data(quick: bool, exec: &Exec) -> Json {
+/// Chapter 3's data; `specs` are [`ch3::fig3_3_all_specs`] and `points`
+/// their results.
+fn ch3_data(specs: &[SimPointSpec], points: &[SimPoint]) -> Json {
     let fig3_1 = Json::Arr(
         ch3::fig3_1()
             .into_iter()
@@ -102,33 +146,29 @@ fn ch3_data(quick: bool, exec: &Exec) -> Json {
             })
             .collect(),
     );
-    let mut fig3_3 = Vec::new();
-    for topology in [
-        TopologyKind::Ideal,
-        TopologyKind::Crossbar,
-        TopologyKind::Mesh,
-    ] {
-        for w in Workload::ALL {
-            for p in ch3::fig3_3_on(exec, w, topology, quick) {
-                fig3_3.push(
-                    Json::object()
-                        .with("workload", p.workload.label())
-                        .with("topology", format!("{:?}", p.topology).as_str())
-                        .with("cores", p.cores)
-                        .with("simulated_ipc", p.simulated_ipc)
-                        .with("modeled_ipc", p.modeled_ipc),
-                );
-            }
-        }
-    }
-    Json::object()
-        .with("fig3.1", fig3_1)
-        .with("fig3.3", Json::Arr(fig3_3))
+    let fig3_3 = Json::Arr(
+        ch3::fig3_3_rows(specs, points)
+            .into_iter()
+            .map(|p| {
+                Json::object()
+                    .with("workload", p.workload.label())
+                    .with("topology", format!("{:?}", p.topology).as_str())
+                    .with("cores", p.cores)
+                    .with("simulated_ipc", p.simulated_ipc)
+                    .with("modeled_ipc", p.modeled_ipc)
+            })
+            .collect(),
+    );
+    Json::object().with("fig3.1", fig3_1).with("fig3.3", fig3_3)
 }
 
-fn ch4_data(quick: bool, exec: &Exec) -> Json {
+/// Chapter 4's data from the points of its [`sim_specs`]: figs 4.3, 4.6
+/// and 4.9 in that order.
+fn ch4_data(quick: bool, points: &[SimPoint]) -> Json {
+    let (fig4_3, rest) = points.split_at(ch4::fig4_3_specs(quick).len());
+    let (fig4_6, fig4_9) = rest.split_at(ch4::noc_performance_specs([128; 3], quick).len());
     let fig4_3 = Json::Arr(
-        ch4::fig4_3_on(exec, quick)
+        ch4::fig4_3_rows(fig4_3)
             .into_iter()
             .map(|(w, f)| {
                 Json::object()
@@ -138,7 +178,7 @@ fn ch4_data(quick: bool, exec: &Exec) -> Json {
             .collect(),
     );
     let fig4_6 = Json::Arr(
-        ch4::noc_performance_on(exec, [128, 128, 128], quick)
+        ch4::noc_performance_rows(fig4_6)
             .into_iter()
             .map(|(w, r)| {
                 Json::object()
@@ -150,7 +190,7 @@ fn ch4_data(quick: bool, exec: &Exec) -> Json {
             .collect(),
     );
     let fig4_9 = Json::Arr(
-        ch4::fig4_9_power_on(exec, quick)
+        ch4::fig4_9_rows(fig4_9, quick)
             .into_iter()
             .map(|(kind, w)| {
                 Json::object()
@@ -204,8 +244,8 @@ fn degradation_data(quick: bool, exec: &Exec) -> Json {
     )
 }
 
-fn ch5_data(exec: &Exec) -> Json {
-    let dcs = ch5::datacenters_on(exec, 64);
+fn ch5_data() -> Json {
+    let dcs = ch5::datacenters(64);
     let base_perf = dcs[0].performance;
     let base_tco = dcs[0].tco.total_usd();
     Json::object().with(
@@ -224,10 +264,10 @@ fn ch5_data(exec: &Exec) -> Json {
     )
 }
 
-fn ch6_data(exec: &Exec) -> Json {
+fn ch6_data() -> Json {
     use sop_3d::{Pod3d, StackStrategy};
     use sop_tech::CoreKind;
-    let combos: Vec<(CoreKind, u32, StackStrategy)> = [CoreKind::OutOfOrder, CoreKind::InOrder]
+    let rows = [CoreKind::OutOfOrder, CoreKind::InOrder]
         .iter()
         .flat_map(|&kind| {
             let max_dies: &[u32] = if kind == CoreKind::InOrder {
@@ -242,25 +282,26 @@ fn ch6_data(exec: &Exec) -> Json {
                     .map(move |&s| (kind, dies, s))
             })
         })
+        .map(|(kind, dies, strategy)| {
+            let (cores, mb) = ch6::base_pod(kind);
+            let pod = Pod3d::new(kind, cores, mb, dies, strategy);
+            let m = pod.metrics();
+            Json::object()
+                .with("core", kind.label())
+                .with("dies", dies)
+                .with("strategy", format!("{strategy:?}").as_str())
+                .with("total_cores", pod.total_cores())
+                .with("total_llc_mb", pod.total_llc_mb())
+                .with("pd3d", m.performance_density_3d)
+        })
         .collect();
-    let rows = exec.map(combos, |(kind, dies, strategy)| {
-        let (cores, mb) = ch6::base_pod(kind);
-        let pod = Pod3d::new(kind, cores, mb, dies, strategy);
-        let m = pod.metrics();
-        Json::object()
-            .with("core", kind.label())
-            .with("dies", dies)
-            .with("strategy", format!("{strategy:?}").as_str())
-            .with("total_cores", pod.total_cores())
-            .with("total_llc_mb", pod.total_llc_mb())
-            .with("pd3d", m.performance_density_3d)
-    });
     Json::object().with("tab6.2", Json::Arr(rows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sop_workloads::Workload;
 
     #[test]
     fn unknown_campaign_is_none() {

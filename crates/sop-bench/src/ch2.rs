@@ -3,7 +3,6 @@
 
 use crate::fmt_series;
 use sop_core::designs::{reference_chip, DesignKind};
-use sop_exec::Exec;
 use sop_model::{DesignPoint, Interconnect};
 use sop_tech::{CoreKind, LlcParams, MemoryInterface, SocParams, TechnologyNode};
 use sop_workloads::Workload;
@@ -34,20 +33,18 @@ pub fn print_fig2_1() {
 
 /// Fig 2.2: per-workload performance vs. LLC capacity, normalised to 1MB.
 pub fn fig2_2() -> Vec<(Workload, Vec<f64>)> {
-    fig2_2_on(&Exec::sequential())
-}
-
-/// [`fig2_2`] with one worker task per workload.
-pub fn fig2_2_on(exec: &Exec) -> Vec<(Workload, Vec<f64>)> {
-    exec.map(Workload::ALL.to_vec(), |w| {
-        let at = |mb: f64| {
-            DesignPoint::new(CoreKind::Conventional, 4, mb, Interconnect::Crossbar)
-                .evaluate(w)
-                .per_core_ipc
-        };
-        let base = at(1.0);
-        (w, FIG2_2_CAPACITIES.iter().map(|&c| at(c) / base).collect())
-    })
+    Workload::ALL
+        .iter()
+        .map(|&w| {
+            let at = |mb: f64| {
+                DesignPoint::new(CoreKind::Conventional, 4, mb, Interconnect::Crossbar)
+                    .evaluate(w)
+                    .per_core_ipc
+            };
+            let base = at(1.0);
+            (w, FIG2_2_CAPACITIES.iter().map(|&c| at(c) / base).collect())
+        })
+        .collect()
 }
 
 /// Prints Fig 2.2.
@@ -66,22 +63,18 @@ pub fn print_fig2_2() {
 /// under the ideal and mesh fabrics. Returns (cores, ideal, mesh) rows of
 /// per-core IPC normalised to one core.
 pub fn fig2_3() -> Vec<(u32, f64, f64)> {
-    fig2_3_on(&Exec::sequential())
-}
-
-/// [`fig2_3`] with one worker task per core count.
-pub fn fig2_3_on(exec: &Exec) -> Vec<(u32, f64, f64)> {
-    let base_ideal =
-        DesignPoint::new(CoreKind::OutOfOrder, 1, 4.0, Interconnect::Ideal).mean_per_core_ipc();
-    let base_mesh =
-        DesignPoint::new(CoreKind::OutOfOrder, 1, 4.0, Interconnect::Mesh).mean_per_core_ipc();
-    exec.map(vec![1u32, 2, 4, 8, 16, 32, 64, 128, 256], |n| {
-        let ideal =
-            DesignPoint::new(CoreKind::OutOfOrder, n, 4.0, Interconnect::Ideal).mean_per_core_ipc();
-        let mesh =
-            DesignPoint::new(CoreKind::OutOfOrder, n, 4.0, Interconnect::Mesh).mean_per_core_ipc();
-        (n, ideal / base_ideal, mesh / base_mesh)
-    })
+    let per_core = |n: u32, fabric: Interconnect| {
+        DesignPoint::new(CoreKind::OutOfOrder, n, 4.0, fabric).mean_per_core_ipc()
+    };
+    let base_ideal = per_core(1, Interconnect::Ideal);
+    let base_mesh = per_core(1, Interconnect::Mesh);
+    [1u32, 2, 4, 8, 16, 32, 64, 128, 256]
+        .iter()
+        .map(|&n| {
+            let ideal = per_core(n, Interconnect::Ideal) / base_ideal;
+            (n, ideal, per_core(n, Interconnect::Mesh) / base_mesh)
+        })
+        .collect()
 }
 
 /// Prints Fig 2.3 (both panels).

@@ -1,7 +1,7 @@
 //! Chapter 3: the scale-out design methodology (Figs 3.1, 3.3–3.6,
 //! Table 3.2).
 
-use crate::points::{sim_points, SimPointSpec};
+use crate::points::{sim_points, SimPoint, SimPointSpec};
 use sop_core::designs::{reference_chip, DesignKind};
 use sop_core::pod::{optimal_pod, preferred_pod, PodSearchSpace};
 use sop_core::PodConfig;
@@ -97,9 +97,27 @@ pub fn fig3_3_specs(workload: Workload, topology: TopologyKind, quick: bool) -> 
         .collect()
 }
 
+/// The simulation specs behind the whole of Fig 3.3, in figure order:
+/// every workload under the ideal, crossbar and mesh fabrics.
+pub fn fig3_3_all_specs(quick: bool) -> Vec<SimPointSpec> {
+    [
+        TopologyKind::Ideal,
+        TopologyKind::Crossbar,
+        TopologyKind::Mesh,
+    ]
+    .into_iter()
+    .flat_map(|t| {
+        Workload::ALL
+            .into_iter()
+            .map(move |w| fig3_3_specs(w, t, quick))
+    })
+    .flatten()
+    .collect()
+}
+
 /// Combines evaluated simulation points with the analytic model into
 /// Fig 3.3's comparison rows. `specs` and `points` must correspond.
-fn fig3_3_rows(specs: &[SimPointSpec], points: &[crate::points::SimPoint]) -> Vec<ValidationPoint> {
+pub fn fig3_3_rows(specs: &[SimPointSpec], points: &[SimPoint]) -> Vec<ValidationPoint> {
     specs
         .iter()
         .zip(points)
@@ -136,19 +154,8 @@ fn fig3_3_rows(specs: &[SimPointSpec], points: &[crate::points::SimPoint]) -> Ve
 /// workload/fabric pair across core counts. `quick` shrinks the windows
 /// for smoke tests.
 pub fn fig3_3(workload: Workload, topology: TopologyKind, quick: bool) -> Vec<ValidationPoint> {
-    fig3_3_on(&Exec::sequential(), workload, topology, quick)
-}
-
-/// [`fig3_3`] with the simulations scheduled on `exec`.
-pub fn fig3_3_on(
-    exec: &Exec,
-    workload: Workload,
-    topology: TopologyKind,
-    quick: bool,
-) -> Vec<ValidationPoint> {
     let specs = fig3_3_specs(workload, topology, quick);
-    let points = sim_points(exec, "fig3.3", &specs);
-    fig3_3_rows(&specs, &points)
+    fig3_3_rows(&specs, &sim_points(&Exec::sequential(), "fig3.3", &specs))
 }
 
 /// Prints Fig 3.3 for every workload and fabric, with error statistics,
@@ -156,37 +163,21 @@ pub fn fig3_3_on(
 /// campaign on `exec`, so the whole figure parallelizes instead of one
 /// row at a time.
 pub fn print_fig3_3_on(exec: &Exec, quick: bool) {
-    // Collect every pair's specs first, evaluate them as one campaign,
-    // then print in the original order.
-    let pairs: Vec<(TopologyKind, Workload)> = [
-        TopologyKind::Ideal,
-        TopologyKind::Crossbar,
-        TopologyKind::Mesh,
-    ]
-    .iter()
-    .flat_map(|&t| Workload::ALL.iter().map(move |&w| (t, w)))
-    .collect();
-    let per_pair: Vec<Vec<SimPointSpec>> = pairs
-        .iter()
-        .map(|&(t, w)| fig3_3_specs(w, t, quick))
-        .collect();
-    let all_specs: Vec<SimPointSpec> = per_pair.iter().flatten().copied().collect();
-    let all_points = sim_points(exec, "fig3.3", &all_specs);
+    let specs = fig3_3_all_specs(quick);
+    let rows = fig3_3_rows(&specs, &sim_points(exec, "fig3.3", &specs));
 
     println!("Fig 3.3 — analytic model (lines) vs cycle-level simulation (markers)");
     println!("          per-core application IPC, 4MB LLC, OoO cores");
     let mut small = sop_model::ErrorStats::new();
     let mut large = sop_model::ErrorStats::new();
-    let mut offset = 0;
     let mut current_topology = None;
-    for (&(topology, w), specs) in pairs.iter().zip(&per_pair) {
+    for pts in rows.chunk_by(|a, b| (a.topology, a.workload) == (b.topology, b.workload)) {
+        let (topology, w) = (pts[0].topology, pts[0].workload);
         if current_topology != Some(topology) {
             current_topology = Some(topology);
             println!("  == {topology:?} ==");
         }
-        let pts = fig3_3_rows(specs, &all_points[offset..offset + specs.len()]);
-        offset += specs.len();
-        for p in &pts {
+        for p in pts {
             // A degraded, halted, or failed point (fault injection, job
             // failure) has no meaningful model error; keep it out of the
             // statistics instead of panicking on a non-positive IPC.

@@ -2,7 +2,7 @@
 //! Table 4.1, §4.4.4 power).
 
 use crate::geomean;
-use crate::points::{sim_points, SimPointSpec};
+use crate::points::{sim_points, SimPoint, SimPointSpec};
 use sop_exec::Exec;
 use sop_noc::{NocAreaBreakdown, NocConfig, NocPowerEstimate, TopologyKind};
 use sop_workloads::Workload;
@@ -38,18 +38,17 @@ pub fn pod_spec(
     }
 }
 
-/// Fig 4.3: fraction of LLC accesses that trigger a snoop, per workload.
-pub fn fig4_3(quick: bool) -> Vec<(Workload, f64)> {
-    fig4_3_on(&Exec::sequential(), quick)
-}
-
-/// [`fig4_3`] with the seven pod simulations batched on `exec`.
-pub fn fig4_3_on(exec: &Exec, quick: bool) -> Vec<(Workload, f64)> {
-    let specs: Vec<SimPointSpec> = Workload::ALL
+/// The simulation specs behind Fig 4.3: one mesh pod per workload.
+pub fn fig4_3_specs(quick: bool) -> Vec<SimPointSpec> {
+    Workload::ALL
         .iter()
         .map(|&w| pod_spec(w, TopologyKind::Mesh, 128, quick))
-        .collect();
-    let points = sim_points(exec, "fig4.3", &specs);
+        .collect()
+}
+
+/// Fig 4.3: fraction of LLC accesses that trigger a snoop, per workload,
+/// from the points of [`fig4_3_specs`].
+pub fn fig4_3_rows(points: &[SimPoint]) -> Vec<(Workload, f64)> {
     Workload::ALL
         .iter()
         .zip(points)
@@ -60,7 +59,7 @@ pub fn fig4_3_on(exec: &Exec, quick: bool) -> Vec<(Workload, f64)> {
 /// Prints Fig 4.3, its simulations on `exec`.
 pub fn print_fig4_3_on(exec: &Exec, quick: bool) {
     println!("Fig 4.3 — % of LLC accesses triggering a snoop (64-core pod)");
-    let rows = fig4_3_on(exec, quick);
+    let rows = fig4_3_rows(&sim_points(exec, "fig4.3", &fig4_3_specs(quick)));
     for (w, f) in &rows {
         println!("  {:16} {:.1}%", w.label(), f * 100.0);
     }
@@ -68,23 +67,18 @@ pub fn print_fig4_3_on(exec: &Exec, quick: bool) {
     println!("  {:16} {:.1}%  (thesis mean: 2.7%)", "Mean", mean * 100.0);
 }
 
-/// Fig 4.6 (or 4.8 with squeezed links): per-workload pod performance of
-/// each fabric, normalised to the mesh.
-pub fn noc_performance(link_bits: [u32; 3], quick: bool) -> Vec<(Workload, [f64; 3])> {
-    noc_performance_on(&Exec::sequential(), link_bits, quick)
-}
-
-/// [`noc_performance`] with all 21 pod simulations batched on `exec`.
-pub fn noc_performance_on(
-    exec: &Exec,
-    link_bits: [u32; 3],
-    quick: bool,
-) -> Vec<(Workload, [f64; 3])> {
-    let specs: Vec<SimPointSpec> = Workload::ALL
+/// The simulation specs behind Fig 4.6 (or 4.8 with squeezed links):
+/// each workload's pod on every fabric, `link_bits` wide.
+pub fn noc_performance_specs(link_bits: [u32; 3], quick: bool) -> Vec<SimPointSpec> {
+    Workload::ALL
         .iter()
         .flat_map(|&w| (0..3).map(move |i| pod_spec(w, FABRICS[i], link_bits[i], quick)))
-        .collect();
-    let points = sim_points(exec, "fig4.6", &specs);
+        .collect()
+}
+
+/// Fig 4.6 (or 4.8): per-workload pod performance of each fabric,
+/// normalised to the mesh, from the points of [`noc_performance_specs`].
+pub fn noc_performance_rows(points: &[SimPoint]) -> Vec<(Workload, [f64; 3])> {
     Workload::ALL
         .iter()
         .zip(points.chunks_exact(3))
@@ -95,6 +89,17 @@ pub fn noc_performance_on(
             (w, [1.0, fb / mesh, no / mesh])
         })
         .collect()
+}
+
+/// [`noc_performance_rows`] with its 21 pod simulations batched on
+/// `exec`.
+pub fn noc_performance_on(
+    exec: &Exec,
+    link_bits: [u32; 3],
+    quick: bool,
+) -> Vec<(Workload, [f64; 3])> {
+    let specs = noc_performance_specs(link_bits, quick);
+    noc_performance_rows(&sim_points(exec, "fig4.6", &specs))
 }
 
 /// Prints Fig 4.6 (full-width links), its simulations on `exec`.
@@ -180,15 +185,20 @@ pub fn print_fig4_7() {
     }
 }
 
-/// §4.4.4: mean NOC power per fabric, averaged across workloads, with
-/// all 21 pod simulations batched on `exec`.
-pub fn fig4_9_power_on(exec: &Exec, quick: bool) -> Vec<(TopologyKind, f64)> {
-    let (warm, measure) = if quick {
+/// The §4.4.4 power analysis' warm-up and measured windows.
+fn fig4_9_window(quick: bool) -> (u64, u64) {
+    if quick {
         (1_000, 3_000)
     } else {
         (4_000, 12_000)
-    };
-    let specs: Vec<SimPointSpec> = FABRICS
+    }
+}
+
+/// The simulation specs behind §4.4.4: every fabric's pod for each
+/// workload.
+pub fn fig4_9_specs(quick: bool) -> Vec<SimPointSpec> {
+    let (warm, measure) = fig4_9_window(quick);
+    FABRICS
         .iter()
         .flat_map(|&kind| {
             Workload::ALL.iter().map(move |&w| SimPointSpec::Pod64 {
@@ -201,8 +211,13 @@ pub fn fig4_9_power_on(exec: &Exec, quick: bool) -> Vec<(TopologyKind, f64)> {
                 faults: None,
             })
         })
-        .collect();
-    let points = sim_points(exec, "fig4.9", &specs);
+        .collect()
+}
+
+/// §4.4.4: mean NOC power per fabric, averaged across workloads, from
+/// the points of [`fig4_9_specs`].
+pub fn fig4_9_rows(points: &[SimPoint], quick: bool) -> Vec<(TopologyKind, f64)> {
+    let (_, measure) = fig4_9_window(quick);
     FABRICS
         .iter()
         .zip(points.chunks_exact(Workload::ALL.len()))
@@ -227,7 +242,8 @@ pub fn fig4_9_power_on(exec: &Exec, quick: bool) -> Vec<(TopologyKind, f64)> {
 /// Prints the §4.4.4 power analysis, its simulations on `exec`.
 pub fn print_fig4_9_power_on(exec: &Exec, quick: bool) {
     println!("§4.4.4 — NOC power (W) averaged across workloads");
-    for (kind, mean) in fig4_9_power_on(exec, quick) {
+    let points = sim_points(exec, "fig4.9", &fig4_9_specs(quick));
+    for (kind, mean) in fig4_9_rows(&points, quick) {
         println!("  {:22} {:.2} W", format!("{kind:?}"), mean);
     }
 }
@@ -305,14 +321,15 @@ mod tests {
 
     #[test]
     fn fig4_6_nocout_beats_mesh_on_average() {
-        let rows = noc_performance([128, 128, 128], true);
+        let rows = noc_performance_on(&Exec::sequential(), [128, 128, 128], true);
         let gm: f64 = geomean(&rows.iter().map(|(_, r)| r[2]).collect::<Vec<_>>());
         assert!(gm > 1.02, "NOC-Out gmean vs mesh {gm}");
     }
 
     #[test]
     fn fig4_3_snoops_stay_rare() {
-        let rows = fig4_3(true);
+        let specs = fig4_3_specs(true);
+        let rows = fig4_3_rows(&sim_points(&Exec::sequential(), "fig4.3", &specs));
         let mean = rows.iter().map(|(_, f)| f).sum::<f64>() / rows.len() as f64;
         assert!(mean < 0.10, "mean snoop fraction {mean}");
     }

@@ -2,7 +2,6 @@
 //! Figs 5.1–5.5).
 
 use sop_core::designs::{reference_chip, DesignKind};
-use sop_exec::Exec;
 use sop_tco::{estimated_price_usd, market_price_usd, Datacenter, TcoParams, CHAPTER5_NODE};
 
 /// The memory capacities per 1U server swept in Figs 5.3/5.4.
@@ -10,15 +9,11 @@ pub const MEMORY_SWEEP_GB: [u32; 3] = [32, 64, 128];
 
 /// Builds the datacenter for every Table 5.1 design at `memory_gb`.
 pub fn datacenters(memory_gb: u32) -> Vec<Datacenter> {
-    datacenters_on(&Exec::sequential(), memory_gb)
-}
-
-/// [`datacenters`] with one worker task per design.
-pub fn datacenters_on(exec: &Exec, memory_gb: u32) -> Vec<Datacenter> {
     let params = TcoParams::thesis();
-    exec.map(DesignKind::table_5_1(), |d| {
-        Datacenter::for_design(d, &params, memory_gb)
-    })
+    DesignKind::table_5_1()
+        .into_iter()
+        .map(|d| Datacenter::for_design(d, &params, memory_gb))
+        .collect()
 }
 
 /// Prints Table 5.1 (server chip characteristics including price).

@@ -2,7 +2,6 @@
 //! Tables 6.1/6.2).
 
 use sop_3d::{compose_3d, sweep_3d, Pod3d, StackStrategy};
-use sop_exec::Exec;
 use sop_tech::CoreKind;
 
 /// Core counts swept in Figs 6.4/6.6.
@@ -11,32 +10,23 @@ pub const CORE_SWEEP: [u32; 9] = [4, 8, 16, 32, 64, 128, 256, 512, 1024];
 pub const LLC_SWEEP: [f64; 5] = [2.0, 4.0, 8.0, 16.0, 32.0];
 
 /// Prints Fig 6.4 (OoO) or Fig 6.6 (in-order): PD3D sweeps per die
-/// count, with one worker task per (dies, LLC) row; the rows are
-/// computed first and printed in order.
-pub fn print_pd3d_sweep_on(exec: &Exec, kind: CoreKind) {
+/// count, one row per LLC capacity.
+pub fn print_pd3d_sweep(kind: CoreKind) {
     let fig = if kind == CoreKind::OutOfOrder {
         "6.4"
     } else {
         "6.6"
     };
-    let combos: Vec<(u32, f64)> = [1u32, 2, 4]
-        .iter()
-        .flat_map(|&dies| LLC_SWEEP.iter().map(move |&mb| (dies, mb)))
-        .collect();
-    let rows = exec.map(combos.clone(), |(dies, mb)| {
-        sweep_3d(kind, dies, &CORE_SWEEP, &[mb])
-            .iter()
-            .map(|p| format!("{}c:{:.4}", p.cores, p.pd3d))
-            .collect::<Vec<String>>()
-    });
     println!("Fig {fig} — volume-normalised PD, {kind:?} cores, 1/2/4 dies");
-    let mut current_dies = 0;
-    for ((dies, mb), row) in combos.into_iter().zip(rows) {
-        if dies != current_dies {
-            current_dies = dies;
-            println!("  == {dies} die(s) ==");
+    for dies in [1u32, 2, 4] {
+        println!("  == {dies} die(s) ==");
+        for mb in LLC_SWEEP {
+            let row: Vec<String> = sweep_3d(kind, dies, &CORE_SWEEP, &[mb])
+                .iter()
+                .map(|p| format!("{}c:{:.4}", p.cores, p.pd3d))
+                .collect();
+            println!("    {mb}MB  {}", row.join(" "));
         }
-        println!("    {mb}MB  {}", row.join(" "));
     }
 }
 

@@ -139,7 +139,7 @@ impl SimPointSpec {
         }
     }
 
-    /// A short label for manifests and progress output.
+    /// A short label for job summaries and progress output.
     pub fn name(&self) -> String {
         let base = match *self {
             SimPointSpec::Validation {

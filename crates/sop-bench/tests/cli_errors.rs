@@ -57,10 +57,10 @@ struct Row {
     source: &'static str,
     /// Arguments that reach the binary's work.
     base: &'static [&'static str],
-    /// A valued flag with a good and a bad value.
-    valued: (&'static str, &'static str, &'static str),
-    /// A switch the binary takes.
-    switch: &'static str,
+    /// A valued flag with a good and, if any value can be bad, a bad one.
+    valued: (&'static str, &'static str, Option<&'static str>),
+    /// A switch the binary takes, if it takes any.
+    switch: Option<&'static str>,
     /// What an extra positional's message names.
     extra: &'static str,
 }
@@ -70,24 +70,24 @@ const TABLE: [Row; 3] = [
         bin: env!("CARGO_BIN_EXE_repro"),
         source: include_str!("../src/bin/repro.rs"),
         base: &["fig4.7"],
-        valued: ("--jobs", "2", "two"),
-        switch: "--quick",
+        valued: ("--jobs", "2", Some("two")),
+        switch: Some("--quick"),
         extra: "invalid value for <id>: extra",
     },
     Row {
         bin: env!("CARGO_BIN_EXE_ablation"),
         source: include_str!("../src/bin/ablation.rs"),
         base: &["pods"],
-        valued: ("--jobs", "1", "two"),
-        switch: "--no-cache",
+        valued: ("--jobs", "1", Some("two")),
+        switch: Some("--no-cache"),
         extra: "unexpected argument extra",
     },
     Row {
         bin: env!("CARGO_BIN_EXE_calibrate"),
         source: include_str!("../src/bin/calibrate.rs"),
         base: &[],
-        valued: ("--jobs", "1", "two"),
-        switch: "--no-cache",
+        valued: ("--json", "c.json", None),
+        switch: None,
         extra: "unexpected argument extra",
     },
 ];
@@ -104,6 +104,9 @@ fn with<'a>(row: &Row, more: &[&'a str]) -> Vec<&'a str> {
 /// The removed intra-run threading flag, spelled out in pieces so a
 /// search for leftover uses of it finds none here.
 const REMOVED: &str = concat!("--", "threads");
+
+/// The removed manifest-replay flag, spelled out in pieces likewise.
+const REMOVED_REPLAY: &str = concat!("--", "resume");
 
 #[test]
 fn unknown_flags_exit_2_naming_the_flag() {
@@ -123,6 +126,23 @@ fn unknown_flags_exit_2_naming_the_flag() {
     let removed = format!("unknown flag {REMOVED}");
     assert_rejected(repro, &dir, &["all", "--quick", REMOVED, "2"], &removed);
     assert_rejected(repro, &dir, &["fig4.7", REMOVED, "2"], &removed);
+    // The manifest-replay flag is gone from every binary, and
+    // `calibrate`, which runs no engine work, takes no engine flag.
+    let removed = format!("unknown flag {REMOVED_REPLAY}");
+    for row in &TABLE {
+        assert_rejected(row.bin, &dir, &with(row, &[REMOVED_REPLAY]), &removed);
+    }
+    let calibrate = env!("CARGO_BIN_EXE_calibrate");
+    let engine: [&[&str]; 5] = [
+        &["--jobs", "2"],
+        &["--timeout-secs", "9"],
+        &["--retries", "1"],
+        &["--no-cache"],
+        &["--no-heartbeat"],
+    ];
+    for args in engine {
+        assert_rejected(calibrate, &dir, args, &format!("unknown flag {}", args[0]));
+    }
     assert_nothing_written(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
@@ -132,7 +152,9 @@ fn unparsable_engine_values_exit_2_naming_flag_and_value() {
     let dir = scratch("values");
     let repro = env!("CARGO_BIN_EXE_repro");
     for row in &TABLE {
-        let (flag, _, bad) = row.valued;
+        let (flag, _, Some(bad)) = row.valued else {
+            continue;
+        };
         let needle = format!("invalid value for {flag}: {bad}");
         assert_rejected(row.bin, &dir, &with(row, &[flag, bad]), &needle);
     }
@@ -159,9 +181,11 @@ fn missing_values_and_values_that_are_flags_exit_2() {
             &with(row, &[flag]),
             &format!("{flag} needs a value"),
         );
-        let args = with(row, &["--json", row.switch]);
-        let needle = format!("--json needs a value, got flag {}", row.switch);
-        assert_rejected(row.bin, &dir, &args, &needle);
+        if let Some(switch) = row.switch {
+            let args = with(row, &["--json", switch]);
+            let needle = format!("--json needs a value, got flag {switch}");
+            assert_rejected(row.bin, &dir, &args, &needle);
+        }
     }
     assert_rejected(
         env!("CARGO_BIN_EXE_repro"),
@@ -181,9 +205,11 @@ fn repeated_flags_and_extra_positionals_exit_2() {
         let twice = with(row, &[flag, good, flag, good]);
         let needle = format!("{flag} given more than once");
         assert_rejected(row.bin, &dir, &twice, &needle);
-        let twice = with(row, &[row.switch, row.switch]);
-        let needle = format!("{} given more than once", row.switch);
-        assert_rejected(row.bin, &dir, &twice, &needle);
+        if let Some(switch) = row.switch {
+            let twice = with(row, &[switch, switch]);
+            let needle = format!("{switch} given more than once");
+            assert_rejected(row.bin, &dir, &twice, &needle);
+        }
         assert_rejected(row.bin, &dir, &with(row, &["extra"]), row.extra);
     }
     assert_nothing_written(&dir);

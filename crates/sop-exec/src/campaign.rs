@@ -1,4 +1,4 @@
-//! Campaigns: DAGs of cacheable jobs run on the work-stealing pool.
+//! Campaigns: DAGs of cacheable jobs run on the shared-queue pool.
 //!
 //! A [`Job`] pairs a serializable spec (a [`Json`] value — the job's
 //! *identity*) with a pure closure that evaluates it. The [`Exec`] handle
@@ -9,13 +9,11 @@
 //!
 //! Completed jobs are memoized in the content-addressed
 //! [`ResultCache`](crate::cache::ResultCache) keyed by
-//! [`spec_hash`](crate::hash::spec_hash), and each campaign appends the
-//! hashes it completes to a *manifest* under the cache directory. A
-//! killed run restarted with resume enabled replays completed jobs from
-//! the cache and computes only the missing ones.
+//! [`spec_hash`](crate::hash::spec_hash). Failures are never stored, so
+//! a killed or partly failed campaign, simply run again, replays its
+//! completed jobs from the cache and computes only the missing ones.
 
-use std::collections::{HashMap, HashSet};
-use std::io::Write as _;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -25,7 +23,7 @@ use sop_obs::{Json, Registry};
 
 use crate::args::{Args, Spec};
 use crate::cache::ResultCache;
-use crate::hash::{hash_hex, parse_hash_hex, spec_hash};
+use crate::hash::{hash_hex, spec_hash};
 use crate::heartbeat::Heartbeat;
 use crate::pool;
 
@@ -36,7 +34,7 @@ use crate::pool;
 /// …) as a [`Registry`], whose counters its `job_finish` heartbeat
 /// carries.
 pub struct Job<'a> {
-    /// Human-readable label (shows up in manifests and job summaries).
+    /// Human-readable label (shows up in job summaries and heartbeats).
     pub name: String,
     /// The job's identity; hashed (order-insensitively) for caching.
     pub spec: Json,
@@ -108,11 +106,9 @@ impl std::fmt::Debug for Job<'_> {
 pub enum JobSource {
     /// Evaluated by a worker this run.
     Computed,
-    /// Served by the content-addressed cache.
+    /// Served by the content-addressed cache, or by another job of the
+    /// same wave with the same spec.
     Cached,
-    /// Skipped via the campaign manifest on a resumed run (result came
-    /// from the cache).
-    Resumed,
     /// Produced no result: the job panicked, timed out, or depended on a
     /// failed job. Its slot in `results` is `Json::Null` and the details
     /// live in [`CampaignRun::failures`].
@@ -124,7 +120,6 @@ impl JobSource {
         match self {
             JobSource::Computed => "computed",
             JobSource::Cached => "cached",
-            JobSource::Resumed => "resumed",
             JobSource::Failed => "failed",
         }
     }
@@ -161,7 +156,7 @@ pub struct JobOutcome {
     pub name: String,
     /// The job's content hash (hex).
     pub hash: String,
-    /// Wall-clock microseconds spent evaluating (0 for cache/resume).
+    /// Wall-clock microseconds spent evaluating (0 for cache hits).
     pub duration_us: u64,
     /// Where the result came from.
     pub source: JobSource,
@@ -192,14 +187,13 @@ impl CampaignRun {
     }
 
     /// The campaign summary block reports embed:
-    /// `{total, computed, cached, resumed, failed, jobs: [{name, hash,
-    /// us, source}], failures: [{name, hash, error}]}`.
+    /// `{total, computed, cached, failed, jobs: [{name, hash, us,
+    /// source}], failures: [{name, hash, error}]}`.
     pub fn to_json(&self) -> Json {
         Json::object()
             .with("total", self.outcomes.len())
             .with("computed", self.count(JobSource::Computed))
             .with("cached", self.count(JobSource::Cached))
-            .with("resumed", self.count(JobSource::Resumed))
             .with("failed", self.failures.len())
             .with(
                 "jobs",
@@ -233,9 +227,6 @@ pub struct ExecConfig {
     pub cache_dir: Option<PathBuf>,
     /// Disable all caching (`--no-cache`): every job recomputes.
     pub no_cache: bool,
-    /// Replay completed jobs recorded in the campaign manifest
-    /// (`--resume`).
-    pub resume: bool,
     /// Per-job watchdog timeout in seconds (`--timeout-secs N`); `None`
     /// lets jobs run unbounded.
     pub timeout_secs: Option<u64>,
@@ -256,7 +247,6 @@ impl Default for ExecConfig {
             jobs: 0,
             cache_dir: Some(crate::cache::default_cache_dir()),
             no_cache: false,
-            resume: false,
             timeout_secs: None,
             retries: 2,
             backoff_ms: 25,
@@ -273,7 +263,6 @@ impl ExecConfig {
         ExecConfig {
             jobs: args.read("--jobs").unwrap_or(0),
             no_cache: args.has("--no-cache"),
-            resume: args.has("--resume"),
             timeout_secs: args.read("--timeout-secs"),
             retries: args.read("--retries").unwrap_or(defaults.retries),
             heartbeat: !args.has("--no-heartbeat"),
@@ -287,7 +276,7 @@ impl Spec {
     /// fragment every engine-driven command shares.
     pub fn engine(self) -> Spec {
         let values = [("--jobs", "N"), ("--timeout-secs", "N"), ("--retries", "N")];
-        (self.values(values)).switches(["--no-cache", "--resume", "--no-heartbeat"])
+        (self.values(values)).switches(["--no-cache", "--no-heartbeat"])
     }
 }
 
@@ -298,7 +287,6 @@ impl Spec {
 pub struct Exec {
     workers: usize,
     cache: Option<ResultCache>,
-    resume: bool,
     timeout: Option<Duration>,
     retries: u32,
     backoff_ms: u64,
@@ -368,7 +356,6 @@ impl Exec {
         Exec {
             workers,
             cache,
-            resume: cfg.resume,
             timeout: cfg.timeout_secs.map(Duration::from_secs),
             retries: cfg.retries,
             backoff_ms: cfg.backoff_ms,
@@ -391,11 +378,6 @@ impl Exec {
         self.workers
     }
 
-    /// Whether resume-from-manifest is enabled.
-    pub fn resume(&self) -> bool {
-        self.resume
-    }
-
     /// The result cache, if caching is enabled.
     pub fn cache(&self) -> Option<&ResultCache> {
         self.cache.as_ref()
@@ -407,44 +389,17 @@ impl Exec {
         self.heartbeat.as_deref()
     }
 
-    /// Parallel map with deterministic output order and no caching: the
-    /// workhorse for cheap analytic sweeps. `f` must be pure per item.
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let (results, stats) = pool::run_ordered(self.workers, items, |_, item| f(item));
-        self.record_pool_stats(&stats);
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .counter_add("exec.map.items", results.len() as u64);
-        results
-    }
-
-    fn record_pool_stats(&self, stats: &[pool::WorkerStats]) {
-        let mut m = self.metrics.lock().expect("metrics lock");
-        for (i, s) in stats.iter().enumerate() {
-            m.counter_add(&format!("exec.worker.{i}.jobs"), s.executed);
-            m.counter_add(&format!("exec.worker.{i}.steals"), s.stolen);
-        }
-    }
-
     /// Runs a named campaign: hashes every job, satisfies what it can
-    /// from the manifest (resume) and cache, evaluates the rest in
-    /// dependency wavefronts on the fault-isolating pool, and persists
-    /// new results and manifest lines as it goes.
+    /// from the cache, evaluates the rest in dependency wavefronts on the
+    /// fault-isolating pool, and persists new results as it goes.
     ///
     /// Failure is per-job, not per-campaign: a panicking or hung job gets
     /// a [`JobFailure`] entry (and fails its dependents with a
     /// dependency-failed cause) while every other job completes normally.
-    /// Failed jobs are noted in the manifest as `# fail` comment lines —
-    /// which the resume parser ignores — so a `--resume` rerun replays
-    /// the successes from the cache and recomputes only the failed
-    /// subset. Jobs flagged [`transient`](Job::transient) are retried
-    /// with exponential backoff before being declared failed.
+    /// Failed jobs are never cached, so a rerun replays the successes
+    /// from the cache and recomputes only the failed subset. Jobs flagged
+    /// [`transient`](Job::transient) are retried with exponential backoff
+    /// before being declared failed.
     ///
     /// # Panics
     ///
@@ -462,7 +417,6 @@ impl Exec {
         // keep its Job alive on its own.
         let jobs = Arc::new(jobs);
         let hashes: Vec<u64> = jobs.iter().map(|j| spec_hash(&j.spec)).collect();
-        let mut manifest = Manifest::open(self.manifest_path(name), self.resume);
         if let Some(hb) = &self.heartbeat {
             hb.campaign_start(name, n as u64, self.workers as u64);
         }
@@ -478,7 +432,7 @@ impl Exec {
             assert!(!ready.is_empty(), "dependency cycle among jobs {blocked:?}");
             remaining = blocked;
 
-            // Satisfy what the manifest + cache already know, and fail
+            // Satisfy what the cache already knows, and fail
             // dependents of failed jobs without running them.
             let mut to_compute = Vec::new();
             for &i in &ready {
@@ -496,32 +450,23 @@ impl Exec {
                         &hashes,
                         &mut outcomes,
                         &mut failures,
-                        &mut manifest,
                         self.heartbeat.as_deref(),
                         name,
                     );
                     continue;
                 }
-                let hash = hashes[i];
-                let from_manifest = self.resume && manifest.contains(hash);
-                let cached = self.cache.as_ref().and_then(|c| c.get(hash));
+                let cached = self.cache.as_ref().and_then(|c| c.get(hashes[i]));
                 match cached {
                     Some(result) => {
-                        let source = if from_manifest {
-                            JobSource::Resumed
-                        } else {
-                            JobSource::Cached
-                        };
                         outcomes[i] = Some(JobOutcome {
                             name: jobs[i].name.clone(),
-                            hash: hash_hex(hash),
+                            hash: hash_hex(hashes[i]),
                             duration_us: 0,
-                            source,
+                            source: JobSource::Cached,
                         });
                         results[i] = Some(result);
-                        manifest.record(hash, &jobs[i].name);
                         if let Some(hb) = &self.heartbeat {
-                            hb.cache_hit(name, &jobs[i].name, source.name());
+                            hb.cache_hit(name, &jobs[i].name);
                         }
                     }
                     None => to_compute.push(i),
@@ -598,7 +543,10 @@ impl Exec {
                         }
                     },
                 );
-                self.record_pool_stats(&stats);
+                let mut m = self.metrics.lock().expect("metrics lock");
+                for (w, executed) in stats.iter().enumerate() {
+                    m.counter_add(&format!("exec.worker.{w}.jobs"), *executed);
+                }
                 done
             };
             for (&i, evaluated) in unique.iter().zip(computed) {
@@ -607,7 +555,6 @@ impl Exec {
                         if let Some(cache) = &self.cache {
                             cache.put(hashes[i], &jobs[i].spec, &result);
                         }
-                        manifest.record(hashes[i], &jobs[i].name);
                         {
                             let mut m = self.metrics.lock().expect("metrics lock");
                             // exec.* keys are engine-owned, so a kind
@@ -643,7 +590,6 @@ impl Exec {
                     &hashes,
                     &mut outcomes,
                     &mut failures,
-                    &mut manifest,
                     self.heartbeat.as_deref(),
                     name,
                 );
@@ -660,7 +606,7 @@ impl Exec {
                             source: JobSource::Cached,
                         });
                         if let Some(hb) = &self.heartbeat {
-                            hb.cache_hit(name, &jobs[i].name, JobSource::Cached.name());
+                            hb.cache_hit(name, &jobs[i].name);
                         }
                     }
                     // The job that evaluated this spec failed; its
@@ -678,7 +624,6 @@ impl Exec {
                             &hashes,
                             &mut outcomes,
                             &mut failures,
-                            &mut manifest,
                             self.heartbeat.as_deref(),
                             name,
                         );
@@ -703,7 +648,6 @@ impl Exec {
             m.counter_add("exec.jobs.completed", run.outcomes.len() as u64);
             m.counter_add("exec.jobs.computed", run.count(JobSource::Computed) as u64);
             m.counter_add("exec.jobs.cached", run.count(JobSource::Cached) as u64);
-            m.counter_add("exec.jobs.resumed", run.count(JobSource::Resumed) as u64);
             m.counter_add("exec.jobs.failed", run.failures.len() as u64);
         }
         self.failures
@@ -714,26 +658,16 @@ impl Exec {
             hb.campaign_end(
                 name,
                 run.count(JobSource::Computed) as u64,
-                (run.count(JobSource::Cached) + run.count(JobSource::Resumed)) as u64,
+                run.count(JobSource::Cached) as u64,
                 run.failures.len() as u64,
             );
         }
         run
     }
 
-    fn manifest_path(&self, campaign: &str) -> Option<PathBuf> {
-        let dir = self.cache.as_ref().and_then(ResultCache::dir)?;
-        let safe: String = campaign
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect();
-        Some(dir.join("campaigns").join(format!("{safe}.manifest")))
-    }
-
     /// A snapshot of the engine's metrics (`exec.workers`,
-    /// `exec.worker.<i>.*`, `exec.cache.*`, `exec.jobs.*`,
-    /// `exec.map.items`, `exec.job.us`), with cache counters read at
-    /// snapshot time.
+    /// `exec.worker.<i>.jobs`, `exec.cache.*`, `exec.jobs.*`,
+    /// `exec.job.us`), with cache counters read at snapshot time.
     pub fn metrics_snapshot(&self) -> Registry {
         let mut m = self.metrics.lock().expect("metrics lock").clone();
         if let Some(cache) = &self.cache {
@@ -746,8 +680,8 @@ impl Exec {
 }
 
 /// Records one job's failure everywhere it must be visible: the outcome
-/// slot (so dependents see it), the failures list (so reports carry it),
-/// and the manifest (as a comment line, so a resumed run retries it).
+/// slot (so dependents see it), the failures list (so reports carry it)
+/// and the heartbeat.
 #[allow(clippy::too_many_arguments)]
 fn mark_failed(
     i: usize,
@@ -756,7 +690,6 @@ fn mark_failed(
     hashes: &[u64],
     outcomes: &mut [Option<JobOutcome>],
     failures: &mut Vec<JobFailure>,
-    manifest: &mut Manifest,
     heartbeat: Option<&Heartbeat>,
     campaign: &str,
 ) {
@@ -766,7 +699,6 @@ fn mark_failed(
         duration_us: 0,
         source: JobSource::Failed,
     });
-    manifest.note_failure(hashes[i], &jobs[i].name, &error);
     if let Some(hb) = heartbeat {
         hb.job_fail(campaign, &jobs[i].name, &error);
     }
@@ -776,99 +708,4 @@ fn mark_failed(
         hash: hash_hex(hashes[i]),
         error,
     });
-}
-
-/// The per-campaign checkpoint: one line per completed job hash, plus
-/// `# fail <hash> <name>: <cause>` comment lines for jobs that produced
-/// no result. Lives under `<cache dir>/campaigns/`. A fresh (non-resume)
-/// run truncates it; a resumed run loads it and appends. Only completed
-/// hashes are parsed back (comment lines fail the hash parse), so a
-/// resumed run recomputes exactly the failed subset.
-struct Manifest {
-    path: Option<PathBuf>,
-    resume: bool,
-    done: HashSet<u64>,
-    file: Option<std::fs::File>,
-}
-
-impl Manifest {
-    const HEADER: &'static str = "# sop-campaign/v1";
-
-    fn open(path: Option<PathBuf>, resume: bool) -> Self {
-        let mut done = HashSet::new();
-        if resume {
-            if let Some(path) = &path {
-                if let Ok(text) = std::fs::read_to_string(path) {
-                    for line in text.lines().skip(1) {
-                        if let Some(hash) = line.split_whitespace().next().and_then(parse_hash_hex)
-                        {
-                            done.insert(hash);
-                        }
-                    }
-                }
-            }
-        }
-        // The file is opened lazily on the first record, so a fully
-        // manifest-satisfied resume never rewrites anything.
-        Manifest {
-            path,
-            resume,
-            done,
-            file: None,
-        }
-    }
-
-    fn contains(&self, hash: u64) -> bool {
-        self.done.contains(&hash)
-    }
-
-    fn ensure_file(&mut self) {
-        let Some(path) = &self.path else { return };
-        if self.file.is_some() {
-            return;
-        }
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        // Resume appends to the existing record; a fresh run starts
-        // the manifest over.
-        let appendable = self.resume && path.exists();
-        self.file = if appendable {
-            std::fs::OpenOptions::new().append(true).open(path).ok()
-        } else {
-            std::fs::File::create(path)
-                .map(|mut f| {
-                    let _ = writeln!(f, "{}", Self::HEADER);
-                    f
-                })
-                .ok()
-        };
-    }
-
-    fn record(&mut self, hash: u64, name: &str) {
-        if !self.done.insert(hash) {
-            return;
-        }
-        if self.path.is_none() {
-            return;
-        }
-        self.ensure_file();
-        if let Some(f) = &mut self.file {
-            let _ = writeln!(f, "{} {name}", hash_hex(hash));
-        }
-    }
-
-    /// Appends a `# fail` comment line. The hash is *not* added to the
-    /// completed set, and comment lines never parse as completed hashes,
-    /// so resume retries exactly these jobs.
-    fn note_failure(&mut self, hash: u64, name: &str, error: &str) {
-        if self.path.is_none() {
-            return;
-        }
-        self.ensure_file();
-        if let Some(f) = &mut self.file {
-            let cause = error.lines().next().unwrap_or("");
-            let _ = writeln!(f, "# fail {} {name}: {cause}", hash_hex(hash));
-        }
-    }
 }

@@ -60,8 +60,8 @@ pub fn spec_hash(spec: &Json) -> u64 {
     fnv1a(canonicalize(spec).to_compact_string().as_bytes())
 }
 
-/// The 16-digit lowercase-hex form used for cache file names and
-/// campaign manifests.
+/// The 16-digit lowercase-hex form used for cache file names and job
+/// outcomes.
 pub fn hash_hex(hash: u64) -> String {
     format!("{hash:016x}")
 }

@@ -81,6 +81,10 @@ impl Heartbeat {
     }
 
     fn emit(&self, ev: &str, campaign: &str, fields: Json) {
+        // The clock is read under the file lock, so the stream's `t_us`
+        // never decreases whatever the workers' interleaving. A poisoned
+        // lock drops the line — telemetry must never fail a campaign.
+        let Ok(mut f) = self.file.lock() else { return };
         let mut line = Json::object()
             .with("ev", ev)
             .with("t_us", self.t0.elapsed().as_micros() as u64)
@@ -97,11 +101,8 @@ impl Heartbeat {
         let mut text = line.to_compact_string();
         text.push('\n');
         // One write per line: O_APPEND keeps concurrent appenders from
-        // interleaving. A failed append is dropped — telemetry must
-        // never fail a campaign.
-        if let Ok(mut f) = self.file.lock() {
-            let _ = f.write_all(text.as_bytes());
-        }
+        // interleaving. A failed append is dropped.
+        let _ = f.write_all(text.as_bytes());
     }
 
     /// Jobs not yet resolved in the current campaign.
@@ -137,15 +138,17 @@ impl Heartbeat {
         );
     }
 
-    /// A job was satisfied from the cache or the resume manifest.
-    pub fn cache_hit(&self, campaign: &str, job: &str, source: &str) {
+    /// A job was satisfied from the cache or by a same-spec job of its
+    /// wave. The event keeps its `"source":"cached"` field for readers
+    /// of older streams.
+    pub fn cache_hit(&self, campaign: &str, job: &str) {
         self.finished.fetch_add(1, Ordering::Relaxed);
         self.emit(
             "cache_hit",
             campaign,
             Json::object()
                 .with("job", job)
-                .with("source", source)
+                .with("source", "cached")
                 .with("queue", self.queue_depth()),
         );
     }
@@ -266,7 +269,7 @@ pub struct TopSnapshot {
     pub finished: u64,
     /// Jobs computed by workers.
     pub computed: u64,
-    /// Jobs satisfied from cache or manifest.
+    /// Jobs satisfied from the cache.
     pub cache_hits: u64,
     /// Jobs failed.
     pub failed: u64,
@@ -465,7 +468,7 @@ mod tests {
         hb.campaign_start("ch3", 2, 1);
         hb.job_start("ch3", "a", 0);
         hb.job_finish("ch3", "a", 0, 1500, &Registry::new());
-        hb.cache_hit("ch3", "b", "cached");
+        hb.cache_hit("ch3", "b");
         hb.campaign_end("ch3", 1, 1, 0);
         let events = read_events(hb.path());
         assert_eq!(events.len(), 5);
@@ -492,12 +495,12 @@ mod tests {
         let hb = Heartbeat::open(&dir).expect("open");
         // An earlier campaign that must not leak into the snapshot.
         hb.campaign_start("old", 1, 1);
-        hb.cache_hit("old", "x", "cached");
+        hb.cache_hit("old", "x");
         hb.campaign_end("old", 0, 1, 0);
         hb.campaign_start("ch3", 3, 2);
         hb.job_start("ch3", "a", 0);
         hb.job_finish("ch3", "a", 0, 2000, &Registry::new());
-        hb.cache_hit("ch3", "b", "resumed");
+        hb.cache_hit("ch3", "b");
         let s = snapshot(&read_events(hb.path())).expect("campaign present");
         assert_eq!(s.campaign, "ch3");
         assert_eq!(

@@ -6,17 +6,18 @@
 //! cacheable **jobs** so a full reproduction campaign runs as fast as
 //! the hardware allows without changing a byte of output:
 //!
-//! * [`pool`] — a work-stealing pool of `std::thread` workers (no rayon;
+//! * [`pool`] — a shared-queue pool of `std::thread` workers (no rayon;
 //!   the build stays hermetic) whose results always come back in input
 //!   order, so parallel runs print exactly what sequential runs print.
 //! * [`hash`] — stable content addressing: FNV-1a over the canonical
 //!   (key-sorted, compact) rendering of a job's JSON spec.
 //! * [`cache`] — a two-layer (memory + disk) result store keyed by spec
 //!   hash, with self-validating entries that detect truncation and
-//!   tampering instead of trusting them.
-//! * [`campaign`] — [`Job`]s, DAG wavefront scheduling, manifest-based
-//!   checkpoint/resume, and the [`Exec`] handle binaries thread through
-//!   their figure code.
+//!   tampering instead of trusting them. Only successes are stored, so a
+//!   rerun of an interrupted or partly failed campaign recomputes
+//!   exactly what is missing.
+//! * [`campaign`] — [`Job`]s, DAG wavefront scheduling, and the [`Exec`]
+//!   handle binaries thread through their figure code.
 //! * [`heartbeat`] — the live campaign telemetry stream: workers append
 //!   NDJSON progress events to `<cache-dir>/progress.ndjson`, which
 //!   `sop top` tails and aggregates into a [`TopSnapshot`].
@@ -41,9 +42,7 @@ pub use cache::{audit_dir, default_cache_dir, CacheAudit, ResultCache};
 pub use campaign::{CampaignRun, Exec, ExecConfig, Job, JobFailure, JobOutcome, JobSource};
 pub use hash::{canonicalize, hash_hex, parse_hash_hex, spec_hash};
 pub use heartbeat::{Heartbeat, TopSnapshot, WorkerActivity};
-pub use pool::{
-    default_workers, detect_workers, run_ordered, run_ordered_resilient, JobError, WorkerStats,
-};
+pub use pool::{default_workers, detect_workers, run_ordered_resilient, JobError};
 
 #[cfg(test)]
 mod tests {
@@ -139,13 +138,12 @@ mod tests {
     }
 
     #[test]
-    fn resume_replays_manifest_jobs_from_the_cache() {
-        let dir = scratch_dir("resume");
-        let mk_exec = |resume| {
+    fn rerun_replays_completed_jobs_from_the_cache() {
+        let dir = scratch_dir("rerun");
+        let mk_exec = || {
             Exec::new(ExecConfig {
                 jobs: 1,
                 cache_dir: Some(dir.clone()),
-                resume,
                 ..ExecConfig::default()
             })
         };
@@ -156,7 +154,7 @@ mod tests {
                     let calls = Arc::clone(calls);
                     Job::new(
                         format!("r{x}"),
-                        Json::object().with("kind", "resume").with("x", x),
+                        Json::object().with("kind", "rerun").with("x", x),
                         move |spec| {
                             calls.fetch_add(1, Ordering::Relaxed);
                             let x = spec.get("x").and_then(Json::as_f64).expect("x") as u64;
@@ -167,14 +165,14 @@ mod tests {
                 .collect()
         }
 
-        let first = mk_exec(false).run_campaign("resume-test", mk_jobs(&calls));
+        let first = mk_exec().run_campaign("rerun-test", mk_jobs(&calls));
         assert_eq!(calls.load(Ordering::Relaxed), 5);
         assert_eq!(first.count(JobSource::Computed), 5);
 
-        // A resumed run must not invoke a single closure.
-        let second = mk_exec(true).run_campaign("resume-test", mk_jobs(&calls));
-        assert_eq!(calls.load(Ordering::Relaxed), 5, "no recompute on resume");
-        assert_eq!(second.count(JobSource::Resumed), 5);
+        // A rerun on a fresh engine must not invoke a single closure.
+        let second = mk_exec().run_campaign("rerun-test", mk_jobs(&calls));
+        assert_eq!(calls.load(Ordering::Relaxed), 5, "no recompute on rerun");
+        assert_eq!(second.count(JobSource::Cached), 5);
         assert_eq!(second.results, first.results);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -288,13 +286,12 @@ mod tests {
     }
 
     #[test]
-    fn resume_recomputes_only_the_failed_subset() {
-        let dir = scratch_dir("resume-failed");
-        let mk_exec = |resume| {
+    fn rerun_recomputes_only_the_failed_subset() {
+        let dir = scratch_dir("rerun-failed");
+        let mk_exec = || {
             Exec::new(ExecConfig {
                 jobs: 1,
                 cache_dir: Some(dir.clone()),
-                resume,
                 ..ExecConfig::default()
             })
         };
@@ -306,7 +303,7 @@ mod tests {
                     let calls = Arc::clone(calls);
                     Job::new(
                         format!("rf{x}"),
-                        Json::object().with("kind", "resume-failed").with("x", x),
+                        Json::object().with("kind", "rerun-failed").with("x", x),
                         move |spec| {
                             calls.fetch_add(1, Ordering::Relaxed);
                             if fail.contains(&x) {
@@ -319,21 +316,22 @@ mod tests {
                 })
                 .collect()
         };
-        let first = mk_exec(false).run_campaign("resume-failed", mk_jobs(&[1, 3], &calls));
+        let first = mk_exec().run_campaign("rerun-failed", mk_jobs(&[1, 3], &calls));
         assert_eq!(first.failures.len(), 2);
         assert_eq!(calls.load(Ordering::Relaxed), 5);
 
-        // Resumed run with the fault cleared: the three successes replay
-        // from the manifest + cache; only jobs 1 and 3 recompute.
+        // Rerun with the fault cleared: the three successes replay from
+        // the cache, which never stored a failure; only jobs 1 and 3
+        // recompute.
         let calls2 = Arc::new(AtomicU64::new(0));
-        let second = mk_exec(true).run_campaign("resume-failed", mk_jobs(&[], &calls2));
+        let second = mk_exec().run_campaign("rerun-failed", mk_jobs(&[], &calls2));
         assert!(second.is_fully_green(), "{:?}", second.failures);
         assert_eq!(
             calls2.load(Ordering::Relaxed),
             2,
-            "resume must recompute exactly the failed subset"
+            "a rerun must recompute exactly the failed subset"
         );
-        assert_eq!(second.count(JobSource::Resumed), 3);
+        assert_eq!(second.count(JobSource::Cached), 3);
         assert_eq!(second.count(JobSource::Computed), 2);
         let expected: Vec<Json> = (0..5u64).map(|x| Json::UInt(x * 10)).collect();
         assert_eq!(second.results, expected);
@@ -361,9 +359,9 @@ mod tests {
             let argv: Vec<String> = list.iter().map(|s| (*s).to_owned()).collect();
             ExecConfig::from_args(&spec.try_parse(&argv).expect("flags parse"))
         };
-        let cfg = parse(&["--quick", "--jobs", "4", "--no-cache", "--resume"]);
+        let cfg = parse(&["--quick", "--jobs", "4", "--no-cache"]);
         assert_eq!(cfg.jobs, 4);
-        assert!(cfg.no_cache && cfg.resume && cfg.heartbeat);
+        assert!(cfg.no_cache && cfg.heartbeat);
         let cfg = parse(&["--timeout-secs", "9", "--retries", "0", "--no-heartbeat"]);
         assert_eq!((cfg.timeout_secs, cfg.retries), (Some(9), 0));
         assert!(!cfg.heartbeat);

@@ -1,33 +1,18 @@
-//! A work-stealing pool of `std::thread` workers.
+//! A shared-queue pool of `std::thread` workers.
 //!
 //! The hermetic build has no rayon, so this module hand-rolls the small
 //! slice of it the campaign runner needs: run `n` independent closures on
-//! `w` workers, let idle workers steal from busy ones, and return the
-//! results **in input order** so downstream output is byte-identical
-//! regardless of how the schedule played out.
-//!
-//! Each worker owns a deque seeded round-robin with a share of the items.
-//! Workers pop their own deque from the front (cache-friendly: a worker
-//! runs its share in order) and steal from a victim's back (stealing the
-//! work its owner would reach last). All deques are mutex-guarded — at
-//! experiment granularity (each job simulates thousands of cycles or
-//! evaluates a full analytic model) lock traffic is noise, and the
-//! implementation stays obviously correct.
+//! `w` workers pulling from one mutex-guarded queue, isolate each job's
+//! panic or hang to its own slot, and return the results **in input
+//! order** so downstream output is byte-identical regardless of how the
+//! schedule played out. At experiment granularity (each job simulates
+//! thousands of cycles) lock traffic on the queue is noise.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// What one worker did during a [`run_ordered`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Jobs this worker executed (own + stolen).
-    pub executed: u64,
-    /// Of those, jobs stolen from another worker's deque.
-    pub stolen: u64,
-}
 
 /// Detects the number of workers for "all cores", and whether detection
 /// failed. On failure the pool degrades to one worker; callers should
@@ -81,26 +66,27 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Fault-isolating variant of [`run_ordered`]: every job runs under
-/// `catch_unwind`, so one panicking job yields `Err(JobError::Panicked)`
-/// in its own slot instead of poisoning the pool and discarding everyone
-/// else's results. With `timeout` set, a watchdog marks jobs that run too
-/// long as `Err(JobError::TimedOut)` and spawns a replacement worker so
-/// throughput is preserved; the hung thread itself is abandoned (detached)
-/// and its eventual result, if any, is discarded.
+/// Runs `f` over every item on `workers` threads and returns the results
+/// in input order, plus the number of jobs each worker executed. Every
+/// job runs under `catch_unwind`, so one panicking job yields
+/// `Err(JobError::Panicked)` in its own slot instead of poisoning the
+/// pool and discarding everyone else's results. With `timeout` set, a
+/// watchdog marks jobs that run too long as `Err(JobError::TimedOut)`
+/// and spawns a replacement worker so throughput is preserved; the hung
+/// thread itself is abandoned (detached) and its eventual result, if
+/// any, is discarded.
 ///
-/// Unlike [`run_ordered`] the workers are detached threads pulling from a
-/// single shared queue (abandoning a hung job is impossible with scoped
-/// threads, whose join blocks on it), hence the `'static` bounds. Results
-/// still come back in input order. `f` receives the id of the worker
-/// running it (0 on the sequential path; a watchdog replacement worker
-/// gets a fresh id) alongside the item.
+/// The workers are detached threads (abandoning a hung job is impossible
+/// with scoped threads, whose join blocks on it), hence the `'static`
+/// bounds. `f` receives the id of the worker running it (0 on the
+/// sequential path; a watchdog replacement worker gets a fresh id)
+/// alongside the item.
 pub fn run_ordered_resilient<T, R, F>(
     workers: usize,
     items: Vec<T>,
     timeout: Option<Duration>,
     f: F,
-) -> (Vec<Result<R, JobError>>, Vec<WorkerStats>)
+) -> (Vec<Result<R, JobError>>, Vec<u64>)
 where
     T: Send + 'static,
     R: Send + 'static,
@@ -117,19 +103,14 @@ where
                     .map_err(|p| JobError::Panicked(panic_message(p)))
             })
             .collect();
-        let stats = vec![WorkerStats {
-            executed: n as u64,
-            stolen: 0,
-        }];
-        return (results, stats);
+        return (results, vec![n as u64]);
     }
 
     let queue: Arc<Mutex<VecDeque<(usize, T)>>> =
         Arc::new(Mutex::new(items.into_iter().enumerate().collect()));
     let started: Arc<Mutex<Vec<Option<Instant>>>> =
         Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-    let stats: Arc<Mutex<Vec<WorkerStats>>> =
-        Arc::new(Mutex::new(vec![WorkerStats::default(); workers]));
+    let stats: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; workers]));
     let f = Arc::new(f);
     let (tx, rx) = mpsc::channel::<(usize, Result<R, JobError>)>();
 
@@ -149,9 +130,9 @@ where
             {
                 let mut s = stats.lock().expect("stats lock");
                 if s.len() <= id {
-                    s.resize(id + 1, WorkerStats::default());
+                    s.resize(id + 1, 0);
                 }
-                s[id].executed += 1;
+                s[id] += 1;
             }
             // A send can only fail if the collector is gone (all live
             // slots already resolved); the late result is then discarded.
@@ -221,96 +202,6 @@ where
     (results, stats)
 }
 
-/// Runs `f` over every item on `workers` threads and returns the results
-/// in input order, plus per-worker statistics. `f` receives the item's
-/// input index alongside the item.
-///
-/// # Panics
-///
-/// Propagates a panic from any job after the scope joins.
-pub fn run_ordered<T, R, F>(workers: usize, items: Vec<T>, f: F) -> (Vec<R>, Vec<WorkerStats>)
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = workers.max(1).min(n.max(1));
-    if workers == 1 {
-        // Sequential fast path: no threads, same observable results.
-        let results = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-        let stats = vec![WorkerStats {
-            executed: n as u64,
-            stolen: 0,
-        }];
-        return (results, stats);
-    }
-
-    // Deal items round-robin so early and late items spread evenly; each
-    // deque entry keeps its input index for ordered reassembly.
-    let mut deques: Vec<VecDeque<(usize, T)>> = (0..workers).map(|_| VecDeque::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        deques[i % workers].push_back((i, item));
-    }
-    let deques: Vec<Mutex<VecDeque<(usize, T)>>> = deques.into_iter().map(Mutex::new).collect();
-
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let stats: Vec<Mutex<WorkerStats>> = (0..workers).map(|_| Mutex::default()).collect();
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let deques = &deques;
-            let stats = &stats;
-            let f = &f;
-            scope.spawn(move || {
-                let mut local = WorkerStats::default();
-                loop {
-                    // Own work first (front), then steal (victim's back).
-                    let mut job = deques[w].lock().expect("deque lock").pop_front();
-                    let mut stolen = false;
-                    if job.is_none() {
-                        for v in 1..workers {
-                            let victim = (w + v) % workers;
-                            job = deques[victim].lock().expect("deque lock").pop_back();
-                            if job.is_some() {
-                                stolen = true;
-                                break;
-                            }
-                        }
-                    }
-                    let Some((idx, item)) = job else { break };
-                    local.executed += 1;
-                    local.stolen += u64::from(stolen);
-                    // A send can only fail if the receiver is gone, which
-                    // means the scope is unwinding from a panic already.
-                    let _ = tx.send((idx, f(idx, item)));
-                }
-                *stats[w].lock().expect("stats lock") = local;
-            });
-        }
-    });
-    drop(tx);
-
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (idx, result) in rx {
-        slots[idx] = Some(result);
-    }
-    let results = slots
-        .into_iter()
-        .map(|s| s.expect("every job sent a result"))
-        .collect();
-    let stats = stats
-        .into_iter()
-        .map(|m| m.into_inner().expect("stats lock"))
-        .collect();
-    (results, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,54 +210,35 @@ mod tests {
     #[test]
     fn results_come_back_in_input_order() {
         for workers in [1, 2, 4, 8] {
-            let items: Vec<u64> = (0..100).collect();
-            let (out, stats) = run_ordered(workers, items, |i, x| {
-                assert_eq!(i as u64, x);
-                x * 3
-            });
+            let (out, stats) =
+                run_ordered_resilient(workers, (0..100u64).collect(), None, |_, x| x * 3);
+            let out: Vec<u64> = out.into_iter().map(|r| r.expect("success")).collect();
             assert_eq!(out, (0..100).map(|x| x * 3).collect::<Vec<u64>>());
-            let executed: u64 = stats.iter().map(|s| s.executed).sum();
-            assert_eq!(executed, 100);
+            assert_eq!(stats.iter().sum::<u64>(), 100);
         }
     }
 
     #[test]
     fn every_job_runs_exactly_once() {
-        let counter = AtomicU64::new(0);
-        let (_, _) = run_ordered(4, (0..257).collect::<Vec<u32>>(), |_, _| {
-            counter.fetch_add(1, Ordering::Relaxed)
+        let counter = Arc::new(AtomicU64::new(0));
+        let calls = Arc::clone(&counter);
+        run_ordered_resilient(4, (0..257).collect::<Vec<u32>>(), None, move |_, _| {
+            calls.fetch_add(1, Ordering::Relaxed)
         });
         assert_eq!(counter.load(Ordering::Relaxed), 257);
     }
 
     #[test]
-    fn imbalanced_work_gets_stolen() {
-        // Worker 0's share (round-robin: even indices) is made slow; the
-        // other workers finish their own items and must steal to keep the
-        // total executed count right.
-        let (out, stats) = run_ordered(4, (0..64u64).collect::<Vec<_>>(), |i, x| {
-            if i % 4 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            x
-        });
-        assert_eq!(out.len(), 64);
-        assert_eq!(stats.iter().map(|s| s.executed).sum::<u64>(), 64);
-        // Steal counts are schedule-dependent; the invariant is that they
-        // are consistent, not that any particular steal happened.
-        assert!(stats.iter().all(|s| s.stolen <= s.executed));
-    }
-
-    #[test]
     fn empty_input_is_fine() {
-        let (out, stats) = run_ordered(8, Vec::<u8>::new(), |_, x| x);
+        let (out, stats) = run_ordered_resilient(8, Vec::<u8>::new(), None, |_, x| x);
         assert!(out.is_empty());
-        assert_eq!(stats.iter().map(|s| s.executed).sum::<u64>(), 0);
+        assert_eq!(stats.iter().sum::<u64>(), 0);
     }
 
     #[test]
     fn more_workers_than_items_clamps() {
-        let (out, stats) = run_ordered(16, vec![1, 2, 3], |_, x| x * 2);
+        let (out, stats) = run_ordered_resilient(16, vec![1, 2, 3], None, |_, x| x * 2);
+        let out: Vec<i32> = out.into_iter().map(|r| r.expect("success")).collect();
         assert_eq!(out, vec![2, 4, 6]);
         assert!(stats.len() <= 3);
     }
@@ -399,7 +271,7 @@ mod tests {
                     assert_eq!(r.as_ref().expect("success"), &((i as u64) * 2));
                 }
             }
-            assert_eq!(stats.iter().map(|s| s.executed).sum::<u64>(), 20);
+            assert_eq!(stats.iter().sum::<u64>(), 20);
         }
     }
 
@@ -433,21 +305,6 @@ mod tests {
             started.elapsed() < Duration::from_secs(20),
             "the pool must not wait out the hung job"
         );
-    }
-
-    #[test]
-    fn resilient_matches_run_ordered_on_clean_jobs() {
-        let items: Vec<u64> = (0..50).collect();
-        let (clean, _) = run_ordered(3, items.clone(), |_, x| x * x);
-        let (resilient, _) = run_ordered_resilient(3, items, None, |_, x| x * x);
-        let unwrapped: Vec<u64> = resilient.into_iter().map(|r| r.expect("success")).collect();
-        assert_eq!(clean, unwrapped);
-    }
-
-    #[test]
-    fn resilient_empty_input_is_fine() {
-        let (out, _) = run_ordered_resilient(4, Vec::<u8>::new(), None, |_, x| x);
-        assert!(out.is_empty());
     }
 
     #[test]

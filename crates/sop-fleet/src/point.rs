@@ -5,8 +5,8 @@
 //! and every resolved simulation parameter — so its canonical JSON
 //! form is a sound content-address for the result. Evaluation is a
 //! pure function of the spec ([`crate::simulate`] is deterministic),
-//! so the engine may cache, parallelize, and resume fleet campaigns
-//! freely without changing a single byte of the report.
+//! so the engine may cache and parallelize fleet campaigns freely
+//! without changing a single byte of the report.
 //!
 //! The result row carries what the fleet report consumes: the costed
 //! server ([`ServerSpec`]), run totals, overall p50/p95/p99, cost per

@@ -33,8 +33,5 @@ pub mod validation;
 
 pub use interconnect::{grid_dims, Interconnect};
 pub use perf::{DesignPoint, PerfBreakdown, PerfEstimate};
-pub use sweep::{
-    average_per_core_ipc, capacity_sweep, capacity_sweep_on, core_count_sweep, core_count_sweep_on,
-    SweepPoint,
-};
+pub use sweep::{average_per_core_ipc, capacity_sweep, core_count_sweep, SweepPoint};
 pub use validation::ErrorStats;

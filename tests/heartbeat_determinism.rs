@@ -194,6 +194,36 @@ fn job_event_set_is_identical_across_worker_counts() {
     );
 }
 
+/// Two workers emitting at once still write the stream in `t_us`
+/// order: the clock is read under the stream's lock.
+#[test]
+fn two_worker_streams_never_go_back_in_time() {
+    let dir = Scratch::new("order");
+    let jobs: Vec<Job<'static>> = (0..128u64)
+        .map(|i| {
+            Job::new(
+                format!("tick/{i}"),
+                Json::object().with("i", i).with("suite", "hb-order"),
+                Json::clone,
+            )
+        })
+        .collect();
+    let run = exec_in(&dir.0, 2).run_campaign("hb-order", jobs);
+    assert!(run.is_fully_green(), "{:?}", run.failures);
+    let events = read_events(&dir.0.join(PROGRESS_FILE));
+    assert_eq!(
+        events.len(),
+        2 + 2 * 128,
+        "start, end, start+finish per job"
+    );
+    let t: Vec<f64> = events
+        .iter()
+        .map(|e| e.get("t_us").and_then(Json::as_f64).expect("t_us"))
+        .collect();
+    let back = t.windows(2).position(|w| w[1] < w[0]);
+    assert!(back.is_none(), "t_us decreases after event {back:?}");
+}
+
 /// Runs `campaign` cold and then warm in one cache directory on
 /// `workers` threads. Checks that every cold `job_finish` carries
 /// exactly the work `expected` names for its job (once per job, on a
