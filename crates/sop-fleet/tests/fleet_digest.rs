@@ -7,19 +7,33 @@
 //! the chip and domain fault counts and every derived figure the
 //! `sop fleet --resilience` report prints. The plain configurations
 //! cover both repair policies at two seeds, an overloaded fleet (the
-//! admission-overflow path), and a one-server drain fleet that leaves
-//! no routable server while it is down; the resilience configurations
-//! cover every topology x retry x shed cell at 16 servers and the
-//! storm pair at 16 servers (the outage takes the whole fleet) and at
-//! 64 (it takes half). The pinned digests were measured on the
+//! admission-overflow path), a one-server drain fleet that leaves no
+//! routable server while it is down, and two low-capacity fleets; the
+//! resilience configurations cover every topology x retry x shed cell
+//! at 16 servers, the storm pair at 16 servers (the outage takes the
+//! whole fleet) and at 64 (it takes half), and at each low capacity a
+//! hedging cell and a shedding one. The pinned digests were measured on the
 //! simulator that ran the plain fleet and the resilience layer as two
 //! separate tick loops, so they hold any restructuring of the loop to
-//! its exact results.
+//! its exact results; the low-capacity digests were measured on the
+//! loop that divided by the server's capacity once per latency bucket,
+//! so they hold its replacement to the same results.
+//!
+//! Every other cell serves 5000 requests per tick or more, so
+//! consecutive queue positions differ by under one millisecond and
+//! never skip a histogram bucket. The low-capacity cells serve 600
+//! (under 1000, so positions differ by more than a millisecond) and 20
+//! per tick. At 20 a position waits 50 ms longer than the one before,
+//! so a run of latencies jumps from the 16..31 ms bucket straight to
+//! the 64..127 ms one.
 
 use sop_fleet::{
-    resilience_grid, simulate, simulate_resilience, storm_pair, FleetPointSpec, Policy,
-    ResiliencePointSpec, SimParams,
+    resilience_grid, simulate, simulate_resilience, storm_pair, DomainTopology, FleetOutcome,
+    FleetPointSpec, Policy, ResilienceParams, ResiliencePointSpec, RetryPolicy, SimParams,
 };
+
+/// Healthy per-server capacities of the low-capacity cells.
+const LOW_CAPACITIES: [u64; 2] = [600, 20];
 
 /// FNV-1a over bytes: stable across platforms and toolchains, unlike
 /// the standard library's hasher.
@@ -83,7 +97,28 @@ fn plain_digest(p: &SimParams) -> u64 {
 }
 
 fn resilience_digest(spec: &ResiliencePointSpec) -> u64 {
-    let out = simulate_resilience(&spec.params());
+    let mut d = resilience_outcome_digest(&simulate_resilience(&spec.params()));
+    d.bytes(spec.evaluate().to_compact_string().as_bytes());
+    d.0
+}
+
+/// A low-capacity resilience cell: the rack topology and hedging
+/// clients, with the shedder armed or not. Unshedded queues grow past
+/// the hedge threshold, so hedged latencies are recorded; a shedding
+/// server admits under the shed target instead of the deadline.
+fn low_capacity_resilience(per_server_qps: u64, shed: bool) -> ResilienceParams {
+    ResilienceParams::quick(
+        16,
+        per_server_qps,
+        Policy::Derate,
+        42,
+        DomainTopology::from_label("rack").expect("known topology"),
+        RetryPolicy::from_label("hedge").expect("known policy"),
+        shed,
+    )
+}
+
+fn resilience_outcome_digest(out: &FleetOutcome) -> Digest {
     let mut d = Digest::new();
     for w in &out.windows {
         for v in [
@@ -143,8 +178,7 @@ fn resilience_digest(spec: &ResiliencePointSpec) -> u64 {
             d.word(v);
         }
     }
-    d.bytes(spec.evaluate().to_compact_string().as_bytes());
-    d.0
+    d
 }
 
 /// `(name, plain configuration, digest)`.
@@ -179,6 +213,16 @@ fn plain_golden() -> Vec<(String, SimParams, u64)> {
         },
         0xae4c_ba66_7804_2c13,
     ));
+    for (qps, want) in LOW_CAPACITIES
+        .into_iter()
+        .zip([0x412b_bff7_709f_d0b9u64, 0xb075_04f0_7ce4_09d7])
+    {
+        cases.push((
+            format!("quick-16-derate-{qps}qps"),
+            SimParams::quick(16, qps, Policy::Derate, 42),
+            want,
+        ));
+    }
     cases
 }
 
@@ -276,6 +320,27 @@ fn resilience_outcomes_match_their_golden_digests() {
 }
 
 #[test]
+fn low_capacity_resilience_outcomes_match_their_golden_digests() {
+    let mut wrong = Vec::new();
+    // `(capacity, shed, digest)`.
+    for (qps, shed, want) in [
+        (600, false, 0xd483_5b12_b4df_578au64),
+        (600, true, 0xcb16_a7ad_502a_5b37),
+        (20, false, 0x6168_2e93_d855_ef05),
+        (20, true, 0x73e8_0f8a_f05c_fbc0),
+    ] {
+        let out = simulate_resilience(&low_capacity_resilience(qps, shed));
+        let got = resilience_outcome_digest(&out).0;
+        if got != want {
+            wrong.push(format!(
+                "{qps} qps shed={shed}: got {got:#018x}, want {want:#018x}"
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "digest mismatches:\n{}", wrong.join("\n"));
+}
+
+#[test]
 fn the_pinned_configurations_reach_the_paths_they_cover() {
     let golden = plain_golden();
     let run = |name: &str| {
@@ -296,4 +361,14 @@ fn the_pinned_configurations_reach_the_paths_they_cover() {
     let storm64 = simulate_resilience(&storm_pair("scaleout-ooo", 64, 42, true)[0].params());
     assert!(storm64.totals.blackholed > 0);
     assert_eq!(storm64.totals.unreachable, 0);
+    // The low-capacity fleets admit; their unshedded resilience cells
+    // hedge and their shedding ones shed.
+    for qps in LOW_CAPACITIES {
+        let plain = run(&format!("quick-16-derate-{qps}qps"));
+        assert!(plain.latency.count() > 0, "{qps} qps");
+        let hedging = simulate_resilience(&low_capacity_resilience(qps, false)).totals;
+        assert!(hedging.hedges > 0, "{qps} qps: {hedging:?}");
+        let shedding = simulate_resilience(&low_capacity_resilience(qps, true)).totals;
+        assert!(shedding.shed > 0, "{qps} qps: {shedding:?}");
+    }
 }
