@@ -432,9 +432,15 @@ impl Exec {
             assert!(!ready.is_empty(), "dependency cycle among jobs {blocked:?}");
             remaining = blocked;
 
-            // Satisfy what the cache already knows, and fail
-            // dependents of failed jobs without running them.
-            let mut to_compute = Vec::new();
+            // Fail dependents of failed jobs without running them, and
+            // collapse the rest by spec: two jobs in the same wave can
+            // share one (e.g. one simulation point feeding two figures),
+            // so each distinct hash is looked up, and if need be
+            // evaluated, once and its result fanned out. `--no-cache`
+            // disables this memoization along with the rest.
+            let mut unique: Vec<usize> = Vec::new();
+            let mut dup_of: Vec<(usize, usize)> = Vec::new();
+            let mut seen: HashMap<u64, usize> = HashMap::new();
             for &i in &ready {
                 let failed_dep = jobs[i].deps.iter().copied().find(|&d| {
                     outcomes[d]
@@ -455,6 +461,18 @@ impl Exec {
                     );
                     continue;
                 }
+                match seen.get(&hashes[i]) {
+                    Some(&pos) if self.cache.is_some() => dup_of.push((i, pos)),
+                    _ => {
+                        seen.insert(hashes[i], unique.len());
+                        unique.push(i);
+                    }
+                }
+            }
+
+            // Satisfy what the cache already knows.
+            let mut to_compute = Vec::new();
+            for &i in &unique {
                 let cached = self.cache.as_ref().and_then(|c| c.get(hashes[i]));
                 match cached {
                     Some(result) => {
@@ -473,23 +491,6 @@ impl Exec {
                 }
             }
 
-            // Two jobs in the same wave can share a spec (e.g. one
-            // simulation point feeding two figures); evaluate each
-            // distinct hash once and fan the result out. `--no-cache`
-            // disables this memoization along with the rest.
-            let mut unique: Vec<usize> = Vec::new();
-            let mut dup_of: Vec<(usize, usize)> = Vec::new();
-            let mut seen: HashMap<u64, usize> = HashMap::new();
-            for &i in &to_compute {
-                match seen.get(&hashes[i]) {
-                    Some(&pos) if self.cache.is_some() => dup_of.push((i, pos)),
-                    _ => {
-                        seen.insert(hashes[i], unique.len());
-                        unique.push(i);
-                    }
-                }
-            }
-
             // Evaluate the rest concurrently with panic isolation, the
             // per-job watchdog, and bounded exponential-backoff retry for
             // transient jobs; results return in order.
@@ -502,7 +503,7 @@ impl Exec {
                 let campaign = name.to_owned();
                 let (done, stats) = pool::run_ordered_resilient(
                     self.workers,
-                    unique.clone(),
+                    to_compute.clone(),
                     self.timeout,
                     move |worker, i| {
                         let job = &jobs[i];
@@ -549,7 +550,7 @@ impl Exec {
                 }
                 done
             };
-            for (&i, evaluated) in unique.iter().zip(computed) {
+            for (&i, evaluated) in to_compute.iter().zip(computed) {
                 let (error, retried) = match evaluated {
                     Ok(Ok((result, us, retried))) => {
                         if let Some(cache) = &self.cache {

@@ -72,7 +72,9 @@ use sop_obs::Histogram;
 
 use crate::domains::{DomainFault, DomainFaultPlan, DomainLevel, DomainTopology, TOPOLOGIES};
 use crate::failure::FleetFaultPlan;
-use crate::sim::{record_latencies, severity_curve, FleetOutcome, Policy, SimParams, WindowStats};
+use crate::sim::{
+    record_latencies, severity_curve, FleetOutcome, LatencyRuns, Policy, SimParams, WindowStats,
+};
 use crate::traffic::TrafficModel;
 
 /// Ticks between health probes of a given server (probes are staggered
@@ -386,6 +388,9 @@ impl REventKind {
 
 struct Server {
     eff_cap: u64,
+    // Where admitted latencies change histogram bucket at `eff_cap`;
+    // rebuilt wherever `eff_cap` changes to a live capacity.
+    runs: LatencyRuns,
     backlog: u64,
     in_rotation: bool,
     ejected: bool,
@@ -519,7 +524,7 @@ impl RetryRing {
 
 /// Largest queue position whose FIFO wait at per-tick capacity `cap`
 /// does not exceed `limit_ms`: `floor(pos*1000/cap) <= limit`.
-fn max_pos_within(limit_ms: u64, cap: u64) -> u64 {
+pub(crate) fn max_pos_within(limit_ms: u64, cap: u64) -> u64 {
     ((limit_ms + 1) * cap - 1) / 1000
 }
 
@@ -650,10 +655,19 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
         p.duration_ticks,
     );
 
+    // Every admission bound a server can apply: the deadline, and the
+    // shed target when the shedder is armed.
+    let admit_limit_ms = if shed {
+        p.deadline_ms.max(SHED_TARGET_MS)
+    } else {
+        p.deadline_ms
+    };
+    let healthy_runs = LatencyRuns::new(p.per_server_qps, p.service_ms, admit_limit_ms);
     let n = p.servers as usize;
     let mut servers: Vec<Server> = (0..n)
         .map(|_| Server {
             eff_cap: p.per_server_qps,
+            runs: healthy_runs.clone(),
             backlog: 0,
             in_rotation: true,
             ejected: false,
@@ -700,6 +714,9 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
         } else {
             ((p.per_server_qps as f64 * rel).round() as u64).max(1)
         };
+        if sv.eff_cap > 0 && sv.eff_cap != sv.runs.cap() {
+            sv.runs.rebuild(sv.eff_cap);
+        }
     };
 
     let mut ring = RetryRing::new();
@@ -990,7 +1007,8 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
                     None => useful,
                 };
                 let hedged = useful - plain;
-                record_latencies(&mut win_hist, s.backlog, plain, cap, p.service_ms);
+                debug_assert_eq!(s.runs.cap(), cap);
+                record_latencies(&mut win_hist, &s.runs, s.backlog, plain);
                 if hedged > 0 {
                     hedges_wanted += hedged;
                     match hedge_clamp {
@@ -999,22 +1017,10 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
                             let unclamped = (max_pos_within(clamp_wait, cap) + 1)
                                 .saturating_sub(s.backlog + plain)
                                 .min(hedged);
-                            record_latencies(
-                                &mut win_hist,
-                                s.backlog + plain,
-                                unclamped,
-                                cap,
-                                p.service_ms,
-                            );
+                            record_latencies(&mut win_hist, &s.runs, s.backlog + plain, unclamped);
                             win_hist.record_n(clamp, hedged - unclamped);
                         }
-                        None => record_latencies(
-                            &mut win_hist,
-                            s.backlog + plain,
-                            hedged,
-                            cap,
-                            p.service_ms,
-                        ),
+                        None => record_latencies(&mut win_hist, &s.runs, s.backlog + plain, hedged),
                     }
                 }
                 // The doomed clients give up at their timeout, then

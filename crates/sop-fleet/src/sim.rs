@@ -46,7 +46,7 @@
 use sop_obs::{Histogram, SeriesSet, TimeSeries};
 use sop_tco::DegradationCurve;
 
-use crate::resilience::{run, ResilienceParams, StormStats, Totals};
+use crate::resilience::{max_pos_within, run, ResilienceParams, StormStats, Totals};
 
 /// What a damaged server does until repair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -333,16 +333,108 @@ impl FleetOutcome {
     }
 }
 
+/// Where runs of FIFO latencies change histogram bucket on one server:
+/// a table over the buckets that its admitted requests can reach,
+/// valid for one per-tick capacity.
+///
+/// Queue position `m` waits `m * 1000 / cap` ms, so a request there
+/// has latency `lat(m) = service_ms + m * 1000 / cap`. That is
+/// non-decreasing in `m`, so the positions whose latencies share a
+/// bucket form one run. For each bucket the table holds the run's last
+/// position, its latency and the next position's latency. The entries
+/// depend only on the capacity and the service time, and a server's
+/// capacity changes only at fault and repair events, so the tick loop
+/// rebuilds a server's table there ([`rebuild`](Self::rebuild)) and
+/// [`record_latencies`] reads it on every admitting tick.
+///
+/// Every admitted position is below `cap * limit_ms / 1000`, where
+/// `limit_ms` is the largest admission bound, so every recorded
+/// latency is at most `service_ms + limit_ms - 1`. The table covers
+/// the buckets from `service_ms`'s up to, not including, that
+/// latency's: a run can end early only in those. Building no further
+/// keeps `(headroom + 1) * cap` within the values a divide-per-run
+/// loop over the same requests would compute.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LatencyRuns {
+    /// Per-tick capacity the entries hold for.
+    cap: u64,
+    /// Base service latency of an unqueued request.
+    service_ms: u64,
+    /// The largest admission bound.
+    limit_ms: u64,
+    /// Bucket index of `service_ms`, the first the table covers.
+    first: usize,
+    /// One entry per covered bucket, from `first` up.
+    ends: Vec<RunEnd>,
+}
+
+/// The last position of one bucket's run and the latencies either side
+/// of the bucket boundary.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RunEnd {
+    /// Last queue position whose latency fits the bucket.
+    pos: u64,
+    /// That position's latency.
+    lat: u64,
+    /// The next position's latency: the next run's first.
+    next_lat: u64,
+}
+
+impl LatencyRuns {
+    /// The table for capacity `cap`, service time `service_ms` and the
+    /// largest admission bound `limit_ms`.
+    pub(crate) fn new(cap: u64, service_ms: u64, limit_ms: u64) -> LatencyRuns {
+        let first = Histogram::bucket_index(service_ms);
+        let top = Histogram::bucket_index(service_ms + limit_ms.saturating_sub(1));
+        let mut runs = LatencyRuns {
+            cap: 0,
+            service_ms,
+            limit_ms,
+            first,
+            ends: vec![RunEnd::default(); top - first],
+        };
+        runs.rebuild(cap);
+        runs
+    }
+
+    /// The capacity the table is built for.
+    pub(crate) fn cap(&self) -> u64 {
+        self.cap
+    }
+
+    /// Rebuilds the table in place for capacity `cap`.
+    pub(crate) fn rebuild(&mut self, cap: u64) {
+        debug_assert!(cap > 0);
+        self.cap = cap;
+        let service_ms = self.service_ms;
+        let lat = |pos: u64| service_ms + pos * 1000 / cap;
+        for (i, end) in self.ends.iter_mut().enumerate() {
+            let upper = Histogram::index_upper(self.first + i);
+            let pos = max_pos_within(upper - service_ms, cap);
+            *end = RunEnd {
+                pos,
+                lat: lat(pos),
+                next_lat: lat(pos + 1),
+            };
+        }
+    }
+}
+
 /// Records the latencies of `accepted` FIFO requests admitted behind a
-/// backlog of `backlog` at per-tick capacity `cap`: request `j` waits
-/// `(backlog + j) * 1000 / cap` ms behind the queue, plus the base
-/// service time. Latencies are non-decreasing in `j`, so runs of
-/// requests sharing a power-of-two bucket are recorded with
-/// `record_n` — O(buckets), not O(requests). Bucket counts, quantile
-/// estimates, and the recorded maximum are exactly those of recording
-/// each latency individually; only the internal sum (hence `mean`) is
-/// a lower-bound approximation, since a run is attributed to its first
-/// latency (its last is recorded individually to keep `max` exact).
+/// backlog of `backlog` on a server whose latency-run table is `runs`:
+/// request `j` waits `(backlog + j) * 1000 / cap` ms behind the queue,
+/// plus the base service time. Latencies are non-decreasing in `j`, so
+/// each run of requests sharing a power-of-two bucket is recorded at
+/// once, as copies of its first latency and one of its last
+/// ([`Histogram::record_run`]). Only the first and last requests'
+/// latencies are divided out: every run before the last ends where the
+/// table says, and the next starts at the latency the table holds, so a
+/// call costs two divides and one table load per bucket boundary it
+/// crosses. Bucket counts, quantile estimates, and the recorded maximum are
+/// exactly those of recording each latency individually; only the
+/// internal sum (hence `mean`) is a lower-bound approximation, since a
+/// run is attributed to its first latency (its last is recorded
+/// individually to keep `max` exact).
 ///
 /// Always inlined: the tick loop calls it once per admitting server per
 /// tick, and left to the compiler it stayed out of line and cost the
@@ -350,37 +442,32 @@ impl FleetOutcome {
 #[inline(always)]
 pub(crate) fn record_latencies(
     hist: &mut Histogram,
+    runs: &LatencyRuns,
     backlog: u64,
     accepted: u64,
-    cap: u64,
-    service_ms: u64,
 ) {
-    debug_assert!(cap > 0);
-    let record_run = |hist: &mut Histogram, first: u64, j0: u64, j1: u64| {
-        // Run of requests j0..j1 sharing a bucket; `first` is request
-        // j0's latency. Record the last latency individually so the
-        // histogram's max is the true maximum.
-        let last = service_ms + (backlog + j1 - 1) * 1000 / cap;
-        hist.record_n(first, j1 - j0 - 1);
-        hist.record(last);
-    };
-    let mut j = 0u64;
-    while j < accepted {
-        let lat = service_ms + (backlog + j) * 1000 / cap;
-        let upper = Histogram::bucket_upper(lat);
-        if upper == u64::MAX {
-            // Open-ended top bucket: every later (larger) latency lands
-            // here too.
-            record_run(hist, lat, j, accepted);
-            return;
-        }
-        // Largest queue position m with service_ms + m*1000/cap <= upper.
-        let headroom = upper - service_ms;
-        let m_max = ((headroom + 1) * cap - 1) / 1000;
-        let end = (m_max - backlog + 1).min(accepted);
-        record_run(hist, lat, j, end);
-        j = end;
+    if accepted == 0 {
+        return;
     }
+    let (cap, service_ms) = (runs.cap, runs.service_ms);
+    let last = backlog + accepted - 1;
+    debug_assert!(
+        last < cap * runs.limit_ms / 1000,
+        "position {last} is past the admission bound"
+    );
+    let last_lat = service_ms + last * 1000 / cap;
+    let last_bucket = Histogram::bucket_index(last_lat);
+    let mut pos = backlog;
+    let mut lat = service_ms + pos * 1000 / cap;
+    let mut bucket = Histogram::bucket_index(lat);
+    while bucket < last_bucket {
+        let end = runs.ends[bucket - runs.first];
+        hist.record_run(lat, end.pos - pos + 1, end.lat);
+        pos = end.pos + 1;
+        lat = end.next_lat;
+        bucket = Histogram::bucket_index(lat);
+    }
+    hist.record_run(lat, last - pos + 1, last_lat);
 }
 
 /// Runs one fleet simulation to completion in the plain
@@ -509,40 +596,161 @@ mod tests {
         }
     }
 
+    /// The divide-per-run loop the latency-run table replaced: one
+    /// divide for each run's first latency, one for its last. The table
+    /// must reproduce its histograms bit for bit, sum included.
+    fn record_by_division(
+        hist: &mut Histogram,
+        backlog: u64,
+        accepted: u64,
+        cap: u64,
+        service_ms: u64,
+    ) {
+        let mut j = 0u64;
+        while j < accepted {
+            let lat = service_ms + (backlog + j) * 1000 / cap;
+            let upper = Histogram::bucket_upper(lat);
+            let end = if upper == u64::MAX {
+                accepted
+            } else {
+                let m_max = max_pos_within(upper - service_ms, cap);
+                (m_max - backlog + 1).min(accepted)
+            };
+            hist.record_n(lat, end - j - 1);
+            hist.record(service_ms + (backlog + end - 1) * 1000 / cap);
+            j = end;
+        }
+    }
+
+    /// A capacity in 1..=100_000 from a draw: uniform, a power of two,
+    /// below 1000, where consecutive positions wait more than a
+    /// millisecond apart, or below 64, where they wait over 15 ms apart
+    /// and short latencies skip buckets.
+    fn capacity(kind: u64, raw: u64) -> u64 {
+        match kind {
+            0 => 1 + raw % 100_000,
+            1 => 1 << (raw % 17),
+            2 => 1 + raw % 999,
+            _ => 1 + raw % 63,
+        }
+    }
+
+    /// Exclusive upper ends for backlog, admission and service-time
+    /// draws: short queues and service times, where low capacities skip
+    /// buckets, as often as long ones.
+    const SCALES: [u64; 5] = [2, 16, 256, 4_096, 100_001];
+
+    /// The smallest admission bound (ms) under which positions up to
+    /// `last` are admitted at capacity `cap`, plus `slack`.
+    fn limit_admitting(last: u64, cap: u64, slack: u64) -> u64 {
+        ((last + 1) * 1000).div_ceil(cap) + slack
+    }
+
+    /// Records per request, and through the table, and checks the two.
+    fn check_against_naive(runs: &LatencyRuns, backlog: u64, accepted: u64) {
+        let (cap, service) = (runs.cap(), runs.service_ms);
+        let tag = format!("b={backlog} a={accepted} c={cap} s={service}");
+        let mut fast = Histogram::new();
+        record_latencies(&mut fast, runs, backlog, accepted);
+        let mut divided = Histogram::new();
+        record_by_division(&mut divided, backlog, accepted, cap, service);
+        // Bit-identical to the divide-per-run loop: the same runs,
+        // so the same run-attributed sum.
+        assert_eq!(fast, divided, "{tag}");
+        let mut naive = Histogram::new();
+        for j in 0..accepted {
+            naive.record(service + (backlog + j) * 1000 / cap);
+        }
+        // Everything the reports read — bucket counts, quantiles,
+        // count, max — is exact; only the internal sum approximates
+        // (each bucket run attributed to its first latency).
+        assert_eq!(fast.count(), naive.count(), "{tag}");
+        assert_eq!(fast.max(), naive.max(), "{tag}");
+        assert_eq!(
+            fast.buckets().collect::<Vec<_>>(),
+            naive.buckets().collect::<Vec<_>>(),
+            "{tag}"
+        );
+        for q in [0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(
+                fast.try_quantile_upper(q),
+                naive.try_quantile_upper(q),
+                "{tag} q={q}"
+            );
+        }
+        assert!(fast.sum() <= naive.sum(), "{tag}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn record_latencies_matches_naive_recording(
+            cap_kind in 0u64..4,
+            cap_raw in 0u64..u64::MAX,
+            backlog_scale in proptest::prop::sample::select(SCALES.to_vec()),
+            backlog_raw in 0u64..u64::MAX,
+            accepted_scale in proptest::prop::sample::select(SCALES.to_vec()),
+            accepted_raw in 0u64..u64::MAX,
+            service_scale in proptest::prop::sample::select(SCALES[..3].to_vec()),
+            service_raw in 0u64..u64::MAX,
+            slack in proptest::prop::sample::select(vec![0u64, 1, 999, 5_000]),
+        ) {
+            let cap = capacity(cap_kind, cap_raw);
+            let backlog = backlog_raw % backlog_scale;
+            let service = service_raw % service_scale;
+            let accepted = 1 + accepted_raw % (accepted_scale - 1);
+            let limit = limit_admitting(backlog + accepted - 1, cap, slack);
+            check_against_naive(&LatencyRuns::new(cap, service, limit), backlog, accepted);
+        }
+
+        #[test]
+        fn a_rebuilt_table_matches_a_fresh_build(
+            from_kind in 0u64..4,
+            from_raw in 0u64..u64::MAX,
+            to_kind in 0u64..4,
+            to_raw in 0u64..u64::MAX,
+            service in 0u64..300,
+            limit in proptest::prop::sample::select(vec![1u64, 1_000, 4_000, 8_000]),
+            backlog_raw in 0u64..u64::MAX,
+            accepted_raw in 0u64..u64::MAX,
+        ) {
+            let (from, to) = (capacity(from_kind, from_raw), capacity(to_kind, to_raw));
+            let mut runs = LatencyRuns::new(from, service, limit);
+            runs.rebuild(to);
+            let fresh = LatencyRuns::new(to, service, limit);
+            proptest::prop_assert_eq!(&runs, &fresh);
+            // Record up to the bound the table was built for.
+            let admissible = to * limit / 1000;
+            proptest::prop_assume!(admissible > 0);
+            let backlog = backlog_raw % admissible;
+            let accepted = 1 + accepted_raw % (admissible - backlog).min(100_000);
+            check_against_naive(&runs, backlog, accepted);
+        }
+    }
+
     #[test]
-    fn record_latencies_matches_naive_recording() {
+    fn record_latencies_covers_the_edges() {
+        let mut hist = Histogram::new();
+        record_latencies(&mut hist, &LatencyRuns::new(7, 20, 4_000), 5, 0);
+        assert_eq!(hist, Histogram::new(), "nothing admitted, nothing recorded");
         for (backlog, accepted, cap, service) in [
             (0u64, 100u64, 7u64, 20u64),
             (53, 997, 13, 5),
             (0, 1, 1, 0),
             (1000, 500, 3, 20),
+            // 50 ms per position: from the 16..31 bucket straight to
+            // the 64..127 one.
+            (0, 80, 20, 20),
         ] {
-            let mut fast = Histogram::new();
-            record_latencies(&mut fast, backlog, accepted, cap, service);
-            let mut naive = Histogram::new();
-            for j in 0..accepted {
-                naive.record(service + (backlog + j) * 1000 / cap);
-            }
-            let tag = format!("b={backlog} a={accepted} c={cap}");
-            // Everything the reports read — bucket counts, quantiles,
-            // count, max — is exact; only the internal sum approximates
-            // (each bucket run attributed to its first latency).
-            assert_eq!(fast.count(), naive.count(), "{tag}");
-            assert_eq!(fast.max(), naive.max(), "{tag}");
-            assert_eq!(
-                fast.buckets().collect::<Vec<_>>(),
-                naive.buckets().collect::<Vec<_>>(),
-                "{tag}"
-            );
-            for q in [0.5, 0.95, 0.99, 1.0] {
-                assert_eq!(
-                    fast.try_quantile_upper(q),
-                    naive.try_quantile_upper(q),
-                    "{tag} q={q}"
-                );
-            }
-            assert!(fast.sum() <= naive.sum(), "{tag}");
+            let limit = limit_admitting(backlog + accepted - 1, cap, 0);
+            check_against_naive(&LatencyRuns::new(cap, service, limit), backlog, accepted);
         }
+        // A healthy fleet-day server, filled to the last position the
+        // 4 s deadline admits.
+        check_against_naive(&LatencyRuns::new(5_000, 20, 4_000), 0, 20_000);
+        // Service time alone fills the top of the table's range.
+        check_against_naive(&LatencyRuns::new(1_000, 4_000, 1_000), 0, 1_000);
     }
 
     #[test]

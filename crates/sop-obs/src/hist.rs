@@ -44,26 +44,52 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let bucket = (64 - sample.max(1).leading_zeros())
-            .saturating_sub(1)
-            .min(31) as usize;
-        self.buckets[bucket] += n;
+        self.buckets[Self::bucket_index(sample)] += n;
         self.count += n;
         self.sum = self.sum.saturating_add(sample.saturating_mul(n));
         self.max = self.max.max(sample);
+    }
+
+    /// Records a run of `n >= 1` samples sharing one bucket: `n - 1`
+    /// copies of `first`, then one `last >= first`. Leaves exactly the
+    /// state of `record_n(first, n - 1)` followed by `record(last)` in
+    /// one bucket update, which is what makes the fleet simulator's
+    /// per-run recording cheap.
+    pub fn record_run(&mut self, first: u64, n: u64, last: u64) {
+        debug_assert!(n >= 1 && first <= last, "run of {n}: {first}..{last}");
+        debug_assert_eq!(Self::bucket_index(first), Self::bucket_index(last));
+        self.buckets[Self::bucket_index(last)] += n;
+        self.count += n;
+        // Saturating addition of non-negative terms is associative, so
+        // adding the run's total equals adding its two parts in turn.
+        self.sum = self
+            .sum
+            .saturating_add(first.saturating_mul(n - 1).saturating_add(last));
+        self.max = self.max.max(last);
     }
 
     /// Inclusive upper bound of the bucket that `sample` lands in
     /// (`u64::MAX` for the open-ended top bucket). Lets batch callers
     /// find the run of consecutive samples sharing one bucket.
     pub fn bucket_upper(sample: u64) -> u64 {
-        let bucket = (64 - sample.max(1).leading_zeros())
+        Self::index_upper(Self::bucket_index(sample))
+    }
+
+    /// Index of the bucket that `sample` lands in: `floor(log2(sample))`
+    /// for samples of at least 2, 0 below, 31 for the open-ended top.
+    pub fn bucket_index(sample: u64) -> usize {
+        (64 - sample.max(1).leading_zeros())
             .saturating_sub(1)
-            .min(31);
-        if bucket >= 31 {
+            .min(31) as usize
+    }
+
+    /// Inclusive upper bound of bucket `index` (`u64::MAX` for the
+    /// open-ended top bucket, index 31).
+    pub fn index_upper(index: usize) -> u64 {
+        if index >= 31 {
             u64::MAX
         } else {
-            (1u64 << (bucket + 1)) - 1
+            (1u64 << (index + 1)) - 1
         }
     }
 
@@ -335,6 +361,26 @@ mod tests {
     }
 
     #[test]
+    fn record_run_matches_record_n_then_record() {
+        let mut fused = Histogram::new();
+        let mut split = Histogram::new();
+        for (first, n, last) in [
+            (20u64, 1u64, 20u64),
+            (20, 1, 31),
+            (0, 4, 1),
+            (1000, 7, 1023),
+            (u64::MAX / 3, 5, u64::MAX / 2),
+            (1 << 62, 3, (1 << 63) - 1),
+        ] {
+            fused.record_run(first, n, last);
+            split.record_n(first, n - 1);
+            split.record(last);
+            assert_eq!(fused, split, "run of {n}: {first}..{last}");
+        }
+        assert_eq!(fused.sum(), u64::MAX, "the sum saturated along the way");
+    }
+
+    #[test]
     fn bucket_upper_bounds_its_own_bucket() {
         for s in [0u64, 1, 2, 3, 4, 7, 8, 1000, 1 << 30, u64::MAX] {
             let hi = Histogram::bucket_upper(s);
@@ -351,6 +397,20 @@ mod tests {
         }
         assert_eq!(Histogram::bucket_upper(0), 1);
         assert_eq!(Histogram::bucket_upper(u64::MAX), u64::MAX);
+    }
+
+    #[test]
+    fn bucket_indices_partition_the_samples() {
+        // Each bucket's upper bound is the last sample with its index,
+        // and one more starts the next bucket.
+        assert_eq!(Histogram::bucket_index(0), 0);
+        for i in 0..31 {
+            let hi = Histogram::index_upper(i);
+            assert_eq!(Histogram::bucket_index(hi), i);
+            assert_eq!(Histogram::bucket_index(hi + 1), i + 1);
+        }
+        assert_eq!(Histogram::bucket_index(u64::MAX), 31);
+        assert_eq!(Histogram::index_upper(31), u64::MAX);
     }
 
     #[test]

@@ -1578,7 +1578,13 @@ impl Machine {
                             s.eject,
                             core,
                         );
-                        debug_assert_eq!(t0 + s.inject + s.route + s.eject, now);
+                        // Armed runs only, so release builds check the
+                        // hop tiling and disarmed runs pay nothing.
+                        assert_eq!(
+                            t0 + s.inject + s.route + s.eject,
+                            now,
+                            "request hop spans must tile its network time"
+                        );
                         // Bank queueing and service are fully
                         // determined at arrival; account them now.
                         l.add(Stage::BankQueue, start - now);
@@ -1689,8 +1695,13 @@ impl Machine {
                         // The transaction is whole: its spans tile
                         // [issued_at, now] exactly, so committing
                         // them with the total keeps per-stage sums
-                        // equal to sim.txn.total's sum.
-                        debug_assert_eq!(l.spans.iter().sum::<u64>(), now - issued_at);
+                        // equal to sim.txn.total's sum. Checked in
+                        // release builds too: only armed runs get here.
+                        assert_eq!(
+                            l.spans.iter().sum::<u64>(),
+                            now - issued_at,
+                            "transaction spans must tile issue to retire"
+                        );
                         for stage in Stage::ALL {
                             if l.visited & (1 << (stage as usize)) != 0 {
                                 ts.stats.record(stage, l.spans[stage as usize]);

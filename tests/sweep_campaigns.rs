@@ -3,7 +3,8 @@
 //! together, so the heartbeat stream announces the sweep's whole job
 //! count once and `sop top` follows the sweep to completion. The
 //! streams' `t_us` never decreases, whatever the two workers'
-//! interleaving.
+//! interleaving. A cold sweep looks each distinct spec up in the cache
+//! once, however many of its jobs share it.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -42,6 +43,17 @@ fn sweep(dir: &Path, name: &str) -> Vec<Json> {
         "{name}: {stdout}"
     );
     read_events(&dir.join("cache").join(PROGRESS_FILE)).split_off(before)
+}
+
+/// Counter `key` of the report `sop sweep name` wrote in `dir`.
+fn report_counter(dir: &Path, name: &str, key: &str) -> u64 {
+    let path = dir.join(format!("sweep-{name}.json"));
+    let text = std::fs::read_to_string(&path).expect("sweep report");
+    let doc = scale_out_processors::obs::json::parse(&text).expect("report is JSON");
+    let value = doc.get("metrics").and_then(|m| m.get(key));
+    value
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("{key} in {path:?}")) as u64
 }
 
 /// The `(campaign, jobs)` of each `campaign_start` in `events`.
@@ -89,6 +101,15 @@ fn ch4_and_all_sweeps_are_one_campaign_each() {
     let all = sweep(&dir, "all");
     assert_eq!(starts(&all), [("all".to_owned(), 178)]);
     assert_in_time_order(&all);
+    // Cold, every distinct spec is computed once and missed once: the
+    // jobs sharing a spec are collapsed before the lookup.
+    let computed = report_counter(&dir, "all", "exec.jobs.computed");
+    assert!(computed < 178, "some of the sweep's jobs share a spec");
+    assert_eq!(
+        report_counter(&dir, "all", "exec.cache.misses"),
+        computed,
+        "one cache miss per distinct spec"
+    );
     // Warm from `all`'s cache, `ch4` still announces its 49 jobs once.
     let ch4 = sweep(&dir, "ch4");
     assert_eq!(starts(&ch4), [("ch4".to_owned(), 49)]);
