@@ -522,6 +522,66 @@ impl RetryRing {
     }
 }
 
+/// One tick's batch of requests on one attempt, with the state of its
+/// split across the servers walked so far.
+struct Batch {
+    attempt: u32,
+    count: u64,
+    // Capacity weights (the plain balancer): whether
+    // `count * routable_weight` overflows u64, so shares take u128, and
+    // the batch's cumulative allocation up to the last server walked.
+    wide: bool,
+    prev: u64,
+    // Nominal weights: every share is `base = count / n`, plus one
+    // whenever the running remainder `carry`, stepped by
+    // `rem = count % n`, wraps past n.
+    base: u64,
+    rem: u64,
+    carry: u64,
+}
+
+impl Batch {
+    fn new(attempt: u32, count: u64, total_weight: u64) -> Batch {
+        Batch {
+            attempt,
+            count,
+            wide: count.checked_mul(total_weight).is_none(),
+            prev: 0,
+            base: count / total_weight,
+            rem: count % total_weight,
+            carry: 0,
+        }
+    }
+
+    /// The next server's share, `count * cum / total - count * prev_cum
+    /// / total`, where `cum` is its cumulative weight out of
+    /// `total_weight`. Servers must be walked in order. Under nominal
+    /// weights (`!PLAIN`) every weight is 1, so `cum` is the server's
+    /// rank and the share is `base`, plus one when `rem * cum` passes a
+    /// multiple of the total: no divide per server.
+    #[inline(always)]
+    fn next_share<const PLAIN: bool>(&mut self, cum: u64, total_weight: u64) -> u64 {
+        if PLAIN {
+            let upto = if self.wide {
+                (u128::from(self.count) * u128::from(cum) / u128::from(total_weight)) as u64
+            } else {
+                self.count * cum / total_weight
+            };
+            let share = upto - self.prev;
+            self.prev = upto;
+            share
+        } else {
+            self.carry += self.rem;
+            if self.carry >= total_weight {
+                self.carry -= total_weight;
+                self.base + 1
+            } else {
+                self.base
+            }
+        }
+    }
+}
+
 /// Largest queue position whose FIFO wait at per-tick capacity `cap`
 /// does not exceed `limit_ms`: `floor(pos*1000/cap) <= limit`.
 pub(crate) fn max_pos_within(limit_ms: u64, cap: u64) -> u64 {
@@ -721,6 +781,7 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
 
     let mut ring = RetryRing::new();
     let mut due: Vec<(u32, u64)> = Vec::with_capacity(MAX_ATTEMPT_SLOTS);
+    let mut batches: Vec<Batch> = Vec::with_capacity(MAX_ATTEMPT_SLOTS + 1);
     let mut totals = Totals::default();
     let mut latency = Histogram::new();
     let mut windows: Vec<WindowStats> =
@@ -894,7 +955,13 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
         // attempt order. Each batch splits across routable servers by
         // weight with exact largest-prefix arithmetic (allocations sum
         // to the batch) and admits immediately, so later batches see
-        // earlier batches' backlog.
+        // earlier batches' backlog. A server's admissions depend only on
+        // its own queue and its share of each batch, and what they add
+        // to the ledger, the retry ring and the latency histogram does
+        // not depend on order (sums and a maximum), so the walk goes
+        // server by server, each taking its share of every batch in
+        // attempt order: one pass over the fleet per tick however many
+        // retry attempts are due, with each server's state loaded once.
         let fresh = traffic.rate_at(tick);
         let tick_open = (totals.issued, totals.goodput);
         totals.offered += fresh;
@@ -907,6 +974,7 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
         let hedge_clamp = retry
             .hedge_ms
             .and_then(|h| hedge_wait.map(|(d, _)| h + d + p.service_ms));
+        batches.clear();
         for (attempt, count) in std::iter::once((1, fresh)).chain(due.iter().copied()) {
             if count == 0 {
                 continue;
@@ -926,20 +994,16 @@ pub(crate) fn run<const PLAIN: bool>(params: &ResilienceParams) -> FleetOutcome 
                 );
                 continue;
             }
-            let wide = count.checked_mul(routable_weight).is_none();
-            let mut prev = 0u64;
-            for &(si, cum) in &routable {
-                let upto = if wide {
-                    (u128::from(count) * u128::from(cum) / u128::from(routable_weight)) as u64
-                } else {
-                    count * cum / routable_weight
-                };
-                let alloc = upto - prev;
-                prev = upto;
+            batches.push(Batch::new(attempt, count, routable_weight));
+        }
+        for &(si, cum) in &routable {
+            let s = &mut servers[si as usize];
+            for b in batches.iter_mut() {
+                let attempt = b.attempt;
+                let alloc = b.next_share::<PLAIN>(cum, routable_weight);
                 if alloc == 0 {
                     continue;
                 }
-                let s = &mut servers[si as usize];
                 if s.eff_cap == 0 {
                     // Dead but not yet ejected: the requests vanish and
                     // their clients burn the full timeout finding out.
@@ -1432,5 +1496,46 @@ mod tests {
             "{}",
             out.availability()
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Both ways of walking a batch across the servers give every
+        /// server `count * cum / total - count * prev_cum / total`, so
+        /// the shares sum to the batch, u64 overflow included.
+        #[test]
+        fn batch_shares_are_prefix_differences(
+            count_scale in proptest::prop::sample::select(vec![10u64, 1_000, 1 << 40, u64::MAX]),
+            count_raw in 0u64..u64::MAX,
+            n in 1u64..700,
+            weight_raw in 0u64..u64::MAX,
+        ) {
+            let count = if count_scale == u64::MAX { count_raw } else { count_raw % count_scale };
+            let split = |cum: u64, total: u64| {
+                (u128::from(count) * u128::from(cum) / u128::from(total)) as u64
+            };
+            // Nominal weights: every server weighs 1.
+            let mut nominal = Batch::new(1, count, n);
+            let mut sum = 0u64;
+            for cum in 1..=n {
+                let share = nominal.next_share::<false>(cum, n);
+                proptest::prop_assert_eq!(share, split(cum, n) - split(cum - 1, n));
+                sum += share;
+            }
+            proptest::prop_assert_eq!(sum, count);
+            // Capacity weights, drawn from one seed.
+            let weights: Vec<u64> = (0..n).map(|i| 1 + (weight_raw >> (i % 48)) % 30_000).collect();
+            let total: u64 = weights.iter().sum();
+            let mut plain = Batch::new(1, count, total);
+            let (mut cum, mut sum) = (0u64, 0u64);
+            for w in weights {
+                let share = plain.next_share::<true>(cum + w, total);
+                proptest::prop_assert_eq!(share, split(cum + w, total) - split(cum, total));
+                cum += w;
+                sum += share;
+            }
+            proptest::prop_assert_eq!(sum, count);
+        }
     }
 }
