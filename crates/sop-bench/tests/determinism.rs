@@ -3,7 +3,7 @@
 
 use sop_bench::campaign::run_campaign;
 use sop_exec::Exec;
-use sop_obs::{stabilized, Registry, Report, SpanLog};
+use sop_obs::{stabilized, Json, Registry, Report, SpanLog};
 
 /// The analytic chapters produce identical JSON for any worker count.
 #[test]
@@ -37,4 +37,31 @@ fn stabilized_reports_compare_across_worker_counts() {
         stabilized(&report.to_json(&spans, &metrics)).to_pretty_string()
     };
     assert_eq!(render(1), render(8));
+}
+
+/// FNV-1a over the compact rendering, so member order counts as well
+/// as every value.
+fn digest(doc: &Json) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in doc.to_compact_string().bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// The quick data of the analytic chapters and the degradation sweep,
+/// pinned by digest: a refactor of how figures are built must leave
+/// every byte of `sop sweep`'s data as it was.
+#[test]
+fn campaign_data_is_pinned() {
+    for (name, pinned) in [
+        ("ch2", "c1a8ae9ce41b36f4"),
+        ("ch5", "150d397c33fad157"),
+        ("ch6", "50146844cf4a852e"),
+        ("degradation", "70902e7fe7903d62"),
+    ] {
+        let data = run_campaign(name, true, &Exec::sequential()).expect("known campaign");
+        assert_eq!(digest(&data), pinned, "campaign {name} data changed");
+    }
 }
