@@ -1,14 +1,14 @@
 //! Named experiment campaigns for `sop sweep`.
 //!
-//! Each campaign regenerates chapters' machine-readable data. A sweep
-//! first collects the simulation specs of every figure it covers, runs
-//! them as one engine campaign named after the sweep (cached, parallel,
-//! duplicates computed once), then builds each figure from its slice of
-//! the results. Analytic figures are computed in place. `all` runs every
-//! chapter into one merged document.
+//! A chapter campaign (`ch2`…`ch6`, `degradation`) covers the entries of
+//! [`FIGURES`] in that group that carry data. It runs their simulation
+//! points as one engine campaign named after the sweep (cached,
+//! parallel, duplicates computed once), then writes each entry's member
+//! from its slice of the results. `all` does the same over every
+//! chapter, into one document with a section per chapter. `fleet` and
+//! `resilience` run the fleet simulator's grids.
 
-use crate::points::{sim_points, SimPoint, SimPointSpec};
-use crate::{ch2, ch3, ch4, ch5, ch6, degradation};
+use crate::figures::{self, Figure, FIGURES};
 use sop_exec::Exec;
 use sop_obs::Json;
 
@@ -36,173 +36,34 @@ pub const CAMPAIGNS: [&str; 9] = [
 /// one member per figure, rows in figure order. `None` for an unknown
 /// name.
 pub fn run_campaign(name: &str, quick: bool, exec: &Exec) -> Option<Json> {
-    match name {
-        "degradation" => Some(degradation_data(quick, exec)),
-        "fleet" => Some(fleet_data(quick, exec)),
-        "resilience" => Some(resilience_data(quick, exec)),
-        "all" => {
-            let data = chapters_data(&CHAPTERS, name, quick, exec);
-            Some(
-                CHAPTERS
-                    .into_iter()
-                    .zip(data)
-                    .fold(Json::object(), |doc, (ch, d)| doc.with(ch, d)),
-            )
-        }
-        ch if CHAPTERS.contains(&ch) => chapters_data(&[ch], name, quick, exec).pop(),
-        _ => None,
-    }
-}
-
-/// The data of each of `chapters`, their simulations run as one engine
-/// campaign named `campaign` (none when no chapter simulates).
-fn chapters_data(chapters: &[&str], campaign: &str, quick: bool, exec: &Exec) -> Vec<Json> {
-    let specs: Vec<Vec<SimPointSpec>> = chapters.iter().map(|&ch| sim_specs(ch, quick)).collect();
-    let all: Vec<SimPointSpec> = specs.concat();
-    let points = if all.is_empty() {
-        Vec::new()
-    } else {
-        sim_points(exec, campaign, &all)
+    let groups: &[&str] = match name {
+        "fleet" => return Some(fleet_data(quick, exec)),
+        "resilience" => return Some(resilience_data(quick, exec)),
+        "all" => &CHAPTERS,
+        _ if CAMPAIGNS.contains(&name) => std::slice::from_ref(&name),
+        _ => return None,
     };
-    let mut rest = points.as_slice();
-    chapters
+    let entries: Vec<&Figure> = FIGURES
         .iter()
-        .zip(&specs)
-        .map(|(&ch, specs)| {
-            let (mine, next) = rest.split_at(specs.len());
-            rest = next;
-            match ch {
-                "ch2" => ch2_data(),
-                "ch3" => ch3_data(specs, mine),
-                "ch4" => ch4_data(quick, mine),
-                "ch5" => ch5_data(),
-                _ => ch6_data(),
-            }
-        })
-        .collect()
-}
-
-/// The simulation specs a chapter's figures need, in figure order.
-fn sim_specs(chapter: &str, quick: bool) -> Vec<SimPointSpec> {
-    match chapter {
-        "ch3" => ch3::fig3_3_all_specs(quick),
-        "ch4" => [
-            ch4::fig4_3_specs(quick),
-            ch4::noc_performance_specs([128, 128, 128], quick),
-            ch4::fig4_9_specs(quick),
-        ]
-        .concat(),
-        _ => Vec::new(),
-    }
-}
-
-fn ch2_data() -> Json {
-    let fig2_1 = Json::Arr(
-        ch2::fig2_1()
-            .into_iter()
-            .map(|(w, ipc)| Json::object().with("workload", w.label()).with("ipc", ipc))
-            .collect(),
-    );
-    let fig2_2 = Json::Arr(
-        ch2::fig2_2()
-            .into_iter()
-            .map(|(w, series)| {
-                Json::object().with("workload", w.label()).with(
-                    "normalised",
-                    Json::Arr(series.into_iter().map(Json::Num).collect()),
-                )
+        .filter(|f| f.data.is_some() && groups.contains(&f.group))
+        .collect();
+    let points = figures::run(exec, name, &entries, quick, None);
+    let group_data = |group: &str| {
+        entries
+            .iter()
+            .zip(&points)
+            .filter(|(f, _)| f.group == group)
+            .fold(Json::object(), |doc, (f, points)| {
+                let (member, data) = f.data.expect("entries carry data");
+                doc.with(member, data(points, quick))
             })
-            .collect(),
-    );
-    let fig2_3 = Json::Arr(
-        ch2::fig2_3()
-            .into_iter()
-            .map(|(n, ideal, mesh)| {
-                Json::object()
-                    .with("cores", n)
-                    .with("ideal", ideal)
-                    .with("mesh", mesh)
-            })
-            .collect(),
-    );
-    Json::object()
-        .with("fig2.1", fig2_1)
-        .with("fig2.2", fig2_2)
-        .with("fig2.3", fig2_3)
-}
-
-/// Chapter 3's data; `specs` are [`ch3::fig3_3_all_specs`] and `points`
-/// their results.
-fn ch3_data(specs: &[SimPointSpec], points: &[SimPoint]) -> Json {
-    let fig3_1 = Json::Arr(
-        ch3::fig3_1()
-            .into_iter()
-            .map(|(n, per_core, per_chip, pd)| {
-                Json::object()
-                    .with("cores", n)
-                    .with("per_core_ipc", per_core)
-                    .with("aggregate_ipc", per_chip)
-                    .with("pd", pd)
-            })
-            .collect(),
-    );
-    let fig3_3 = Json::Arr(
-        ch3::fig3_3_rows(specs, points)
-            .into_iter()
-            .map(|p| {
-                Json::object()
-                    .with("workload", p.workload.label())
-                    .with("topology", format!("{:?}", p.topology).as_str())
-                    .with("cores", p.cores)
-                    .with("simulated_ipc", p.simulated_ipc)
-                    .with("modeled_ipc", p.modeled_ipc)
-            })
-            .collect(),
-    );
-    Json::object().with("fig3.1", fig3_1).with("fig3.3", fig3_3)
-}
-
-/// Chapter 4's data from the points of its [`sim_specs`]: figs 4.3, 4.6
-/// and 4.9 in that order.
-fn ch4_data(quick: bool, points: &[SimPoint]) -> Json {
-    let (fig4_3, rest) = points.split_at(ch4::fig4_3_specs(quick).len());
-    let (fig4_6, fig4_9) = rest.split_at(ch4::noc_performance_specs([128; 3], quick).len());
-    let fig4_3 = Json::Arr(
-        ch4::fig4_3_rows(fig4_3)
-            .into_iter()
-            .map(|(w, f)| {
-                Json::object()
-                    .with("workload", w.label())
-                    .with("snoop_fraction", f)
-            })
-            .collect(),
-    );
-    let fig4_6 = Json::Arr(
-        ch4::noc_performance_rows(fig4_6)
-            .into_iter()
-            .map(|(w, r)| {
-                Json::object()
-                    .with("workload", w.label())
-                    .with("mesh", r[0])
-                    .with("fbfly", r[1])
-                    .with("nocout", r[2])
-            })
-            .collect(),
-    );
-    let fig4_9 = Json::Arr(
-        ch4::fig4_9_rows(fig4_9, quick)
-            .into_iter()
-            .map(|(kind, w)| {
-                Json::object()
-                    .with("fabric", format!("{kind:?}").as_str())
-                    .with("mean_power_w", w)
-            })
-            .collect(),
-    );
-    Json::object()
-        .with("fig4.3", fig4_3)
-        .with("fig4.6", fig4_6)
-        .with("fig4.9", fig4_9)
+    };
+    Some(match groups {
+        [group] => group_data(group),
+        _ => groups
+            .iter()
+            .fold(Json::object(), |doc, &g| doc.with(g, group_data(g))),
+    })
 }
 
 /// The fleet campaign: every chip organization × both repair policies,
@@ -230,72 +91,6 @@ fn resilience_data(quick: bool, exec: &Exec) -> Json {
         "resilience",
         Json::Arr(sop_fleet::resilience_points(exec, "resilience", &specs)),
     )
-}
-
-fn degradation_data(quick: bool, exec: &Exec) -> Json {
-    Json::object().with(
-        "degradation",
-        Json::Arr(
-            degradation::sweep_on(exec, quick)
-                .iter()
-                .map(degradation::DegradationRow::to_json)
-                .collect(),
-        ),
-    )
-}
-
-fn ch5_data() -> Json {
-    let dcs = ch5::datacenters(64);
-    let base_perf = dcs[0].performance;
-    let base_tco = dcs[0].tco.total_usd();
-    Json::object().with(
-        "fig5.1_5.2",
-        Json::Arr(
-            dcs.iter()
-                .map(|dc| {
-                    Json::object()
-                        .with("chip", dc.chip.label.as_str())
-                        .with("performance_x", dc.performance / base_perf)
-                        .with("tco_x", dc.tco.total_usd() / base_tco)
-                        .with("perf_per_tco", dc.perf_per_tco())
-                })
-                .collect(),
-        ),
-    )
-}
-
-fn ch6_data() -> Json {
-    use sop_3d::{Pod3d, StackStrategy};
-    use sop_tech::CoreKind;
-    let rows = [CoreKind::OutOfOrder, CoreKind::InOrder]
-        .iter()
-        .flat_map(|&kind| {
-            let max_dies: &[u32] = if kind == CoreKind::InOrder {
-                &[1, 2, 3]
-            } else {
-                &[1, 2, 4]
-            };
-            max_dies.iter().flat_map(move |&dies| {
-                [StackStrategy::FixedPod, StackStrategy::FixedDistance]
-                    .iter()
-                    .filter(move |&&s| !(dies == 1 && s == StackStrategy::FixedDistance))
-                    .map(move |&s| (kind, dies, s))
-            })
-        })
-        .map(|(kind, dies, strategy)| {
-            let (cores, mb) = ch6::base_pod(kind);
-            let pod = Pod3d::new(kind, cores, mb, dies, strategy);
-            let m = pod.metrics();
-            Json::object()
-                .with("core", kind.label())
-                .with("dies", dies)
-                .with("strategy", format!("{strategy:?}").as_str())
-                .with("total_cores", pod.total_cores())
-                .with("total_llc_mb", pod.total_llc_mb())
-                .with("pd3d", m.performance_density_3d)
-        })
-        .collect();
-    Json::object().with("tab6.2", Json::Arr(rows))
 }
 
 #[cfg(test)]

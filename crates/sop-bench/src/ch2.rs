@@ -23,12 +23,13 @@ pub fn fig2_1() -> Vec<(Workload, f64)> {
         .collect()
 }
 
-/// Prints Fig 2.1.
-pub fn print_fig2_1() {
-    println!("Fig 2.1 — application IPC, aggressive OoO core (max 4)");
+/// Fig 2.1 as text.
+pub fn fig2_1_text() -> String {
+    let mut out = String::from("Fig 2.1 — application IPC, aggressive OoO core (max 4)\n");
     for (w, ipc) in fig2_1() {
-        println!("  {:16} {ipc:.2}", w.label());
+        out += &format!("  {:16} {ipc:.2}\n", w.label());
     }
+    out
 }
 
 /// Fig 2.2: per-workload performance vs. LLC capacity, normalised to 1MB.
@@ -47,16 +48,17 @@ pub fn fig2_2() -> Vec<(Workload, Vec<f64>)> {
         .collect()
 }
 
-/// Prints Fig 2.2.
-pub fn print_fig2_2() {
-    println!("Fig 2.2 — 4-core performance vs LLC size (normalised to 1MB)");
-    println!(
-        "{:24} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
+/// Fig 2.2 as text.
+pub fn fig2_2_text() -> String {
+    let mut out = String::from("Fig 2.2 — 4-core performance vs LLC size (normalised to 1MB)\n");
+    out += &format!(
+        "{:24} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}\n",
         "workload", 1, 2, 4, 8, 16, 32
     );
     for (w, series) in fig2_2() {
-        println!("  {}", fmt_series(w.label(), &series));
+        out += &format!("  {}\n", fmt_series(w.label(), &series));
     }
+    out
 }
 
 /// Fig 2.3: per-core and aggregate performance vs. core count at 4MB,
@@ -77,42 +79,45 @@ pub fn fig2_3() -> Vec<(u32, f64, f64)> {
         .collect()
 }
 
-/// Prints Fig 2.3 (both panels).
-pub fn print_fig2_3() {
-    println!("Fig 2.3 — per-core perf (a) and aggregate perf (b) vs cores, 4MB LLC");
-    println!(
-        "  {:>6} {:>12} {:>12} {:>12} {:>12}",
+/// Fig 2.3 (both panels) as text.
+pub fn fig2_3_text() -> String {
+    let mut out =
+        String::from("Fig 2.3 — per-core perf (a) and aggregate perf (b) vs cores, 4MB LLC\n");
+    out += &format!(
+        "  {:>6} {:>12} {:>12} {:>12} {:>12}\n",
         "cores", "ideal/core", "mesh/core", "ideal agg", "mesh agg"
     );
     for (n, i, m) in fig2_3() {
-        println!(
-            "  {n:>6} {i:>12.3} {m:>12.3} {:>12.1} {:>12.1}",
+        out += &format!(
+            "  {n:>6} {i:>12.3} {m:>12.3} {:>12.1} {:>12.1}\n",
             i * f64::from(n),
             m * f64::from(n)
         );
     }
+    out
 }
 
-/// Prints Tables 2.1/2.2: component areas, power, and system parameters.
-pub fn print_tab2_1() {
+/// Tables 2.1/2.2 (component areas, power, and system parameters) as
+/// text.
+pub fn tab2_1_text() -> String {
     let node = TechnologyNode::N40;
-    println!("Table 2.1 — component area and power at {node}");
+    let mut out = format!("Table 2.1 — component area and power at {node}\n");
     for kind in CoreKind::ALL {
-        println!(
-            "  {:14} {:6.1} mm2 {:6.2} W",
+        out += &format!(
+            "  {:14} {:6.1} mm2 {:6.2} W\n",
             kind.label(),
             kind.area_mm2(node),
             kind.power_w(node)
         );
     }
     let llc = LlcParams::at(node);
-    println!(
-        "  {:14} {:6.1} mm2/MB {:4.2} W/MB",
+    out += &format!(
+        "  {:14} {:6.1} mm2/MB {:4.2} W/MB\n",
         "LLC (16-way)", llc.area_mm2_per_mb, llc.power_w_per_mb
     );
     let mem = MemoryInterface::at(node);
-    println!(
-        "  {:14} {:6.1} mm2 {:6.2} W ({} @ {:.1}GB/s useful)",
+    out += &format!(
+        "  {:14} {:6.1} mm2 {:6.2} W ({} @ {:.1}GB/s useful)\n",
         "DDR interface",
         mem.area_mm2,
         mem.power_w,
@@ -120,10 +125,11 @@ pub fn print_tab2_1() {
         mem.useful_gbps()
     );
     let soc = SocParams::at(node);
-    println!(
-        "  {:14} {:6.1} mm2 {:6.2} W",
+    out += &format!(
+        "  {:14} {:6.1} mm2 {:6.2} W\n",
         "SoC components", soc.area_mm2, soc.power_w
     );
+    out
 }
 
 /// The designs of Tables 2.3/2.4, in row order.
@@ -140,22 +146,29 @@ pub fn table_2_designs() -> Vec<DesignKind> {
     v
 }
 
-/// Prints Table 2.3 (40nm) or Table 2.4 (20nm).
-pub fn print_tab2_3(node: TechnologyNode) {
+/// Table 2.3 (40nm) or Table 2.4 (20nm) as text.
+pub fn tab2_3_text(node: TechnologyNode) -> String {
     let which = if node == TechnologyNode::N40 {
         "2.3"
     } else {
         "2.4"
     };
-    println!("Table {which} — processor designs at {node}");
-    println!(
-        "  {:34} {:>6} {:>5} {:>6} {:>3} {:>7} {:>6} {:>6}",
+    let title = format!("Table {which} — processor designs at {node}");
+    design_table(&title, &table_2_designs(), node)
+}
+
+/// The reference chip of each of `designs` at `node`, as a table under
+/// `title`.
+pub fn design_table(title: &str, designs: &[DesignKind], node: TechnologyNode) -> String {
+    let mut out = format!("{title}\n");
+    out += &format!(
+        "  {:34} {:>6} {:>5} {:>6} {:>3} {:>7} {:>6} {:>6}\n",
         "design", "PD", "cores", "LLC", "MC", "die", "power", "P/W"
     );
-    for d in table_2_designs() {
+    for &d in designs {
         let c = reference_chip(d, node);
-        println!(
-            "  {:34} {:>6.3} {:>5} {:>6.1} {:>3} {:>7.1} {:>6.1} {:>6.2}",
+        out += &format!(
+            "  {:34} {:>6.3} {:>5} {:>6.1} {:>3} {:>7.1} {:>6.1} {:>6.2}\n",
             c.label,
             c.performance_density,
             c.cores,
@@ -166,6 +179,7 @@ pub fn print_tab2_3(node: TechnologyNode) {
             c.perf_per_watt
         );
     }
+    out
 }
 
 #[cfg(test)]

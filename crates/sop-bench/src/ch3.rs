@@ -1,11 +1,10 @@
 //! Chapter 3: the scale-out design methodology (Figs 3.1, 3.3–3.6,
 //! Table 3.2).
 
-use crate::points::{sim_points, SimPoint, SimPointSpec};
+use crate::points::{SimPoint, SimPointSpec};
 use sop_core::designs::{reference_chip, DesignKind};
 use sop_core::pod::{optimal_pod, preferred_pod, PodSearchSpace};
 use sop_core::PodConfig;
-use sop_exec::Exec;
 use sop_model::{DesignPoint, Interconnect};
 use sop_noc::TopologyKind;
 use sop_tech::{CoreKind, TechnologyNode};
@@ -24,16 +23,18 @@ pub fn fig3_1() -> Vec<(u32, f64, f64, f64)> {
         .collect()
 }
 
-/// Prints Fig 3.1.
-pub fn print_fig3_1() {
-    println!("Fig 3.1 — perf/core, perf/chip, perf/mm2 vs core count (4MB, crossbar)");
-    println!(
-        "  {:>6} {:>10} {:>10} {:>10}",
+/// Fig 3.1 as text.
+pub fn fig3_1_text() -> String {
+    let mut out =
+        String::from("Fig 3.1 — perf/core, perf/chip, perf/mm2 vs core count (4MB, crossbar)\n");
+    out += &format!(
+        "  {:>6} {:>10} {:>10} {:>10}\n",
         "cores", "per-core", "per-chip", "PD"
     );
     for (n, u, agg, pd) in fig3_1() {
-        println!("  {n:>6} {u:>10.3} {agg:>10.2} {pd:>10.4}");
+        out += &format!("  {n:>6} {u:>10.3} {agg:>10.2} {pd:>10.4}\n");
     }
+    out
 }
 
 /// The core counts Fig 3.3 simulates per workload (Table 3.1 CMP sizes).
@@ -150,24 +151,14 @@ pub fn fig3_3_rows(specs: &[SimPointSpec], points: &[SimPoint]) -> Vec<Validatio
         .collect()
 }
 
-/// Fig 3.3: cycle-level simulation against the analytic model for one
-/// workload/fabric pair across core counts. `quick` shrinks the windows
-/// for smoke tests.
-pub fn fig3_3(workload: Workload, topology: TopologyKind, quick: bool) -> Vec<ValidationPoint> {
-    let specs = fig3_3_specs(workload, topology, quick);
-    fig3_3_rows(&specs, &sim_points(&Exec::sequential(), "fig3.3", &specs))
-}
-
-/// Prints Fig 3.3 for every workload and fabric, with error statistics,
-/// every simulation of every workload/fabric pair batched into one
-/// campaign on `exec`, so the whole figure parallelizes instead of one
-/// row at a time.
-pub fn print_fig3_3_on(exec: &Exec, quick: bool) {
-    let specs = fig3_3_all_specs(quick);
-    let rows = fig3_3_rows(&specs, &sim_points(exec, "fig3.3", &specs));
-
-    println!("Fig 3.3 — analytic model (lines) vs cycle-level simulation (markers)");
-    println!("          per-core application IPC, 4MB LLC, OoO cores");
+/// Fig 3.3 for every workload and fabric as text, with error
+/// statistics, from the points of [`fig3_3_all_specs`].
+pub fn fig3_3_text(points: &[SimPoint], quick: bool) -> String {
+    let rows = fig3_3_rows(&fig3_3_all_specs(quick), points);
+    let mut out = String::from(
+        "Fig 3.3 — analytic model (lines) vs cycle-level simulation (markers)\n          \
+         per-core application IPC, 4MB LLC, OoO cores\n",
+    );
     let mut small = sop_model::ErrorStats::new();
     let mut large = sop_model::ErrorStats::new();
     let mut current_topology = None;
@@ -175,7 +166,7 @@ pub fn print_fig3_3_on(exec: &Exec, quick: bool) {
         let (topology, w) = (pts[0].topology, pts[0].workload);
         if current_topology != Some(topology) {
             current_topology = Some(topology);
-            println!("  == {topology:?} ==");
+            out += &format!("  == {topology:?} ==\n");
         }
         for p in pts {
             // A degraded, halted, or failed point (fault injection, job
@@ -198,25 +189,26 @@ pub fn print_fig3_3_on(exec: &Exec, quick: bool) {
             .iter()
             .map(|p| format!("{:.2}", p.modeled_ipc))
             .collect();
-        println!("    {:16} sim   {}", w.label(), sim.join(" "));
-        println!("    {:16} model {}", "", model.join("    "));
+        out += &format!("    {:16} sim   {}\n", w.label(), sim.join(" "));
+        out += &format!("    {:16} model {}\n", "", model.join("    "));
     }
     if small.is_empty() || large.is_empty() {
-        println!("  model error statistics skipped (degraded or failed points)");
-        return;
+        out += "  model error statistics skipped (degraded or failed points)\n";
+        return out;
     }
-    println!(
-        "  model error <=16 cores: mean {:.0}%, bias {:+.0}%, correlation {:.2}",
+    out += &format!(
+        "  model error <=16 cores: mean {:.0}%, bias {:+.0}%, correlation {:.2}\n",
         small.mean_abs_error() * 100.0,
         small.bias() * 100.0,
         small.correlation()
     );
-    println!(
-        "  model error  >16 cores: mean {:.0}%, bias {:+.0}% (software scalability",
+    out += &format!(
+        "  model error  >16 cores: mean {:.0}%, bias {:+.0}% (software scalability\n",
         large.mean_abs_error() * 100.0,
         large.bias() * 100.0
     );
-    println!("  pushes measured performance below the model, as in §3.4.1)");
+    out += "  pushes measured performance below the model, as in §3.4.1)\n";
+    out
 }
 
 /// Fig 3.4/3.6: PD across core counts for each LLC size and fabric.
@@ -230,41 +222,44 @@ pub fn pd_sweep(kind: CoreKind, llc_mb: f64, interconnect: Interconnect) -> Vec<
         .collect()
 }
 
-/// Prints Fig 3.4 (OoO) or Fig 3.6 (in-order).
-pub fn print_pd_sweep(kind: CoreKind) {
+/// Fig 3.4 (OoO) or Fig 3.6 (in-order) as text.
+pub fn pd_sweep_text(kind: CoreKind) -> String {
     let fig = if kind == CoreKind::OutOfOrder {
         "3.4"
     } else {
         "3.6"
     };
-    println!("Fig {fig} — performance density, {kind:?} cores, 40nm");
+    let mut out = format!("Fig {fig} — performance density, {kind:?} cores, 40nm\n");
     for ic in Interconnect::POD_CANDIDATES {
-        println!("  == {ic} ==");
+        out += &format!("  == {ic} ==\n");
         for mb in [1.0, 2.0, 4.0, 8.0] {
             let row: Vec<String> = pd_sweep(kind, mb, ic)
                 .iter()
                 .map(|(n, pd)| format!("{n}c:{pd:.4}"))
                 .collect();
-            println!("    {mb}MB  {}", row.join(" "));
+            out += &format!("    {mb}MB  {}\n", row.join(" "));
         }
     }
+    out
 }
 
-/// Prints Fig 3.5: crossbar pods across LLC sizes and the selected pod.
-pub fn print_fig3_5() {
-    println!("Fig 3.5 — PD of crossbar pods (OoO) and the selected 16c/4MB pod");
+/// Fig 3.5 (crossbar pods across LLC sizes and the selected pod) as
+/// text.
+pub fn fig3_5_text() -> String {
+    let mut out =
+        String::from("Fig 3.5 — PD of crossbar pods (OoO) and the selected 16c/4MB pod\n");
     for mb in [1.0, 2.0, 4.0, 8.0] {
         let row: Vec<String> = pd_sweep(CoreKind::OutOfOrder, mb, Interconnect::Crossbar)
             .iter()
             .map(|(n, pd)| format!("{n}c:{pd:.4}"))
             .collect();
-        println!("  {mb}MB  {}", row.join(" "));
+        out += &format!("  {mb}MB  {}\n", row.join(" "));
     }
     let space = PodSearchSpace::thesis_chapter3(CoreKind::OutOfOrder, TechnologyNode::N40);
     let opt = optimal_pod(&space);
     let pick = preferred_pod(&space, 0.05);
-    println!(
-        "  optimum: {}c/{}MB (PD {:.4}); selected pod: {}c/{}MB (PD {:.4}, {:.1}mm2, {:.1}W, {:.1}GB/s)",
+    out += &format!(
+        "  optimum: {}c/{}MB (PD {:.4}); selected pod: {}c/{}MB (PD {:.4}, {:.1}mm2, {:.1}W, {:.1}GB/s)\n",
         opt.config.cores,
         opt.config.llc_mb,
         opt.performance_density,
@@ -275,23 +270,24 @@ pub fn print_fig3_5() {
         pick.power_w,
         pick.bandwidth_gbps
     );
+    out
 }
 
-/// Prints the §3.4.5 energy decomposition: where each chip's picojoules
-/// per instruction go.
-pub fn print_sec3_4_5() {
+/// The §3.4.5 energy decomposition as text: where each chip's
+/// picojoules per instruction go.
+pub fn sec3_4_5_text() -> String {
     use sop_core::EnergyPerInstruction;
-    println!("§3.4.5 — energy per instruction (pJ) at 40nm");
-    println!(
-        "  {:34} {:>7} {:>7} {:>6} {:>6} {:>7}",
+    let mut out = String::from("§3.4.5 — energy per instruction (pJ) at 40nm\n");
+    out += &format!(
+        "  {:34} {:>7} {:>7} {:>6} {:>6} {:>7}\n",
         "design", "cores", "LLC", "NOC", "I/O", "total"
     );
     let node = TechnologyNode::N40;
     for d in DesignKind::table_3_2() {
         let chip = reference_chip(d, node);
         let e = EnergyPerInstruction::of(&chip, node);
-        println!(
-            "  {:34} {:>7.0} {:>7.1} {:>6.1} {:>6.1} {:>7.0}",
+        out += &format!(
+            "  {:34} {:>7.0} {:>7.1} {:>6.1} {:>6.1} {:>7.0}\n",
             chip.label,
             e.core_pj,
             e.llc_pj,
@@ -300,38 +296,32 @@ pub fn print_sec3_4_5() {
             e.total_pj()
         );
     }
-    println!("  -> Scale-Out chips shrink the memory-hierarchy share (LLC+NOC):");
-    println!("     smaller caches leak less and distances are shorter (§3.4.5).");
+    out += "  -> Scale-Out chips shrink the memory-hierarchy share (LLC+NOC):\n";
+    out += "     smaller caches leak less and distances are shorter (§3.4.5).\n";
+    out
 }
 
-/// Prints Table 3.2 at both nodes.
-pub fn print_tab3_2() {
-    for node in [TechnologyNode::N40, TechnologyNode::N20] {
-        println!("Table 3.2 — designs at {node}");
-        println!(
-            "  {:34} {:>6} {:>5} {:>6} {:>3} {:>7} {:>6} {:>6}",
-            "design", "PD", "cores", "LLC", "MC", "die", "power", "P/W"
-        );
-        for d in DesignKind::table_3_2() {
-            let c = reference_chip(d, node);
-            println!(
-                "  {:34} {:>6.3} {:>5} {:>6.1} {:>3} {:>7.1} {:>6.1} {:>6.2}",
-                c.label,
-                c.performance_density,
-                c.cores,
-                c.llc_mb,
-                c.memory_channels,
-                c.die_mm2,
-                c.power_w,
-                c.perf_per_watt
-            );
-        }
-    }
+/// Table 3.2 at both nodes as text.
+pub fn tab3_2_text() -> String {
+    [TechnologyNode::N40, TechnologyNode::N20]
+        .map(|node| {
+            let title = format!("Table 3.2 — designs at {node}");
+            crate::ch2::design_table(&title, &DesignKind::table_3_2(), node)
+        })
+        .concat()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::points::sim_points;
+    use sop_exec::Exec;
+
+    /// Fig 3.3's rows for one workload/fabric pair.
+    fn fig3_3(workload: Workload, topology: TopologyKind) -> Vec<ValidationPoint> {
+        let specs = fig3_3_specs(workload, topology, true);
+        fig3_3_rows(&specs, &sim_points(&Exec::sequential(), "fig3.3", &specs))
+    }
 
     #[test]
     fn fig3_1_pd_peaks_in_the_interior() {
@@ -350,7 +340,7 @@ mod tests {
         // whose model was parameterised from its own simulations), so we
         // check a generous band at <=8 cores; EXPERIMENTS.md records the
         // full comparison.
-        for p in fig3_3(Workload::MapReduceW, TopologyKind::Crossbar, true) {
+        for p in fig3_3(Workload::MapReduceW, TopologyKind::Crossbar) {
             if p.cores <= 8 {
                 assert!(p.error() < 0.40, "{}c error {:.2}", p.cores, p.error());
             }
@@ -361,7 +351,7 @@ mod tests {
     fn fig3_3_simulation_shows_software_scalability_gap() {
         // §3.4.1: at 32-64 cores the *measured* perf of knee-limited
         // workloads falls below the model (which ignores software).
-        let pts = fig3_3(Workload::DataServing, TopologyKind::Crossbar, true);
+        let pts = fig3_3(Workload::DataServing, TopologyKind::Crossbar);
         let p64 = pts.iter().find(|p| p.cores == 64).expect("64-core point");
         assert!(
             p64.simulated_ipc < p64.modeled_ipc,

@@ -2,8 +2,7 @@
 //! Table 4.1, §4.4.4 power).
 
 use crate::geomean;
-use crate::points::{sim_points, SimPoint, SimPointSpec};
-use sop_exec::Exec;
+use crate::points::{SimPoint, SimPointSpec};
 use sop_noc::{NocAreaBreakdown, NocConfig, NocPowerEstimate, TopologyKind};
 use sop_workloads::Workload;
 
@@ -56,15 +55,20 @@ pub fn fig4_3_rows(points: &[SimPoint]) -> Vec<(Workload, f64)> {
         .collect()
 }
 
-/// Prints Fig 4.3, its simulations on `exec`.
-pub fn print_fig4_3_on(exec: &Exec, quick: bool) {
-    println!("Fig 4.3 — % of LLC accesses triggering a snoop (64-core pod)");
-    let rows = fig4_3_rows(&sim_points(exec, "fig4.3", &fig4_3_specs(quick)));
+/// Fig 4.3 as text, from the points of [`fig4_3_specs`].
+pub fn fig4_3_text(points: &[SimPoint]) -> String {
+    let mut out = String::from("Fig 4.3 — % of LLC accesses triggering a snoop (64-core pod)\n");
+    let rows = fig4_3_rows(points);
     for (w, f) in &rows {
-        println!("  {:16} {:.1}%", w.label(), f * 100.0);
+        out += &format!("  {:16} {:.1}%\n", w.label(), f * 100.0);
     }
     let mean = rows.iter().map(|(_, f)| f).sum::<f64>() / rows.len() as f64;
-    println!("  {:16} {:.1}%  (thesis mean: 2.7%)", "Mean", mean * 100.0);
+    out += &format!(
+        "  {:16} {:.1}%  (thesis mean: 2.7%)\n",
+        "Mean",
+        mean * 100.0
+    );
+    out
 }
 
 /// The simulation specs behind Fig 4.6 (or 4.8 with squeezed links):
@@ -91,21 +95,13 @@ pub fn noc_performance_rows(points: &[SimPoint]) -> Vec<(Workload, [f64; 3])> {
         .collect()
 }
 
-/// [`noc_performance_rows`] with its 21 pod simulations batched on
-/// `exec`.
-pub fn noc_performance_on(
-    exec: &Exec,
-    link_bits: [u32; 3],
-    quick: bool,
-) -> Vec<(Workload, [f64; 3])> {
-    let specs = noc_performance_specs(link_bits, quick);
-    noc_performance_rows(&sim_points(exec, "fig4.6", &specs))
-}
-
-/// Prints Fig 4.6 (full-width links), its simulations on `exec`.
-pub fn print_fig4_6_on(exec: &Exec, quick: bool) {
-    println!("Fig 4.6 — pod performance normalised to mesh (128-bit links)");
-    print_noc_rows(&noc_performance_on(exec, [128, 128, 128], quick));
+/// Fig 4.6 (full-width links) as text, from the points of
+/// `noc_performance_specs([128; 3], quick)`.
+pub fn fig4_6_text(points: &[SimPoint]) -> String {
+    noc_text(
+        "Fig 4.6 — pod performance normalised to mesh (128-bit links)\n",
+        points,
+    )
 }
 
 /// Link widths at which each fabric matches NOC-Out's area (Fig 4.8).
@@ -129,53 +125,66 @@ pub fn equal_area_widths() -> [u32; 3] {
     ]
 }
 
-/// Prints Fig 4.8 (equal-area links), its simulations on `exec`.
-pub fn print_fig4_8_on(exec: &Exec, quick: bool) {
-    let widths = equal_area_widths();
-    println!("Fig 4.8 — pod performance normalised to mesh under NOC-Out's area budget");
-    println!(
-        "  equal-area link widths: mesh {}b, fbfly {}b, NOC-Out {}b",
-        widths[0], widths[1], widths[2]
-    );
-    print_noc_rows(&noc_performance_on(exec, widths, quick));
+/// Fig 4.8 (equal-area links) as text, from the points of
+/// `noc_performance_specs(equal_area_widths(), quick)`.
+pub fn fig4_8_text(points: &[SimPoint]) -> String {
+    let [mesh, fbfly, nocout] = equal_area_widths();
+    noc_text(
+        &format!(
+            "Fig 4.8 — pod performance normalised to mesh under NOC-Out's area budget\n  \
+             equal-area link widths: mesh {mesh}b, fbfly {fbfly}b, NOC-Out {nocout}b\n"
+        ),
+        points,
+    )
 }
 
-fn print_noc_rows(rows: &[(Workload, [f64; 3])]) {
-    println!(
-        "  {:16} {:>7} {:>7} {:>7}",
+/// Fig 4.6 or 4.8 as text: `head`, then each workload's pod performance
+/// per fabric and their geometric means.
+fn noc_text(head: &str, points: &[SimPoint]) -> String {
+    let rows = noc_performance_rows(points);
+    let mut out = head.to_owned();
+    out += &format!(
+        "  {:16} {:>7} {:>7} {:>7}\n",
         "workload", "mesh", "fbfly", "nocout"
     );
-    for (w, r) in rows {
-        println!(
-            "  {:16} {:>7.3} {:>7.3} {:>7.3}",
+    for (w, r) in &rows {
+        out += &format!(
+            "  {:16} {:>7.3} {:>7.3} {:>7.3}\n",
             w.label(),
             r[0],
             r[1],
             r[2]
         );
     }
+    // A halted or failed pod (fault injection, job failure) leaves a
+    // ratio of zero or NaN, which has no geometric mean.
+    if !rows.iter().all(|(_, r)| r.iter().all(|&v| v > 0.0)) {
+        out += &format!("  {:16} skipped (degraded or failed points)\n", "GMean");
+        return out;
+    }
     let gm = |i: usize| geomean(&rows.iter().map(|(_, r)| r[i]).collect::<Vec<_>>());
-    println!(
-        "  {:16} {:>7.3} {:>7.3} {:>7.3}",
+    out += &format!(
+        "  {:16} {:>7.3} {:>7.3} {:>7.3}\n",
         "GMean",
         gm(0),
         gm(1),
         gm(2)
     );
+    out
 }
 
-/// Prints Fig 4.7: the NOC area breakdown per fabric.
-pub fn print_fig4_7() {
-    println!("Fig 4.7 — NOC area breakdown at 32nm (mm2)");
-    println!(
-        "  {:22} {:>7} {:>8} {:>9} {:>7}",
+/// Fig 4.7 (the NOC area breakdown per fabric) as text.
+pub fn fig4_7_text() -> String {
+    let mut out = String::from("Fig 4.7 — NOC area breakdown at 32nm (mm2)\n");
+    out += &format!(
+        "  {:22} {:>7} {:>8} {:>9} {:>7}\n",
         "fabric", "links", "buffers", "crossbars", "total"
     );
     for kind in FABRICS {
         let cfg = NocConfig::pod_64(kind);
         let a = NocAreaBreakdown::of(&cfg.build_topology(), cfg.link_bits);
-        println!(
-            "  {:22} {:>7.2} {:>8.2} {:>9.2} {:>7.2}",
+        out += &format!(
+            "  {:22} {:>7.2} {:>8.2} {:>9.2} {:>7.2}\n",
             format!("{kind:?}"),
             a.links_mm2,
             a.buffers_mm2,
@@ -183,6 +192,7 @@ pub fn print_fig4_7() {
             a.total_mm2()
         );
     }
+    out
 }
 
 /// The §4.4.4 power analysis' warm-up and measured windows.
@@ -239,22 +249,23 @@ pub fn fig4_9_rows(points: &[SimPoint], quick: bool) -> Vec<(TopologyKind, f64)>
         .collect()
 }
 
-/// Prints the §4.4.4 power analysis, its simulations on `exec`.
-pub fn print_fig4_9_power_on(exec: &Exec, quick: bool) {
-    println!("§4.4.4 — NOC power (W) averaged across workloads");
-    let points = sim_points(exec, "fig4.9", &fig4_9_specs(quick));
-    for (kind, mean) in fig4_9_rows(&points, quick) {
-        println!("  {:22} {:.2} W", format!("{kind:?}"), mean);
+/// The §4.4.4 power analysis as text, from the points of
+/// [`fig4_9_specs`].
+pub fn fig4_9_text(points: &[SimPoint], quick: bool) -> String {
+    let mut out = String::from("§4.4.4 — NOC power (W) averaged across workloads\n");
+    for (kind, mean) in fig4_9_rows(points, quick) {
+        out += &format!("  {:22} {:.2} W\n", format!("{kind:?}"), mean);
     }
+    out
 }
 
-/// Prints the §4.5.1 scalability discussion: NOC-Out grown to 128 and
+/// The §4.5.1 scalability discussion as text: NOC-Out grown to 128 and
 /// 256 cores via concentration, express links, and a 2-D LLC butterfly.
-pub fn print_sec4_5() {
+pub fn sec4_5_text() -> String {
     use sop_noc::{NocAreaBreakdown, ScaledNocOut, Topology};
-    println!("§4.5.1 — scaling NOC-Out past 64 cores");
-    println!(
-        "  {:28} {:>7} {:>10} {:>9}",
+    let mut out = String::from("§4.5.1 — scaling NOC-Out past 64 cores\n");
+    out += &format!(
+        "  {:28} {:>7} {:>10} {:>9}\n",
         "organization", "cores", "mean lat", "NOC mm2"
     );
     let base = Topology::noc_out(64, 8, 1.82);
@@ -266,8 +277,8 @@ pub fn print_sec4_5() {
             count += 1;
         }
     }
-    println!(
-        "  {:28} {:>7} {:>10.1} {:>9.2}",
+    out += &format!(
+        "  {:28} {:>7} {:>10.1} {:>9.2}\n",
         "baseline (ch. 4)",
         64,
         sum as f64 / count as f64,
@@ -278,38 +289,42 @@ pub fn print_sec4_5() {
         ("conc. + express + 2D LLC", ScaledNocOut::express_256()),
     ] {
         let topo = cfg.build();
-        println!(
-            "  {:28} {:>7} {:>10.1} {:>9.2}",
+        out += &format!(
+            "  {:28} {:>7} {:>10.1} {:>9.2}\n",
             label,
             cfg.cores,
             cfg.mean_core_to_llc_latency(),
             NocAreaBreakdown::of(&topo, 128).total_mm2()
         );
     }
-    println!("  -> 4x the cores at sub-2x latency and a fraction of the cost");
-    println!("     of widening a mesh or butterfly to 256 tiles.");
+    out += "  -> 4x the cores at sub-2x latency and a fraction of the cost\n";
+    out += "     of widening a mesh or butterfly to 256 tiles.\n";
+    out
 }
 
-/// Prints Table 4.1's headline parameters.
-pub fn print_tab4_1() {
-    println!("Table 4.1 — 64-core pod evaluation parameters (32nm, 2GHz)");
-    println!("  64 OoO cores (A15-like, 2.9mm2), 8MB NUCA LLC (3.2mm2/MB),");
-    println!("  4 DDR3-1667 channels, 64B lines");
+/// Table 4.1's headline parameters as text.
+pub fn tab4_1_text() -> String {
+    let mut out = String::from("Table 4.1 — 64-core pod evaluation parameters (32nm, 2GHz)\n");
+    out += "  64 OoO cores (A15-like, 2.9mm2), 8MB NUCA LLC (3.2mm2/MB),\n";
+    out += "  4 DDR3-1667 channels, 64B lines\n";
     for kind in FABRICS {
         let cfg = NocConfig::pod_64(kind);
-        println!(
-            "  {:22} {} LLC tiles, {}-bit links, {} flits/VC",
+        out += &format!(
+            "  {:22} {} LLC tiles, {}-bit links, {} flits/VC\n",
             format!("{kind:?}"),
             cfg.llc_tiles,
             cfg.link_bits,
             cfg.vc_depth
         );
     }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::points::sim_points;
+    use sop_exec::Exec;
 
     #[test]
     fn equal_area_widths_squeeze_the_butterfly_hardest() {
@@ -321,9 +336,32 @@ mod tests {
 
     #[test]
     fn fig4_6_nocout_beats_mesh_on_average() {
-        let rows = noc_performance_on(&Exec::sequential(), [128, 128, 128], true);
+        let points = sim_points(
+            &Exec::sequential(),
+            "fig4.6",
+            &noc_performance_specs([128; 3], true),
+        );
+        let rows = noc_performance_rows(&points);
         let gm: f64 = geomean(&rows.iter().map(|(_, r)| r[2]).collect::<Vec<_>>());
         assert!(gm > 1.02, "NOC-Out gmean vs mesh {gm}");
+    }
+
+    #[test]
+    fn rows_with_a_halted_pod_skip_the_geometric_mean() {
+        let healthy = SimPoint {
+            aggregate_ipc: 2.0,
+            ..SimPoint::failed()
+        };
+        let halted = SimPoint {
+            aggregate_ipc: 0.0,
+            ..healthy
+        };
+        let points: Vec<SimPoint> = Workload::ALL
+            .iter()
+            .flat_map(|_| [healthy, healthy, halted])
+            .collect();
+        let text = fig4_6_text(&points);
+        assert!(text.ends_with("  GMean            skipped (degraded or failed points)\n"));
     }
 
     #[test]

@@ -9,25 +9,26 @@ pub const CORE_SWEEP: [u32; 9] = [4, 8, 16, 32, 64, 128, 256, 512, 1024];
 /// LLC capacities swept in Figs 6.4/6.6.
 pub const LLC_SWEEP: [f64; 5] = [2.0, 4.0, 8.0, 16.0, 32.0];
 
-/// Prints Fig 6.4 (OoO) or Fig 6.6 (in-order): PD3D sweeps per die
+/// Fig 6.4 (OoO) or Fig 6.6 (in-order) as text: PD3D sweeps per die
 /// count, one row per LLC capacity.
-pub fn print_pd3d_sweep(kind: CoreKind) {
+pub fn pd3d_sweep_text(kind: CoreKind) -> String {
     let fig = if kind == CoreKind::OutOfOrder {
         "6.4"
     } else {
         "6.6"
     };
-    println!("Fig {fig} — volume-normalised PD, {kind:?} cores, 1/2/4 dies");
+    let mut out = format!("Fig {fig} — volume-normalised PD, {kind:?} cores, 1/2/4 dies\n");
     for dies in [1u32, 2, 4] {
-        println!("  == {dies} die(s) ==");
+        out += &format!("  == {dies} die(s) ==\n");
         for mb in LLC_SWEEP {
             let row: Vec<String> = sweep_3d(kind, dies, &CORE_SWEEP, &[mb])
                 .iter()
                 .map(|p| format!("{}c:{:.4}", p.cores, p.pd3d))
                 .collect();
-            println!("    {mb}MB  {}", row.join(" "));
+            out += &format!("    {mb}MB  {}\n", row.join(" "));
         }
     }
+    out
 }
 
 /// The single-die base pod chapter 6 derives for each core type. Our
@@ -40,70 +41,81 @@ pub fn base_pod(kind: CoreKind) -> (u32, f64) {
     }
 }
 
-/// Prints Fig 6.5 (OoO) or Fig 6.7 (in-order): fixed-pod vs
+/// `kind`'s base pod stacked on each of `dies`, fixed-pod then
+/// fixed-distance. One die has only the fixed-pod variant: the two are
+/// identical there.
+pub fn stacked_pods(kind: CoreKind, dies: &[u32]) -> Vec<Pod3d> {
+    let (cores, mb) = base_pod(kind);
+    dies.iter()
+        .flat_map(|&d| {
+            [StackStrategy::FixedPod, StackStrategy::FixedDistance]
+                .into_iter()
+                .filter(move |&s| d > 1 || s == StackStrategy::FixedPod)
+                .map(move |s| Pod3d::new(kind, cores, mb, d, s))
+        })
+        .collect()
+}
+
+/// Fig 6.5 (OoO) or Fig 6.7 (in-order) as text: fixed-pod vs
 /// fixed-distance strategies across die counts.
-pub fn print_strategy_comparison(kind: CoreKind) {
+pub fn strategy_text(kind: CoreKind) -> String {
     let (cores, mb) = base_pod(kind);
     let fig = if kind == CoreKind::OutOfOrder {
         "6.5"
     } else {
         "6.7"
     };
-    let max_dies = if kind == CoreKind::InOrder { 3 } else { 4 };
-    println!("Fig {fig} — fixed-pod vs fixed-distance, base {cores}c/{mb}MB");
-    for dies in 1..=max_dies {
-        for strategy in [StackStrategy::FixedPod, StackStrategy::FixedDistance] {
-            if dies == 1 && strategy == StackStrategy::FixedDistance {
-                continue; // identical to fixed-pod at one die
-            }
-            let pod = Pod3d::new(kind, cores, mb, dies, strategy);
-            let m = pod.metrics();
-            println!(
-                "  L={dies} {:14} {:>4}c/{:>4.1}MB  PD3D {:.4}",
-                format!("{strategy:?}"),
-                pod.total_cores(),
-                pod.total_llc_mb(),
-                m.performance_density_3d
-            );
-        }
+    let dies: &[u32] = if kind == CoreKind::InOrder {
+        &[1, 2, 3]
+    } else {
+        &[1, 2, 3, 4]
+    };
+    let mut out = format!("Fig {fig} — fixed-pod vs fixed-distance, base {cores}c/{mb}MB\n");
+    for pod in stacked_pods(kind, dies) {
+        out += &format!(
+            "  L={} {:14} {:>4}c/{:>4.1}MB  PD3D {:.4}\n",
+            pod.dies,
+            format!("{:?}", pod.strategy),
+            pod.total_cores(),
+            pod.total_llc_mb(),
+            pod.metrics().performance_density_3d
+        );
     }
+    out
 }
 
-/// Prints Table 6.2: 2D and 3D Scale-Out Processor specifications.
-pub fn print_tab6_2() {
-    println!("Table 6.2 — 2D and 3D Scale-Out Processors (250W, DDR4)");
-    println!(
-        "  {:10} {:>4} {:14} {:>5} {:>10} {:>4} {:>8}",
+/// Table 6.2's pods: each core type's base pod on one die and stacked
+/// two and four (OoO) or three (in-order, bandwidth-bound) high.
+pub fn tab6_2() -> Vec<Pod3d> {
+    [
+        stacked_pods(CoreKind::OutOfOrder, &[1, 2, 4]),
+        stacked_pods(CoreKind::InOrder, &[1, 2, 3]),
+    ]
+    .concat()
+}
+
+/// Table 6.2 (2D and 3D Scale-Out Processor specifications) as text.
+pub fn tab6_2_text() -> String {
+    let mut out = String::from("Table 6.2 — 2D and 3D Scale-Out Processors (250W, DDR4)\n");
+    out += &format!(
+        "  {:10} {:>4} {:14} {:>5} {:>10} {:>4} {:>8}\n",
         "core", "dies", "strategy", "pods", "pod config", "MCs", "PD3D"
     );
-    for kind in [CoreKind::OutOfOrder, CoreKind::InOrder] {
-        let (cores, mb) = base_pod(kind);
-        let max_dies: &[u32] = if kind == CoreKind::InOrder {
-            &[1, 2, 3]
-        } else {
-            &[1, 2, 4]
-        };
-        for &dies in max_dies {
-            for strategy in [StackStrategy::FixedPod, StackStrategy::FixedDistance] {
-                if dies == 1 && strategy == StackStrategy::FixedDistance {
-                    continue;
-                }
-                let pod = Pod3d::new(kind, cores, mb, dies, strategy);
-                let chip = compose_3d(&pod);
-                println!(
-                    "  {:10} {:>4} {:14} {:>5} {:>6}c/{:>3.0}MB {:>4} {:>8.4}",
-                    kind.label(),
-                    dies,
-                    format!("{strategy:?}"),
-                    chip.pods,
-                    pod.total_cores(),
-                    pod.total_llc_mb(),
-                    chip.memory_channels,
-                    chip.performance_density_3d
-                );
-            }
-        }
+    for pod in tab6_2() {
+        let chip = compose_3d(&pod);
+        out += &format!(
+            "  {:10} {:>4} {:14} {:>5} {:>6}c/{:>3.0}MB {:>4} {:>8.4}\n",
+            pod.core_kind.label(),
+            pod.dies,
+            format!("{:?}", pod.strategy),
+            chip.pods,
+            pod.total_cores(),
+            pod.total_llc_mb(),
+            chip.memory_channels,
+            chip.performance_density_3d
+        );
     }
+    out
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! datacenter that keeps running degraded pods instead of draining them
 //! retains the integral under this curve.
 
-use crate::points::{sim_points, SimPointSpec, SpecFaults};
+use crate::points::{sim_points, SimPoint, SimPointSpec, SpecFaults};
 use sop_exec::Exec;
 use sop_noc::TopologyKind;
 use sop_obs::Json;
@@ -65,27 +65,31 @@ impl DegradationRow {
     }
 }
 
-/// The sweep's machine: the chapter 3 validation mesh (16 threads on a
-/// 4x4 fabric), where a single router is a meaningful 1/16th of the
-/// machine. `(spec for k dead routers, router universe)`.
-fn sweep_spec(dead: u32, quick: bool) -> SimPointSpec {
+/// The sweep's simulation specs, one per damage level: the chapter 3
+/// validation mesh (16 threads on a 4x4 fabric, where a single router is
+/// a meaningful 1/16th of the machine) with `k` routers killed at cycle
+/// 0.
+pub fn sweep_specs(quick: bool) -> Vec<SimPointSpec> {
     let (warm, measure) = if quick {
         (1_000, 3_000)
     } else {
         (4_000, 10_000)
     };
-    SimPointSpec::Validation {
-        workload: Workload::WebSearch,
-        cores: 16,
-        topology: TopologyKind::Mesh,
-        warm,
-        measure,
-        faults: (dead > 0).then_some(SpecFaults {
-            seed: SWEEP_SEED,
-            dead,
-            cycle: 0,
-        }),
-    }
+    DAMAGE_LEVELS
+        .iter()
+        .map(|&dead| SimPointSpec::Validation {
+            workload: Workload::WebSearch,
+            cores: 16,
+            topology: TopologyKind::Mesh,
+            warm,
+            measure,
+            faults: (dead > 0).then_some(SpecFaults {
+                seed: SWEEP_SEED,
+                dead,
+                cycle: 0,
+            }),
+        })
+        .collect()
 }
 
 /// Routers in the sweep machine's fabric (the denominator of
@@ -99,19 +103,13 @@ fn router_universe() -> u32 {
     .router_count()
 }
 
-/// Runs the sweep on `exec`: every damage level is one cacheable
-/// simulation point, batched as the `degradation` campaign.
-pub fn sweep_on(exec: &Exec, quick: bool) -> Vec<DegradationRow> {
-    let specs: Vec<SimPointSpec> = DAMAGE_LEVELS
-        .iter()
-        .map(|&k| sweep_spec(k, quick))
-        .collect();
-    let points = sim_points(exec, "degradation", &specs);
+/// The sweep's rows from the points of [`sweep_specs`].
+pub fn sweep_rows(points: &[SimPoint]) -> Vec<DegradationRow> {
     let routers = router_universe();
     let healthy = points[0].aggregate_ipc;
     DAMAGE_LEVELS
         .iter()
-        .zip(&points)
+        .zip(points)
         .map(|(&k, p)| DegradationRow {
             dead_routers: k,
             failed_fraction: f64::from(k) / f64::from(routers),
@@ -126,28 +124,33 @@ pub fn sweep_on(exec: &Exec, quick: bool) -> Vec<DegradationRow> {
         .collect()
 }
 
-/// [`sweep_on`] without an engine.
+/// Runs the sweep as one `degradation` campaign on a sequential engine.
 pub fn sweep(quick: bool) -> Vec<DegradationRow> {
-    sweep_on(&Exec::sequential(), quick)
+    sweep_rows(&sim_points(
+        &Exec::sequential(),
+        "degradation",
+        &sweep_specs(quick),
+    ))
 }
 
-/// Prints the sweep as a table.
-pub fn print_sweep_on(exec: &Exec, quick: bool) {
-    println!("Degradation sweep: WebSearch on the 4x4 validation mesh");
-    println!("  dead  failed%  agg IPC  relative");
-    for r in sweep_on(exec, quick) {
+/// The sweep as text, from the points of [`sweep_specs`].
+pub fn sweep_text(points: &[SimPoint]) -> String {
+    let mut out = String::from("Degradation sweep: WebSearch on the 4x4 validation mesh\n");
+    out += "  dead  failed%  agg IPC  relative\n";
+    for r in sweep_rows(points) {
         let tail = match r.halted {
             Some(h) => format!("  [{}]", h.key()),
             None => String::new(),
         };
-        println!(
-            "  {:>4}  {:>6.1}%  {:>7.3}  {:>7.4}{tail}",
+        out += &format!(
+            "  {:>4}  {:>6.1}%  {:>7.3}  {:>7.4}{tail}\n",
             r.dead_routers,
             r.failed_fraction * 100.0,
             r.aggregate_ipc,
             r.relative_performance,
         );
     }
+    out
 }
 
 #[cfg(test)]

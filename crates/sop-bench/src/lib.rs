@@ -1,8 +1,12 @@
 //! Experiment harness: regenerates every table and figure of the thesis.
 //!
-//! Each chapter module exposes functions that compute and print one
-//! experiment; the `repro` binary dispatches on experiment ids (`fig2.1`,
-//! `tab3.2`, `fig4.6`, ... or `all`). The `sop-benchmark` crate under
+//! [`figures::FIGURES`] is the one definition of each experiment: its
+//! id, the simulation points it reads, and how it renders them as text
+//! and, for the figures `sop sweep` serialises, as JSON. The chapter
+//! modules hold each figure's typed rows and its text; the table builds
+//! the JSON from the same rows. The `repro`
+//! binary and [`campaign::run_campaign`] both run the entries they are
+//! asked for as one engine campaign. The `sop-benchmark` crate under
 //! `benchmark/` at the repository root times the machinery these
 //! experiments run on.
 
@@ -13,6 +17,7 @@ pub mod ch4;
 pub mod ch5;
 pub mod ch6;
 pub mod degradation;
+pub mod figures;
 pub mod points;
 pub mod report;
 

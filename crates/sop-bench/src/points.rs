@@ -316,31 +316,13 @@ impl SimPoint {
     }
 }
 
-/// Process-wide fault override (`repro --fault routers:N@CYCLE`): every
-/// simulation point that does not already carry a schedule runs under
-/// this one. Set once at startup, before any campaign; faulted specs
-/// hash differently, so the override never contaminates fault-free cache
-/// entries.
-static GLOBAL_FAULTS: std::sync::OnceLock<SpecFaults> = std::sync::OnceLock::new();
-
-/// Installs the process-wide fault override. Returns `false` if one was
-/// already set (the first one wins).
-pub fn set_global_faults(f: SpecFaults) -> bool {
-    GLOBAL_FAULTS.set(f).is_ok()
-}
-
 /// Evaluates `specs` as one campaign on `exec`: duplicates collapse,
 /// cached points are served from disk, fresh points run on the worker
 /// pool, and the results come back in spec order.
 pub fn sim_points(exec: &Exec, campaign: &str, specs: &[SimPointSpec]) -> Vec<SimPoint> {
-    let global = GLOBAL_FAULTS.get().copied();
     let jobs: Vec<Job<'_>> = specs
         .iter()
-        .map(|spec| {
-            let spec = match (spec.faults(), global) {
-                (None, Some(g)) => spec.with_faults(Some(g)),
-                _ => *spec,
-            };
+        .map(|&spec| {
             Job::with_work(spec.name(), spec.to_json(), move |_| {
                 let mut work = Registry::new();
                 work.counter_add("cycles", spec.cycles());

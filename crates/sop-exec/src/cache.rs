@@ -10,10 +10,11 @@
 //!   `repro`/`ablation`/`sop sweep` invocations skip completed work.
 //!
 //! Disk entries are self-validating: each file records the schema tag,
-//! the canonical spec, and the spec's hash. A read re-hashes the embedded
-//! spec and compares it to both the stored hash and the file name, so a
-//! truncated, corrupted, or hand-edited entry is *detected and
-//! recomputed*, never trusted.
+//! the canonical spec, the spec's hash, and a checksum of the result. A
+//! read re-hashes the embedded spec and compares it to both the stored
+//! hash and the file name, and re-hashes the result against its
+//! checksum, so a truncated, corrupted, or hand-edited entry is
+//! *detected and recomputed*, never trusted.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -26,7 +27,8 @@ use crate::hash::{hash_hex, spec_hash};
 
 /// Cache entry layout version. Bump when the entry format (not the job
 /// results) changes; old entries then read as invalid and recompute.
-pub const CACHE_SCHEMA: &str = "sop-cache/v1";
+/// `v2` added the result checksum.
+pub const CACHE_SCHEMA: &str = "sop-cache/v2";
 
 /// A two-layer (memory + optional disk) content-addressed result store.
 #[derive(Debug)]
@@ -140,7 +142,13 @@ impl ResultCache {
         if recomputed != hash || stored != hash {
             return None;
         }
-        doc.get("result").cloned()
+        // The result must match the checksum written with it.
+        let result = doc.get("result")?;
+        let checksum = doc
+            .get("result_hash")
+            .and_then(Json::as_str)
+            .and_then(crate::hash::parse_hash_hex)?;
+        (spec_hash(result) == checksum).then(|| result.clone())
     }
 
     /// Stores `result` for `hash` in memory and (when configured) on
@@ -165,7 +173,8 @@ impl ResultCache {
             .with("schema", CACHE_SCHEMA)
             .with("hash", hash_hex(hash).as_str())
             .with("spec", crate::hash::canonicalize(spec))
-            .with("result", result.clone());
+            .with("result", result.clone())
+            .with("result_hash", hash_hex(spec_hash(result)).as_str());
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         if std::fs::write(&tmp, doc.to_pretty_string() + "\n").is_ok() {
             let _ = std::fs::rename(&tmp, &path);
@@ -177,7 +186,8 @@ impl ResultCache {
 /// directory, classified by whether it would be trusted on read.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct CacheAudit {
-    /// Entries that pass full validation (schema + hash + filename).
+    /// Entries that pass full validation (schema, spec hash, filename and
+    /// result checksum).
     pub valid: usize,
     /// `.json` entries that fail validation — truncated, corrupt,
     /// hash-mismatched, or misnamed — listed by file name.
@@ -208,7 +218,7 @@ impl CacheAudit {
 
 /// Audits every file under `dir`, re-validating each `.json` entry the
 /// same way a read would (schema tag, embedded spec re-hash, filename
-/// agreement). A missing directory audits as empty and clean — an
+/// agreement, result checksum). A missing directory audits as empty and clean — an
 /// unpopulated cache is not an error. Used by the CI chaos job to assert
 /// that fault-injected campaigns leave zero truncated cache files.
 pub fn audit_dir(dir: impl AsRef<Path>) -> std::io::Result<CacheAudit> {
@@ -324,23 +334,55 @@ mod tests {
     }
 
     #[test]
+    fn edited_result_reads_as_a_miss_and_audits_invalid() {
+        let dir = scratch_dir("edited-result");
+        let spec = Json::object().with("x", 6u64);
+        let h = spec_hash(&spec);
+        ResultCache::on_disk(&dir).put(h, &spec, &Json::object().with("ipc", 1.5));
+        // Hand-edit the result, as `"result": {}`, and leave everything
+        // else (schema, spec, hash, file name) as written.
+        let path = dir.join(format!("{}.json", hash_hex(h)));
+        let mut doc = json::parse(&std::fs::read_to_string(&path).expect("entry")).expect("json");
+        let Json::Obj(members) = &mut doc else {
+            panic!("an entry is an object");
+        };
+        for (k, v) in members.iter_mut() {
+            if k == "result" {
+                *v = Json::object();
+            }
+        }
+        std::fs::write(&path, doc.to_pretty_string()).expect("write");
+        let fresh = ResultCache::on_disk(&dir);
+        assert_eq!(fresh.get(h), None, "an edited result must not be trusted");
+        assert_eq!(fresh.invalid(), 1);
+        let audit = audit_dir(&dir).expect("audit");
+        assert_eq!((audit.valid, audit.invalid.len()), (0, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn wrong_schema_reads_as_miss() {
         let dir = scratch_dir("schema");
         let spec = Json::object().with("x", 5u64);
         let h = spec_hash(&spec);
-        let doc = Json::object()
-            .with("schema", "sop-cache/v999")
-            .with("hash", hash_hex(h).as_str())
-            .with("spec", spec.clone())
-            .with("result", Json::UInt(3));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        std::fs::write(
-            dir.join(format!("{}.json", hash_hex(h))),
-            doc.to_pretty_string(),
-        )
-        .expect("write");
-        let cache = ResultCache::on_disk(&dir);
-        assert_eq!(cache.get(h), None);
+        // Entries written before the result checksum (v1) and of an
+        // unknown schema are misses, whatever else they hold.
+        for schema in ["sop-cache/v1", "sop-cache/v999"] {
+            let doc = Json::object()
+                .with("schema", schema)
+                .with("hash", hash_hex(h).as_str())
+                .with("spec", spec.clone())
+                .with("result", Json::UInt(3))
+                .with("result_hash", hash_hex(spec_hash(&Json::UInt(3))).as_str());
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            std::fs::write(
+                dir.join(format!("{}.json", hash_hex(h))),
+                doc.to_pretty_string(),
+            )
+            .expect("write");
+            let cache = ResultCache::on_disk(&dir);
+            assert_eq!(cache.get(h), None, "{schema}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -384,5 +426,43 @@ mod tests {
         assert_eq!(audit.valid, 1);
         assert!(audit.is_clean());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        /// Reading a damaged entry never panics and never trusts a
+        /// changed result: over arbitrary bytes, and over a valid entry
+        /// cut short or with one byte flipped, a read either misses or
+        /// returns exactly the result that was written, and the audit
+        /// agrees with the read.
+        #[test]
+        fn damaged_entries_never_panic_and_never_lie(
+            x in 0u64..u64::MAX,
+            ipc in 0u64..1_000_000,
+            junk in proptest::prop::collection::vec(0u8..255, 0..200),
+            at in 0usize..10_000,
+            mask in 1u8..255,
+        ) {
+            let dir = scratch_dir("prop");
+            let spec = Json::object().with("x", x);
+            let h = spec_hash(&spec);
+            let result = Json::object()
+                .with("ipc", ipc as f64 / 1000.0)
+                .with("rows", Json::Arr(vec![Json::UInt(x), Json::from("a\u{e9}b")]));
+            ResultCache::on_disk(&dir).put(h, &spec, &result);
+            let path = dir.join(format!("{}.json", hash_hex(h)));
+            let entry = std::fs::read(&path).expect("entry written");
+            let at = at % entry.len();
+            let mut flipped = entry.clone();
+            flipped[at] ^= mask;
+            for bytes in [&junk[..], &entry[..at], &flipped[..]] {
+                std::fs::write(&path, bytes).expect("write");
+                let read = ResultCache::on_disk(&dir).get(h);
+                proptest::prop_assert!(read.is_none() || read.as_ref() == Some(&result));
+                let audit = audit_dir(&dir).expect("audit");
+                proptest::prop_assert_eq!(audit.valid + audit.invalid.len(), 1);
+                proptest::prop_assert_eq!(audit.valid == 1, read.is_some());
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
