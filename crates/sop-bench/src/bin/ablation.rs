@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! usage: ablation [<pods|llcrow|links|ir|all>] [--json FILE] [--jobs N]
-//!            [--timeout-secs N] [--retries N] [--no-cache] [--no-heartbeat]
+//!            [--timeout-secs N] [--no-cache] [--no-heartbeat]
 //! ```
 //!
 //! `<section>` runs one ablation; without one, `all` runs every section.

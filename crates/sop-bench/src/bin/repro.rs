@@ -3,7 +3,7 @@
 //! ```text
 //! usage: repro <id>... [--quick] [--quiet] [--stable] [--json FILE]
 //!            [--fault routers:N@CYCLE[:seed=S]] [--jobs N] [--timeout-secs N]
-//!            [--retries N] [--no-cache] [--no-heartbeat]
+//!            [--no-cache] [--no-heartbeat]
 //! ```
 //!
 //! `<id>` is one or more ids of `sop_bench::figures::FIGURES` (`fig2.1`,
@@ -30,8 +30,8 @@
 //! * `--no-cache` — recompute every simulation point, ignoring
 //!   `target/sop-cache/`. Without it, rerunning a killed or partly
 //!   failed run recomputes only the points it did not finish.
-//! * `--timeout-secs N`, `--retries N`, `--no-heartbeat` — the execution
-//!   engine's watchdog, retry budget and progress stream (see DESIGN.md).
+//! * `--timeout-secs N`, `--no-heartbeat` — the execution engine's
+//!   watchdog and progress stream (see DESIGN.md).
 //! * `--stable` — strip wall-clock spans and `exec.*` state from the
 //!   `--json` report so reports from different worker counts and cache
 //!   states compare byte-for-byte.

@@ -21,10 +21,20 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// Runs `bin` in `dir`, returning its exit code, stdout and stderr.
 fn run(bin: &str, dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
+    run_with_cache(bin, dir, &dir.join("cache"), args)
+}
+
+/// [`run`] with `SOP_CACHE_DIR` set to `cache`.
+fn run_with_cache(
+    bin: &str,
+    dir: &Path,
+    cache: &Path,
+    args: &[&str],
+) -> (Option<i32>, String, String) {
     let out = Command::new(bin)
         .args(args)
         .current_dir(dir)
-        .env("SOP_CACHE_DIR", dir.join("cache"))
+        .env("SOP_CACHE_DIR", cache)
         .output()
         .expect("binary runs");
     (
@@ -108,6 +118,9 @@ const REMOVED: &str = concat!("--", "threads");
 /// The removed manifest-replay flag, spelled out in pieces likewise.
 const REMOVED_REPLAY: &str = concat!("--", "resume");
 
+/// The removed job-retry budget, spelled out in pieces likewise.
+const REMOVED_RETRIES: &str = concat!("--", "retries");
+
 #[test]
 fn unknown_flags_exit_2_naming_the_flag() {
     let dir = scratch("flags");
@@ -126,19 +139,24 @@ fn unknown_flags_exit_2_naming_the_flag() {
     let removed = format!("unknown flag {REMOVED}");
     assert_rejected(repro, &dir, &["all", "--quick", REMOVED, "2"], &removed);
     assert_rejected(repro, &dir, &["fig4.7", REMOVED, "2"], &removed);
-    // The manifest-replay flag is gone from every binary, and
-    // `calibrate`, which runs no engine work, takes no engine flag.
+    // The manifest-replay flag and the job-retry budget are gone
+    // from every binary, and `calibrate`, which runs no engine work,
+    // takes no engine flag.
     let removed = format!("unknown flag {REMOVED_REPLAY}");
+    let removed_retries = format!("unknown flag {REMOVED_RETRIES}");
     for row in &TABLE {
         assert_rejected(row.bin, &dir, &with(row, &[REMOVED_REPLAY]), &removed);
+        let args = with(row, &[REMOVED_RETRIES, "1"]);
+        assert_rejected(row.bin, &dir, &args, &removed_retries);
     }
     let calibrate = env!("CARGO_BIN_EXE_calibrate");
-    let engine: [&[&str]; 5] = [
+    let engine: [&[&str]; 6] = [
         &["--jobs", "2"],
         &["--timeout-secs", "9"],
-        &["--retries", "1"],
+        &[REMOVED_RETRIES, "1"],
         &["--no-cache"],
         &["--no-heartbeat"],
+        &[REMOVED_REPLAY],
     ];
     for args in engine {
         assert_rejected(calibrate, &dir, args, &format!("unknown flag {}", args[0]));
@@ -159,7 +177,7 @@ fn unparsable_engine_values_exit_2_naming_flag_and_value() {
         assert_rejected(row.bin, &dir, &with(row, &[flag, bad]), &needle);
     }
     let cases: [(&[&str], &str); 3] = [
-        (&["fig4.7", "--retries", "x"], "--retries: x"),
+        (&["fig4.7", "--timeout-secs", "-1"], "--timeout-secs: -1"),
         (&["fig4.7", "--timeout-secs", "1m"], "--timeout-secs: 1m"),
         (&["all", "fig9.9"], "<id>: fig9.9"),
     ];
@@ -230,10 +248,38 @@ fn ablation_takes_one_section_from_its_list() {
     );
     assert_rejected(ablation, &dir, &["ir", "pods"], "unexpected argument pods");
     assert_nothing_written(&dir);
-    let (code, stdout, stderr) = run(ablation, &dir, &["--retries", "3", "ir"]);
+    let (code, stdout, stderr) = run(ablation, &dir, &["--jobs", "3", "ir"]);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("instruction replication"), "{stdout}");
     assert!(!stdout.contains("pod granularity"), "{stdout}");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// An empty `SOP_CACHE_DIR`, or one naming a regular file, exits 2
+/// naming it before any work.
+#[test]
+fn unusable_cache_dirs_exit_2_naming_them() {
+    let dir = scratch("cache-dir");
+    let file = dir.join("file");
+    std::fs::write(&file, "").expect("write a regular file");
+    let engine = [
+        (env!("CARGO_BIN_EXE_repro"), &["fig4.7", "--quick"][..]),
+        (env!("CARGO_BIN_EXE_ablation"), &["links"]),
+    ];
+    for (bin, args) in engine {
+        let (code, _, stderr) = run_with_cache(bin, &dir, Path::new(""), args);
+        assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains("SOP_CACHE_DIR is set but empty"),
+            "{stderr}"
+        );
+        let (code, _, stderr) = run_with_cache(bin, &dir, &file, args);
+        assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
+        let needle = format!("cannot create cache directory {}: ", file.display());
+        assert!(stderr.contains(&needle), "{bin} {args:?}: {stderr}");
+    }
+    std::fs::remove_file(&file).expect("remove the regular file");
+    assert_nothing_written(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 

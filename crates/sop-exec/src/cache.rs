@@ -40,12 +40,16 @@ pub struct ResultCache {
     invalid: AtomicU64,
 }
 
-/// The default on-disk cache directory: `$SOP_CACHE_DIR` if set,
-/// otherwise `target/sop-cache` under the current directory.
-pub fn default_cache_dir() -> PathBuf {
-    std::env::var_os("SOP_CACHE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target").join("sop-cache"))
+/// The on-disk cache directory: `$SOP_CACHE_DIR` if set, otherwise
+/// `target/sop-cache` under the current directory. The one reader of
+/// the variable. Set but empty, it is an error: an empty path would put
+/// the cache in the current directory.
+pub fn default_cache_dir() -> Result<PathBuf, String> {
+    match std::env::var_os("SOP_CACHE_DIR") {
+        None => Ok(PathBuf::from("target").join("sop-cache")),
+        Some(dir) if dir.is_empty() => Err("SOP_CACHE_DIR is set but empty".to_owned()),
+        Some(dir) => Ok(PathBuf::from(dir)),
+    }
 }
 
 impl ResultCache {

@@ -1,8 +1,8 @@
 //! Live campaign heartbeat: an append-only NDJSON progress stream.
 //!
 //! While a campaign runs, the engine appends one JSON object per line
-//! to `<cache-dir>/progress.ndjson` — job started / finished / retried
-//! / cache-hit / failed events carrying queue depth, per-job wall µs,
+//! to `<cache-dir>/progress.ndjson` — job started / finished / cache-hit
+//! / failed events carrying queue depth, per-job wall µs,
 //! and an ETA extrapolated from completed-job statistics. Each line is
 //! written with a single `O_APPEND` write, so concurrent workers never
 //! interleave bytes and an external reader (`sop top`) can tail the
@@ -139,7 +139,7 @@ impl Heartbeat {
     }
 
     /// A job was satisfied from the cache or by a same-spec job of its
-    /// wave. The event keeps its `"source":"cached"` field for readers
+    /// campaign. The event keeps its `"source":"cached"` field for readers
     /// of older streams.
     pub fn cache_hit(&self, campaign: &str, job: &str) {
         self.finished.fetch_add(1, Ordering::Relaxed);
@@ -159,15 +159,6 @@ impl Heartbeat {
             "job_start",
             campaign,
             Json::object().with("job", job).with("worker", worker),
-        );
-    }
-
-    /// A job panicked and is being retried.
-    pub fn job_retry(&self, campaign: &str, job: &str, attempt: u64) {
-        self.emit(
-            "job_retry",
-            campaign,
-            Json::object().with("job", job).with("attempt", attempt),
         );
     }
 
@@ -201,8 +192,8 @@ impl Heartbeat {
         self.emit("job_finish", campaign, fields);
     }
 
-    /// A job failed terminally (panic budget exhausted, watchdog
-    /// timeout, or failed dependency).
+    /// A job failed: it panicked, the watchdog timed it out, or it shares
+    /// its spec with a job that did.
     pub fn job_fail(&self, campaign: &str, job: &str, error: &str) {
         self.finished.fetch_add(1, Ordering::Relaxed);
         // Errors can quote arbitrary panic payloads; cap the field so a

@@ -16,8 +16,8 @@
 //!   tampering instead of trusting them. Only successes are stored, so a
 //!   rerun of an interrupted or partly failed campaign recomputes
 //!   exactly what is missing.
-//! * [`campaign`] — [`Job`]s, DAG wavefront scheduling, and the [`Exec`]
-//!   handle binaries thread through their figure code.
+//! * [`campaign`] — [`Job`]s, one-pass campaigns of independent jobs,
+//!   and the [`Exec`] handle binaries thread through their figure code.
 //! * [`heartbeat`] — the live campaign telemetry stream: workers append
 //!   NDJSON progress events to `<cache-dir>/progress.ndjson`, which
 //!   `sop top` tails and aggregates into a [`TopSnapshot`].
@@ -39,10 +39,10 @@ pub mod pool;
 
 pub use args::{Args, Spec};
 pub use cache::{audit_dir, default_cache_dir, CacheAudit, ResultCache};
-pub use campaign::{CampaignRun, Exec, ExecConfig, Job, JobFailure, JobOutcome, JobSource};
+pub use campaign::{CampaignRun, Exec, ExecConfig, Job, JobFailure, JobSource};
 pub use hash::{canonicalize, hash_hex, parse_hash_hex, spec_hash};
 pub use heartbeat::{Heartbeat, TopSnapshot, WorkerActivity};
-pub use pool::{default_workers, detect_workers, run_ordered_resilient, JobError};
+pub use pool::{detect_workers, run_ordered_resilient, JobError};
 
 #[cfg(test)]
 mod tests {
@@ -99,42 +99,6 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert!(run.results.iter().all(|r| *r == Json::UInt(9)));
         assert_eq!(run.count(JobSource::Cached), 3);
-    }
-
-    #[test]
-    fn dependencies_complete_before_dependents_run() {
-        let exec = Exec::with_workers(4);
-        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mk = |name: &str, stage: u64| {
-            let order = Arc::clone(&order);
-            Job::new(
-                name.to_owned(),
-                Json::object().with("kind", "dag").with("stage", stage),
-                move |spec| {
-                    let stage = spec.get("stage").and_then(Json::as_f64).expect("stage");
-                    order.lock().expect("order").push(stage as u64);
-                    Json::Num(stage)
-                },
-            )
-        };
-        // Jobs 0 and 1 are stage 0; job 2 depends on both.
-        let jobs = vec![mk("a", 0), mk("b", 1), mk("c", 2).after(&[0, 1])];
-        let run = exec.run_campaign("dag", jobs);
-        assert_eq!(run.results.len(), 3);
-        let order = order.lock().expect("order").clone();
-        let pos = |s: u64| order.iter().position(|&x| x == s).expect("ran");
-        assert!(pos(2) > pos(0) && pos(2) > pos(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "dependency cycle")]
-    fn a_cycle_panics_instead_of_hanging() {
-        let exec = Exec::sequential();
-        let jobs = vec![
-            Job::new("a", Json::object().with("k", 1u64), |_| Json::Null).after(&[1]),
-            Job::new("b", Json::object().with("k", 2u64), |_| Json::Null).after(&[0]),
-        ];
-        exec.run_campaign("cycle", jobs);
     }
 
     #[test]
@@ -202,9 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn failed_jobs_yield_partial_results_and_fail_their_dependents() {
+    fn failed_jobs_yield_partial_results() {
         let exec = Exec::with_workers(2);
-        let mut jobs: Vec<Job<'static>> = (0..6u64)
+        let jobs: Vec<Job<'static>> = (0..6u64)
             .map(|x| {
                 Job::new(
                     format!("f{x}"),
@@ -218,59 +182,54 @@ mod tests {
                 )
             })
             .collect();
-        // Job 6 depends on the failing job 2; job 7 on the healthy job 0.
-        jobs.push(
-            Job::new("needs-f2", Json::object().with("kind", "dep-bad"), |_| {
-                panic!("must never run")
-            })
-            .after(&[2]),
-        );
-        jobs.push(
-            Job::new("needs-f0", Json::object().with("kind", "dep-good"), |_| {
-                Json::UInt(100)
-            })
-            .after(&[0]),
-        );
         let run = exec.run_campaign("partial", jobs);
-        assert_eq!(run.results.len(), 8);
-        assert_eq!(run.failures.len(), 2, "{:?}", run.failures);
+        assert_eq!(run.results.len(), 6);
+        assert_eq!(run.failures.len(), 1, "{:?}", run.failures);
         assert_eq!(run.results[2], Json::Null);
-        assert_eq!(run.results[6], Json::Null);
-        assert_eq!(run.results[7], Json::UInt(100));
-        assert!(run.failures[0].error.contains("simulated fault"));
-        assert!(run.failures[1].error.contains("dependency failed"));
-        assert_eq!(run.count(JobSource::Failed), 2);
+        assert_eq!(run.results[5], Json::UInt(5));
+        assert_eq!(run.failures[0].index, 2);
+        assert_eq!(run.failures[0].error, "panicked: simulated fault in job 2");
+        assert_eq!(run.count(JobSource::Failed), 1);
         assert!(!run.is_fully_green());
-        assert_eq!(exec.failures().len(), 2);
+        assert_eq!(exec.failures().len(), 1);
         let m = exec.metrics_snapshot();
-        assert_eq!(m.counter("exec.jobs.failed"), 2);
+        assert_eq!(m.counter("exec.jobs.failed"), 1);
     }
 
     #[test]
-    fn transient_jobs_retry_with_backoff_until_they_succeed() {
-        let attempts = Arc::new(AtomicU64::new(0));
-        let exec = Exec::sequential();
-        let job = {
-            let attempts = Arc::clone(&attempts);
-            Job::new("flaky", Json::object().with("kind", "flaky"), move |_| {
-                // Fails twice, succeeds on the third attempt — within
-                // the default retry budget of 2.
-                if attempts.fetch_add(1, Ordering::Relaxed) < 2 {
-                    panic!("transient failure");
-                }
-                Json::UInt(7)
-            })
-            .transient()
-        };
-        let run = exec.run_campaign("flaky", vec![job]);
-        assert!(run.is_fully_green(), "{:?}", run.failures);
-        assert_eq!(run.results[0], Json::UInt(7));
-        assert_eq!(attempts.load(Ordering::Relaxed), 3);
-        assert_eq!(exec.metrics_snapshot().counter("exec.job.retries"), 2);
+    fn a_panicking_job_streams_its_error_at_any_worker_count() {
+        for workers in [1, 2] {
+            let dir = scratch_dir(&format!("job-fail-{workers}"));
+            let exec = Exec::new(ExecConfig {
+                jobs: workers,
+                cache_dir: Some(dir.clone()),
+                ..ExecConfig::default()
+            });
+            let jobs = vec![
+                square_job("ok", 3),
+                Job::new("boom", Json::object().with("kind", "boom"), |_| {
+                    panic!("simulated fault in job 1")
+                }),
+            ];
+            exec.run_campaign("stream", jobs);
+            let events = heartbeat::read_events(&dir.join(heartbeat::PROGRESS_FILE));
+            let fails: Vec<&Json> = events
+                .iter()
+                .filter(|e| e.get("ev").and_then(Json::as_str) == Some("job_fail"))
+                .collect();
+            assert_eq!(fails.len(), 1, "workers={workers}: {events:?}");
+            assert_eq!(fails[0].get("job").and_then(Json::as_str), Some("boom"));
+            assert_eq!(
+                fails[0].get("error").and_then(Json::as_str),
+                Some("panicked: simulated fault in job 1"),
+                "workers={workers}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
-    fn non_transient_jobs_do_not_retry() {
+    fn a_failing_job_runs_once() {
         let attempts = Arc::new(AtomicU64::new(0));
         let exec = Exec::sequential();
         let job = {
@@ -282,7 +241,7 @@ mod tests {
         };
         let run = exec.run_campaign("det", vec![job]);
         assert_eq!(run.failures.len(), 1);
-        assert_eq!(attempts.load(Ordering::Relaxed), 1, "no retry");
+        assert_eq!(attempts.load(Ordering::Relaxed), 1, "no second attempt");
     }
 
     #[test]
@@ -355,6 +314,8 @@ mod tests {
     #[test]
     fn exec_config_reads_the_engine_fragment() {
         let spec = Spec::new("prog").switches(["--quick"]).engine();
+        // `--no-cache` throughout: without it, reading the flags creates
+        // the cache directory.
         let parse = |list: &[&str]| {
             let argv: Vec<String> = list.iter().map(|s| (*s).to_owned()).collect();
             ExecConfig::from_args(&spec.try_parse(&argv).expect("flags parse"))
@@ -362,9 +323,14 @@ mod tests {
         let cfg = parse(&["--quick", "--jobs", "4", "--no-cache"]);
         assert_eq!(cfg.jobs, 4);
         assert!(cfg.no_cache && cfg.heartbeat);
-        let cfg = parse(&["--timeout-secs", "9", "--retries", "0", "--no-heartbeat"]);
-        assert_eq!((cfg.timeout_secs, cfg.retries), (Some(9), 0));
+        let cfg = parse(&["--timeout-secs", "9", "--no-heartbeat", "--no-cache"]);
+        assert_eq!(cfg.timeout_secs, Some(9));
         assert!(!cfg.heartbeat);
-        assert_eq!(parse(&[]), ExecConfig::default());
+        let defaults = ExecConfig {
+            cache_dir: Some(default_cache_dir().expect("SOP_CACHE_DIR is usable")),
+            no_cache: true,
+            ..ExecConfig::default()
+        };
+        assert_eq!(parse(&["--no-cache"]), defaults);
     }
 }

@@ -25,11 +25,6 @@ pub fn detect_workers() -> (usize, bool) {
     }
 }
 
-/// The number of workers to use when the caller asked for "all cores".
-pub fn default_workers() -> usize {
-    detect_workers().0
-}
-
 /// Why a job run under [`run_ordered_resilient`] produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
@@ -39,8 +34,6 @@ pub enum JobError {
     /// is abandoned (it cannot be interrupted), but the pool keeps
     /// processing the remaining jobs on the other workers.
     TimedOut(Duration),
-    /// The job was skipped because a dependency failed.
-    DepFailed(String),
 }
 
 impl std::fmt::Display for JobError {
@@ -48,7 +41,6 @@ impl std::fmt::Display for JobError {
         match self {
             JobError::Panicked(msg) => write!(f, "panicked: {msg}"),
             JobError::TimedOut(t) => write!(f, "timed out after {:.1}s", t.as_secs_f64()),
-            JobError::DepFailed(dep) => write!(f, "dependency failed: {dep}"),
         }
     }
 }
@@ -56,7 +48,7 @@ impl std::fmt::Display for JobError {
 impl std::error::Error for JobError {}
 
 /// Extracts a human-readable message from a panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -316,10 +308,6 @@ mod tests {
         assert_eq!(
             JobError::TimedOut(Duration::from_secs(3)).to_string(),
             "timed out after 3.0s"
-        );
-        assert_eq!(
-            JobError::DepFailed("fig4.7:sim".into()).to_string(),
-            "dependency failed: fig4.7:sim"
         );
     }
 }

@@ -10,18 +10,16 @@
 //!        sop diff <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]...
 //!        sop sweep <ch2|ch3|ch4|ch5|ch6|degradation|fleet|resilience|all>
 //!            [--quick] [--stable] [--json FILE] [--jobs N] [--timeout-secs N]
-//!            [--retries N] [--no-cache] [--no-heartbeat]
+//!            [--no-cache] [--no-heartbeat]
 //!        sop fleet [--servers N] [--seed S]
 //!            [--org scaleout-ooo|scaleout-io|smallpod-ooo|bigpod-ooo] [--quick]
 //!            [--stable] [--json FILE] [--policy drain|derate] [--series]
-//!            [--jobs N] [--timeout-secs N] [--retries N] [--no-cache]
-//!            [--no-heartbeat]
+//!            [--jobs N] [--timeout-secs N] [--no-cache] [--no-heartbeat]
 //!        sop fleet --resilience [--servers N] [--seed S]
 //!            [--org scaleout-ooo|scaleout-io|smallpod-ooo|bigpod-ooo] [--quick]
 //!            [--stable] [--json FILE] [--topology flat|rack|wide]
 //!            [--retry none|naive|backoff|hedge] [--shed on|off] [--storm] [--slo]
-//!            [--jobs N] [--timeout-secs N] [--retries N] [--no-cache]
-//!            [--no-heartbeat]
+//!            [--jobs N] [--timeout-secs N] [--no-cache] [--no-heartbeat]
 //!        sop slo <report.json> [--target PCT] [--latency-ms N]
 //!            [--latency-target PCT] [--ascii-sparkline]
 //!        sop prof [<workload>] [--topo mesh|fbfly|nocout] [--cores N]
@@ -743,7 +741,7 @@ fn cache(args: &Args) {
     let dir = args
         .value("--dir")
         .map(std::path::PathBuf::from)
-        .unwrap_or_else(scale_out_processors::exec::default_cache_dir);
+        .unwrap_or_else(|| cache_dir(args));
     let audit = match audit_dir(&dir) {
         Ok(a) => a,
         Err(e) => {
@@ -1064,6 +1062,12 @@ fn prof_analyze(args: &Args) {
     }
 }
 
+/// The result cache directory (`SOP_CACHE_DIR` or the default); an
+/// empty `SOP_CACHE_DIR` exits 2.
+fn cache_dir(args: &Args) -> std::path::PathBuf {
+    scale_out_processors::exec::default_cache_dir().unwrap_or_else(|e| args.fail(&e))
+}
+
 /// Live terminal monitor over a campaign's heartbeat stream
 /// (`progress.ndjson` in the result cache, or `--file PATH`). Redraws
 /// every `--interval-ms` (default 500) until the campaign ends;
@@ -1073,7 +1077,7 @@ fn top(args: &Args) {
     let file = args
         .value("--file")
         .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| scale_out_processors::exec::default_cache_dir().join(PROGRESS_FILE));
+        .unwrap_or_else(|| cache_dir(args).join(PROGRESS_FILE));
     let once = args.has("--once");
     let interval: u64 = args.read("--interval-ms").unwrap_or(500);
     loop {

@@ -23,10 +23,15 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// Runs `sop` in `dir`, returning its exit code, stdout and stderr.
 fn sop(dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
+    sop_with_cache(dir, &dir.join("cache"), args)
+}
+
+/// [`sop`] with `SOP_CACHE_DIR` set to `cache`.
+fn sop_with_cache(dir: &Path, cache: &Path, args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_sop"))
         .args(args)
         .current_dir(dir)
-        .env("SOP_CACHE_DIR", dir.join("cache"))
+        .env("SOP_CACHE_DIR", cache)
         .output()
         .expect("sop runs");
     (
@@ -158,13 +163,18 @@ const REMOVED: &str = concat!("--", "threads");
 /// The removed manifest-replay flag, spelled out in pieces likewise.
 const REMOVED_REPLAY: &str = concat!("--", "resume");
 
+/// The removed job-retry budget, spelled out in pieces likewise.
+/// Not to be confused with `sop fleet --resilience`'s `--retry`.
+const REMOVED_RETRIES: &str = concat!("--", "retries");
+
 #[test]
 fn unknown_flags_exit_2_naming_the_flag() {
     let dir = scratch("flags");
     for row in &TABLE {
         assert_rejected(&dir, &with(row, &["--bogus"]), "unknown flag --bogus");
     }
-    // The engine commands no longer take the manifest-replay flag.
+    // The engine commands no longer take the manifest-replay flag or
+    // the job-retry budget.
     for base in [
         &["sweep", "ch3"][..],
         &["fleet"],
@@ -172,6 +182,8 @@ fn unknown_flags_exit_2_naming_the_flag() {
     ] {
         let args = [base, &[REMOVED_REPLAY]].concat();
         assert_rejected(&dir, &args, &format!("unknown flag {REMOVED_REPLAY}"));
+        let args = [base, &[REMOVED_RETRIES, "1"]].concat();
+        assert_rejected(&dir, &args, &format!("unknown flag {REMOVED_RETRIES}"));
     }
     assert_rejected(
         &dir,
@@ -210,7 +222,10 @@ fn unparsable_numeric_values_exit_2_naming_flag_and_value() {
             &["sweep", "ch2", "--timeout-secs", "soon"],
             "--timeout-secs: soon",
         ),
-        (&["sweep", "ch2", "--retries", "-1"], "--retries: -1"),
+        (
+            &["sweep", "ch2", "--timeout-secs", "-1"],
+            "--timeout-secs: -1",
+        ),
         (&["fleet", "--quick", "--jobs", "2.5"], "--jobs: 2.5"),
         (
             &["trace", "websearch", "--quick", "--cores", "abc"],
@@ -303,6 +318,40 @@ fn extra_positionals_exit_2_naming_the_argument() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// An empty `SOP_CACHE_DIR` once put the cache and the progress stream
+/// in the current directory, and one naming a regular file once ran
+/// memory-only without a word. Both exit 2 before any work.
+#[test]
+fn unusable_cache_dirs_exit_2_naming_them() {
+    let dir = scratch("cache-dir");
+    let engine: [&[&str]; 3] = [
+        &["sweep", "ch2", "--quick"],
+        &["fleet", "--quick", "--servers", "16"],
+        &["fleet", "--resilience", "--quick", "--servers", "16"],
+    ];
+    let readers: [&[&str]; 2] = [&["cache"], &["top", "--once"]];
+    for args in engine.iter().chain(&readers) {
+        let (code, _, stderr) = sop_with_cache(&dir, Path::new(""), args);
+        assert_eq!(code, Some(2), "sop {args:?}: {stderr}");
+        assert!(
+            stderr.contains("SOP_CACHE_DIR is set but empty"),
+            "sop {args:?}: {stderr}"
+        );
+    }
+    assert_nothing_written(&dir);
+    let file = dir.join("file");
+    std::fs::write(&file, "").expect("write a regular file");
+    for args in engine {
+        let (code, _, stderr) = sop_with_cache(&dir, &file, args);
+        assert_eq!(code, Some(2), "sop {args:?}: {stderr}");
+        let needle = format!("cannot create cache directory {}: ", file.display());
+        assert!(stderr.contains(&needle), "sop {args:?}: {stderr}");
+    }
+    std::fs::remove_file(&file).expect("remove the regular file");
+    assert_nothing_written(&dir);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 /// Every accepted technology node runs.
 #[test]
 fn every_technology_node_is_accepted() {
@@ -373,7 +422,7 @@ fn help_is_generated_and_quoted_verbatim() {
     for campaign in scale_out_processors::bench::campaign::CAMPAIGNS {
         assert!(help.contains(campaign), "help omits {campaign}: {help}");
     }
-    for flag in ["--timeout-secs N", "--retries N", "--no-heartbeat"] {
+    for flag in ["--timeout-secs N", "--no-heartbeat"] {
         assert_eq!(help.matches(flag).count(), 3, "{flag}: {help}");
     }
     let commands: Vec<String> = help
