@@ -150,13 +150,12 @@ fn unknown_flags_exit_2_naming_the_flag() {
         assert_rejected(row.bin, &dir, &args, &removed_retries);
     }
     let calibrate = env!("CARGO_BIN_EXE_calibrate");
-    let engine: [&[&str]; 6] = [
+    let engine: [&[&str]; 5] = [
         &["--jobs", "2"],
         &["--timeout-secs", "9"],
         &[REMOVED_RETRIES, "1"],
         &["--no-cache"],
         &["--no-heartbeat"],
-        &[REMOVED_REPLAY],
     ];
     for args in engine {
         assert_rejected(calibrate, &dir, args, &format!("unknown flag {}", args[0]));
