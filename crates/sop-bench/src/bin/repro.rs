@@ -7,9 +7,10 @@
 //! ```
 //!
 //! `<id>` is one or more ids of `sop_bench::figures::FIGURES` (`fig2.1`,
-//! `tab3.2`, `sec4.5`, ... and `degradation`; an unknown id's error lists
-//! them all), or `all`: everything but `degradation` (simulation-backed
-//! figures take minutes; `--quick` shortens their windows). A run
+//! `tab3.2`, `sec4.5`, ... and `degradation`, `ablation`; an unknown id's
+//! error lists them all), or `all`: the entries of every chapter, without
+//! `degradation` and `ablation` (simulation-backed figures take minutes;
+//! `--quick` shortens their windows). A run
 //! evaluates the simulation points of every requested figure as one
 //! engine campaign named `repro` (none if every figure is analytic), so
 //! duplicates are computed once and `sop top` follows the whole run, then
@@ -27,9 +28,10 @@
 //!   exit code is 1, as without `--quiet`.
 //! * `--jobs N` — run simulation points on N worker threads (0 or
 //!   omitted = one per core). Output is byte-identical for any N.
-//! * `--no-cache` — recompute every simulation point, ignoring
-//!   `target/sop-cache/`. Without it, rerunning a killed or partly
-//!   failed run recomputes only the points it did not finish.
+//! * `--no-cache` — neither read nor write `target/sop-cache/`: every
+//!   distinct simulation point is computed. Without it, rerunning a
+//!   killed or partly failed run recomputes only the points it did not
+//!   finish.
 //! * `--timeout-secs N`, `--no-heartbeat` — the execution engine's
 //!   watchdog and progress stream (see DESIGN.md).
 //! * `--stable` — strip wall-clock spans and `exec.*` state from the
@@ -46,8 +48,10 @@
 //! a repeated flag — is rejected with exit 2 before anything runs.
 //!
 //! The `degradation` experiment id prints the seeded router-death sweep
-//! (pod throughput vs fraction of failed routers); it is not part of
-//! `all`, which stays the canonical fault-free reproduction.
+//! (pod throughput vs fraction of failed routers), and `ablation` the
+//! design-choice ablations (pod granularity, NOC-Out LLC-row width, link
+//! width, instruction replication). Neither is part of `all`, which stays
+//! the canonical fault-free reproduction of the thesis.
 //!
 //! After the requested figures, every run re-verifies the pinned golden
 //! values (see `tests/golden.rs` and EXPERIMENTS.md) and exits non-zero
@@ -91,7 +95,7 @@ fn main() {
     let run: Vec<&str> = if args.values("<id>").any(|i| i == "all") {
         FIGURES
             .iter()
-            .filter(|f| f.group != "degradation")
+            .filter(|f| figures::ALL.contains(&f.group))
             .map(|f| f.id)
             .collect()
     } else {

@@ -1,32 +1,31 @@
 //! Named experiment campaigns for `sop sweep`.
 //!
-//! A chapter campaign (`ch2`…`ch6`, `degradation`) covers the entries of
-//! [`FIGURES`] in that group that carry data. It runs their simulation
-//! points as one engine campaign named after the sweep (cached,
-//! parallel, duplicates computed once), then writes each entry's member
-//! from its slice of the results. `all` does the same over every
-//! chapter, into one document with a section per chapter. `fleet` and
-//! `resilience` run the fleet simulator's grids.
+//! A group campaign (`ch2`…`ch6`, `degradation`, `ablation`) covers the
+//! entries of [`FIGURES`] in that group that carry data. It runs their
+//! simulation points as one engine campaign named after the sweep
+//! (cached, parallel, duplicates computed once), then writes each
+//! entry's member from its slice of the results. `all` does the same
+//! over the groups in [`figures::ALL`], into one document with a section
+//! per group. `fleet` and `resilience` run the fleet simulator's grids.
 
 use crate::figures::{self, Figure, FIGURES};
 use sop_exec::Exec;
 use sop_obs::Json;
 
-/// The chapters `all` merges, in document order.
-const CHAPTERS: [&str; 5] = ["ch2", "ch3", "ch4", "ch5", "ch6"];
-
 /// The campaigns `sop sweep` accepts. `all` merges the chapters only:
-/// `degradation` injects faults, `fleet` simulates dynamic traffic,
-/// `resilience` adds correlated failures and client behavior on top,
-/// and the canonical fault-free reproduction must stay byte-identical
-/// whether or not those sweeps ever ran.
-pub const CAMPAIGNS: [&str; 9] = [
+/// `degradation` injects faults, `ablation` departs from the thesis'
+/// design choices, `fleet` simulates dynamic traffic, `resilience` adds
+/// correlated failures and client behavior on top, and the canonical
+/// fault-free reproduction must stay byte-identical whether or not those
+/// sweeps ever ran.
+pub const CAMPAIGNS: [&str; 10] = [
     "ch2",
     "ch3",
     "ch4",
     "ch5",
     "ch6",
     "degradation",
+    "ablation",
     "fleet",
     "resilience",
     "all",
@@ -39,7 +38,7 @@ pub fn run_campaign(name: &str, quick: bool, exec: &Exec) -> Option<Json> {
     let groups: &[&str] = match name {
         "fleet" => return Some(fleet_data(quick, exec)),
         "resilience" => return Some(resilience_data(quick, exec)),
-        "all" => &CHAPTERS,
+        "all" => &figures::ALL,
         _ if CAMPAIGNS.contains(&name) => std::slice::from_ref(&name),
         _ => return None,
     };

@@ -14,7 +14,7 @@
 //! same rows.
 
 use crate::points::{sim_points, SimPoint, SimPointSpec, SpecFaults};
-use crate::{ch2, ch3, ch4, ch5, ch6, degradation};
+use crate::{ablation, ch2, ch3, ch4, ch5, ch6, degradation};
 use sop_exec::Exec;
 use sop_obs::Json;
 use sop_tech::CoreKind::{InOrder, OutOfOrder};
@@ -31,8 +31,8 @@ pub struct Figure {
     pub id: &'static str,
     /// Other ids that print the same text (`tab2.2` is `tab2.1`).
     pub aliases: &'static [&'static str],
-    /// `ch2`…`ch6`, or `degradation` for the fault sweep `all` leaves
-    /// out.
+    /// `ch2`…`ch6`, `degradation` for the fault sweep or `ablation` for
+    /// the design-choice ablations. `all` runs the groups in [`ALL`].
     pub group: &'static str,
     /// The simulation points the entry reads; none for an analytic one.
     pub specs: fn(bool) -> Vec<SimPointSpec>,
@@ -70,9 +70,14 @@ impl Figure {
     }
 }
 
-/// Every experiment, in the order `repro all` prints them; the
-/// `degradation` sweep, which `all` leaves out, comes last.
-pub static FIGURES: [Figure; 32] = [
+/// The groups `all` runs, in document order. `degradation` injects
+/// faults and `ablation` strays from the thesis' choices on purpose, so
+/// neither is part of the canonical reproduction.
+pub const ALL: [&str; 5] = ["ch2", "ch3", "ch4", "ch5", "ch6"];
+
+/// Every experiment, in the order `repro all` prints them; the entries
+/// `all` leaves out come last.
+pub static FIGURES: [Figure; 33] = [
     Figure::new("fig2.1", "ch2", |_, _| ch2::fig2_1_text()).data("fig2.1", |_, _| {
         rows(ch2::fig2_1(), |(w, ipc)| {
             Json::object().with("workload", w.label()).with("ipc", ipc)
@@ -197,6 +202,9 @@ pub static FIGURES: [Figure; 32] = [
     .data("degradation", |points, _| {
         rows(degradation::sweep_rows(points), |r| r.to_json())
     }),
+    Figure::new("ablation", "ablation", |points, _| ablation::text(points))
+        .specs(|_| ablation::specs())
+        .data("ablation", |points, _| ablation::data(points)),
 ];
 
 /// `rows` as a JSON array, one element per row.

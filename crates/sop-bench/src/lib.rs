@@ -10,6 +10,7 @@
 //! `benchmark/` at the repository root times the machinery these
 //! experiments run on.
 
+pub mod ablation;
 pub mod campaign;
 pub mod ch2;
 pub mod ch3;

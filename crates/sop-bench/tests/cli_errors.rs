@@ -1,11 +1,12 @@
-//! `repro`, `ablation` and `calibrate` parse argv with the same
-//! spec-driven parser as `sop`. One table holds a row per binary; every
-//! row is run with a bad value, an unknown flag, a missing value, a value
-//! that is a flag, a repeated flag and an extra positional, and each must
-//! exit 2 with a message naming the flag or argument and write nothing.
-//! In particular a flag is never mistaken for an experiment id or an
-//! ablation section, and a valued flag never takes the next flag as its
-//! value. Each binary's crate doc quotes the usage line it prints.
+//! `repro` parses argv with the same spec-driven parser as `sop`. One
+//! table holds a row per kind of run (a simulated entry, the ablations,
+//! an analytic table with a report); every row is run with a bad value,
+//! an unknown flag, a missing value, a value that is a flag, a repeated
+//! flag and an extra positional, and each must exit 2 with a message
+//! naming the flag or argument and write nothing. In particular a flag
+//! is never mistaken for an experiment id, and a valued flag never takes
+//! the next flag as its value. The crate doc quotes the usage line
+//! `repro` prints.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -60,10 +61,10 @@ fn assert_nothing_written(dir: &Path) {
     assert!(written.is_empty(), "a rejected run wrote {written:?}");
 }
 
-/// One binary.
+/// One kind of run.
 struct Row {
     bin: &'static str,
-    /// Its crate doc, which quotes its usage line.
+    /// The binary's crate doc, which quotes its usage line.
     source: &'static str,
     /// Arguments that reach the binary's work.
     base: &'static [&'static str],
@@ -85,20 +86,20 @@ const TABLE: [Row; 3] = [
         extra: "invalid value for <id>: extra",
     },
     Row {
-        bin: env!("CARGO_BIN_EXE_ablation"),
-        source: include_str!("../src/bin/ablation.rs"),
-        base: &["pods"],
+        bin: env!("CARGO_BIN_EXE_repro"),
+        source: include_str!("../src/bin/repro.rs"),
+        base: &["ablation"],
         valued: ("--jobs", "1", Some("two")),
         switch: Some("--no-cache"),
-        extra: "unexpected argument extra",
+        extra: "invalid value for <id>: extra",
     },
     Row {
-        bin: env!("CARGO_BIN_EXE_calibrate"),
-        source: include_str!("../src/bin/calibrate.rs"),
-        base: &[],
-        valued: ("--json", "c.json", None),
-        switch: None,
-        extra: "unexpected argument extra",
+        bin: env!("CARGO_BIN_EXE_repro"),
+        source: include_str!("../src/bin/repro.rs"),
+        base: &["tab3.2"],
+        valued: ("--json", "r.json", None),
+        switch: Some("--stable"),
+        extra: "invalid value for <id>: extra",
     },
 ];
 
@@ -139,26 +140,13 @@ fn unknown_flags_exit_2_naming_the_flag() {
     let removed = format!("unknown flag {REMOVED}");
     assert_rejected(repro, &dir, &["all", "--quick", REMOVED, "2"], &removed);
     assert_rejected(repro, &dir, &["fig4.7", REMOVED, "2"], &removed);
-    // The manifest-replay flag and the job-retry budget are gone
-    // from every binary, and `calibrate`, which runs no engine work,
-    // takes no engine flag.
+    // The manifest-replay flag and the job-retry budget are gone.
     let removed = format!("unknown flag {REMOVED_REPLAY}");
     let removed_retries = format!("unknown flag {REMOVED_RETRIES}");
     for row in &TABLE {
         assert_rejected(row.bin, &dir, &with(row, &[REMOVED_REPLAY]), &removed);
         let args = with(row, &[REMOVED_RETRIES, "1"]);
         assert_rejected(row.bin, &dir, &args, &removed_retries);
-    }
-    let calibrate = env!("CARGO_BIN_EXE_calibrate");
-    let engine: [&[&str]; 5] = [
-        &["--jobs", "2"],
-        &["--timeout-secs", "9"],
-        &[REMOVED_RETRIES, "1"],
-        &["--no-cache"],
-        &["--no-heartbeat"],
-    ];
-    for args in engine {
-        assert_rejected(calibrate, &dir, args, &format!("unknown flag {}", args[0]));
     }
     assert_nothing_written(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -233,24 +221,22 @@ fn repeated_flags_and_extra_positionals_exit_2() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// `ablation` takes at most one section, from a fixed list; an engine
-/// flag's value is never read as a section name.
+/// `repro` takes ids from the figure table, `ablation` and
+/// `degradation` among them; an engine flag's value is never read as an
+/// id.
 #[test]
-fn ablation_takes_one_section_from_its_list() {
-    let dir = scratch("ablation");
-    let ablation = env!("CARGO_BIN_EXE_ablation");
-    assert_rejected(
-        ablation,
-        &dir,
-        &["bogus"],
-        "invalid value for <section>: bogus; one of: pods llcrow links ir all",
-    );
-    assert_rejected(ablation, &dir, &["ir", "pods"], "unexpected argument pods");
+fn repro_takes_ids_from_the_figure_table() {
+    let dir = scratch("ids");
+    let repro = env!("CARGO_BIN_EXE_repro");
+    let (code, _, stderr) = run(repro, &dir, &["bogus"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("invalid value for <id>: bogus; one of: "));
+    assert!(stderr.contains(" degradation ablation all"), "{stderr}");
     assert_nothing_written(&dir);
-    let (code, stdout, stderr) = run(ablation, &dir, &["--jobs", "3", "ir"]);
+    let (code, stdout, stderr) = run(repro, &dir, &["--jobs", "3", "tab3.2"]);
     assert_eq!(code, Some(0), "{stderr}");
-    assert!(stdout.contains("instruction replication"), "{stdout}");
-    assert!(!stdout.contains("pod granularity"), "{stdout}");
+    assert!(stdout.starts_with("Table 3.2"), "{stdout}");
+    assert!(!stdout.contains("Ablation"), "{stdout}");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -261,28 +247,25 @@ fn unusable_cache_dirs_exit_2_naming_them() {
     let dir = scratch("cache-dir");
     let file = dir.join("file");
     std::fs::write(&file, "").expect("write a regular file");
-    let engine = [
-        (env!("CARGO_BIN_EXE_repro"), &["fig4.7", "--quick"][..]),
-        (env!("CARGO_BIN_EXE_ablation"), &["links"]),
-    ];
-    for (bin, args) in engine {
-        let (code, _, stderr) = run_with_cache(bin, &dir, Path::new(""), args);
-        assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
+    let repro = env!("CARGO_BIN_EXE_repro");
+    for args in [&["fig4.7", "--quick"][..], &["ablation"]] {
+        let (code, _, stderr) = run_with_cache(repro, &dir, Path::new(""), args);
+        assert_eq!(code, Some(2), "repro {args:?}: {stderr}");
         assert!(
             stderr.contains("SOP_CACHE_DIR is set but empty"),
             "{stderr}"
         );
-        let (code, _, stderr) = run_with_cache(bin, &dir, &file, args);
-        assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
+        let (code, _, stderr) = run_with_cache(repro, &dir, &file, args);
+        assert_eq!(code, Some(2), "repro {args:?}: {stderr}");
         let needle = format!("cannot create cache directory {}: ", file.display());
-        assert!(stderr.contains(&needle), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(&needle), "repro {args:?}: {stderr}");
     }
     std::fs::remove_file(&file).expect("remove the regular file");
     assert_nothing_written(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// The usage line each binary prints is the one its crate doc quotes.
+/// The usage line `repro` prints is the one its crate doc quotes.
 #[test]
 fn crate_docs_quote_the_printed_usage() {
     let dir = scratch("usage");

@@ -50,8 +50,8 @@ fn digest(doc: &Json) -> String {
     format!("{h:016x}")
 }
 
-/// The quick data of the analytic chapters and the degradation sweep,
-/// pinned by digest: a refactor of how figures are built must leave
+/// The quick data of the analytic chapters, the degradation sweep and
+/// the ablations, pinned by digest: a refactor of how figures are built must leave
 /// every byte of `sop sweep`'s data as it was.
 #[test]
 fn campaign_data_is_pinned() {
@@ -60,6 +60,7 @@ fn campaign_data_is_pinned() {
         ("ch5", "150d397c33fad157"),
         ("ch6", "50146844cf4a852e"),
         ("degradation", "70902e7fe7903d62"),
+        ("ablation", "0dd5f6b0f55b2cd9"),
     ] {
         let data = run_campaign(name, true, &Exec::sequential()).expect("known campaign");
         assert_eq!(digest(&data), pinned, "campaign {name} data changed");

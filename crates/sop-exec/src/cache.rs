@@ -1,25 +1,21 @@
-//! Content-addressed result cache.
+//! Content-addressed result cache on disk.
 //!
 //! Keys are [`spec_hash`](crate::hash::spec_hash)es of canonicalized job
-//! specs; values are the jobs' JSON results. Two layers:
+//! specs; values are the jobs' JSON results, one file per result under
+//! the cache directory (default `target/sop-cache/`, override with
+//! `SOP_CACHE_DIR`), so repeated `repro` and `sop sweep` invocations skip
+//! completed work. Within one campaign the engine computes a spec shared
+//! by several jobs once without asking the cache.
 //!
-//! * an in-memory map, so a spec evaluated twice within one process
-//!   (e.g. the same simulation point feeding two figures) runs once;
-//! * a disk layer under the cache directory (default `target/sop-cache/`,
-//!   override with `SOP_CACHE_DIR`), one file per result, so repeated
-//!   `repro`/`ablation`/`sop sweep` invocations skip completed work.
-//!
-//! Disk entries are self-validating: each file records the schema tag,
+//! Entries are self-validating: each file records the schema tag,
 //! the canonical spec, the spec's hash, and a checksum of the result. A
 //! read re-hashes the embedded spec and compares it to both the stored
 //! hash and the file name, and re-hashes the result against its
 //! checksum, so a truncated, corrupted, or hand-edited entry is
 //! *detected and recomputed*, never trusted.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use sop_obs::{json, Json};
 
@@ -30,14 +26,14 @@ use crate::hash::{hash_hex, spec_hash};
 /// `v2` added the result checksum.
 pub const CACHE_SCHEMA: &str = "sop-cache/v2";
 
-/// A two-layer (memory + optional disk) content-addressed result store.
+/// A content-addressed result store in one directory.
 #[derive(Debug)]
 pub struct ResultCache {
-    dir: Option<PathBuf>,
-    mem: Mutex<HashMap<u64, Json>>,
+    dir: PathBuf,
     hits: AtomicU64,
     misses: AtomicU64,
     invalid: AtomicU64,
+    put_errors: AtomicU64,
 }
 
 /// The on-disk cache directory: `$SOP_CACHE_DIR` if set, otherwise
@@ -53,32 +49,23 @@ pub fn default_cache_dir() -> Result<PathBuf, String> {
 }
 
 impl ResultCache {
-    /// A memory-only cache (results die with the process).
-    pub fn in_memory() -> Self {
+    /// A cache persisted under `dir` (created on first write).
+    pub fn on_disk(dir: impl Into<PathBuf>) -> Self {
         ResultCache {
-            dir: None,
-            mem: Mutex::new(HashMap::new()),
+            dir: dir.into(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalid: AtomicU64::new(0),
+            put_errors: AtomicU64::new(0),
         }
     }
 
-    /// A cache persisted under `dir` (created on first write) with the
-    /// in-memory layer on top.
-    pub fn on_disk(dir: impl Into<PathBuf>) -> Self {
-        ResultCache {
-            dir: Some(dir.into()),
-            ..ResultCache::in_memory()
-        }
+    /// The cache directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
     }
 
-    /// The disk directory, if this cache persists.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
-    /// Cache hits so far (memory or disk).
+    /// Cache hits so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -94,96 +81,81 @@ impl ResultCache {
         self.invalid.load(Ordering::Relaxed)
     }
 
-    fn entry_path(&self, hash: u64) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("{}.json", hash_hex(hash))))
+    /// Entries whose write failed (directory, temp file or rename); the
+    /// job's result stands, only its entry is missing.
+    pub fn put_errors(&self) -> u64 {
+        self.put_errors.load(Ordering::Relaxed)
     }
 
-    /// Looks up the result for `hash`, checking memory then disk. A disk
-    /// hit is promoted into the memory layer. Counts a hit or miss.
+    fn entry_path(&self, hash: u64) -> PathBuf {
+        self.dir.join(format!("{}.json", hash_hex(hash)))
+    }
+
+    /// Looks up the result for `hash`. Counts a hit or miss, and a miss
+    /// on an entry that exists but fails validation as invalid too.
     pub fn get(&self, hash: u64) -> Option<Json> {
-        if let Some(v) = self.mem.lock().expect("cache lock").get(&hash) {
+        let path = self.entry_path(hash);
+        let result = read_entry(&path, hash);
+        if result.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(v.clone());
-        }
-        if let Some(path) = self.entry_path(hash) {
-            match self.read_disk(&path, hash) {
-                Some(result) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.mem
-                        .lock()
-                        .expect("cache lock")
-                        .insert(hash, result.clone());
-                    return Some(result);
-                }
-                None => {
-                    if path.exists() {
-                        self.invalid.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+        } else {
+            if path.exists() {
+                self.invalid.fetch_add(1, Ordering::Relaxed);
             }
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        result
     }
 
-    /// Validates and extracts a disk entry; `None` if absent or poisoned.
-    fn read_disk(&self, path: &Path, hash: u64) -> Option<Json> {
-        let text = std::fs::read_to_string(path).ok()?;
-        let doc = json::parse(&text).ok()?;
-        if doc.get("schema").and_then(Json::as_str) != Some(CACHE_SCHEMA) {
-            return None;
-        }
-        let spec = doc.get("spec")?;
-        // The embedded spec must hash to the stored hash AND to the hash
-        // we asked for; a file renamed onto another key fails here.
-        let recomputed = spec_hash(spec);
-        let stored = doc
-            .get("hash")
-            .and_then(Json::as_str)
-            .and_then(crate::hash::parse_hash_hex)?;
-        if recomputed != hash || stored != hash {
-            return None;
-        }
-        // The result must match the checksum written with it.
-        let result = doc.get("result")?;
-        let checksum = doc
-            .get("result_hash")
-            .and_then(Json::as_str)
-            .and_then(crate::hash::parse_hash_hex)?;
-        (spec_hash(result) == checksum).then(|| result.clone())
-    }
-
-    /// Stores `result` for `hash` in memory and (when configured) on
-    /// disk. Disk writes go through a temp file + rename so a killed run
-    /// never leaves a half-written entry under the final name; write
-    /// errors degrade to memory-only caching rather than failing the job.
+    /// Stores `result` for `hash`. The entry goes through a temp file +
+    /// rename so a killed run never leaves a half-written entry under the
+    /// final name. A failed write is counted in [`Self::put_errors`] and
+    /// its temp file removed; it does not fail the job.
     pub fn put(&self, hash: u64, spec: &Json, result: &Json) {
-        self.mem
-            .lock()
-            .expect("cache lock")
-            .insert(hash, result.clone());
-        let Some(path) = self.entry_path(hash) else {
-            return;
-        };
-        let Some(dir) = self.dir.as_ref() else {
-            return;
-        };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
         let doc = Json::object()
             .with("schema", CACHE_SCHEMA)
             .with("hash", hash_hex(hash).as_str())
             .with("spec", crate::hash::canonicalize(spec))
             .with("result", result.clone())
             .with("result_hash", hash_hex(spec_hash(result)).as_str());
+        let path = self.entry_path(hash);
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, doc.to_pretty_string() + "\n").is_ok() {
-            let _ = std::fs::rename(&tmp, &path);
+        let written = std::fs::create_dir_all(&self.dir)
+            .and_then(|()| std::fs::write(&tmp, doc.to_pretty_string() + "\n"))
+            .and_then(|()| std::fs::rename(&tmp, &path));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+            self.put_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
+
+/// Validates and extracts the entry at `path` for `hash`; `None` if
+/// absent or poisoned.
+fn read_entry(path: &Path, hash: u64) -> Option<Json> {
+    let text = std::fs::read_to_string(path).ok()?;
+    let doc = json::parse(&text).ok()?;
+    if doc.get("schema").and_then(Json::as_str) != Some(CACHE_SCHEMA) {
+        return None;
+    }
+    let spec = doc.get("spec")?;
+    // The embedded spec must hash to the stored hash AND to the hash
+    // we asked for; a file renamed onto another key fails here.
+    let recomputed = spec_hash(spec);
+    let stored = doc
+        .get("hash")
+        .and_then(Json::as_str)
+        .and_then(crate::hash::parse_hash_hex)?;
+    if recomputed != hash || stored != hash {
+        return None;
+    }
+    // The result must match the checksum written with it.
+    let result = doc.get("result")?;
+    let checksum = doc
+        .get("result_hash")
+        .and_then(Json::as_str)
+        .and_then(crate::hash::parse_hash_hex)?;
+    (spec_hash(result) == checksum).then(|| result.clone())
 }
 
 /// The outcome of [`audit_dir`]: a census of every file under a cache
@@ -222,9 +194,10 @@ impl CacheAudit {
 
 /// Audits every file under `dir`, re-validating each `.json` entry the
 /// same way a read would (schema tag, embedded spec re-hash, filename
-/// agreement, result checksum). A missing directory audits as empty and clean — an
-/// unpopulated cache is not an error. Used by the CI chaos job to assert
-/// that fault-injected campaigns leave zero truncated cache files.
+/// agreement, result checksum). A missing directory audits as empty and
+/// clean — an unpopulated cache is not an error. Used by the CI chaos job
+/// to assert that fault-injected campaigns leave zero truncated cache
+/// files.
 pub fn audit_dir(dir: impl AsRef<Path>) -> std::io::Result<CacheAudit> {
     let dir = dir.as_ref();
     let mut audit = CacheAudit::default();
@@ -233,7 +206,6 @@ pub fn audit_dir(dir: impl AsRef<Path>) -> std::io::Result<CacheAudit> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(audit),
         Err(e) => return Err(e),
     };
-    let probe = ResultCache::on_disk(dir);
     let mut names: Vec<String> = entries
         .filter_map(|e| e.ok())
         .filter(|e| e.file_type().map(|t| t.is_file()).unwrap_or(false))
@@ -251,7 +223,7 @@ pub fn audit_dir(dir: impl AsRef<Path>) -> std::io::Result<CacheAudit> {
             continue;
         }
         match key {
-            Some(hash) if probe.read_disk(&path, hash).is_some() => audit.valid += 1,
+            Some(hash) if read_entry(&path, hash).is_some() => audit.valid += 1,
             Some(_) => audit.invalid.push(name),
             None if name.contains(".tmp.") => audit.stray_tmp.push(name),
             None => audit.other.push(name),
@@ -272,14 +244,31 @@ mod tests {
     }
 
     #[test]
-    fn memory_layer_round_trips_and_counts() {
-        let cache = ResultCache::in_memory();
+    fn entries_round_trip_and_count() {
+        let dir = scratch_dir("round-trip");
+        let cache = ResultCache::on_disk(&dir);
         let spec = Json::object().with("k", 1u64);
         let h = spec_hash(&spec);
         assert_eq!(cache.get(h), None);
         cache.put(h, &spec, &Json::UInt(7));
         assert_eq!(cache.get(h), Some(Json::UInt(7)));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!((cache.invalid(), cache.put_errors()), (0, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_write_is_counted_and_leaves_no_temp_file() {
+        let dir = scratch_dir("put-error");
+        let spec = Json::object().with("x", 7u64);
+        let h = spec_hash(&spec);
+        // A directory under the entry's name makes the rename fail.
+        std::fs::create_dir_all(dir.join(format!("{}.json", hash_hex(h)))).expect("mkdir");
+        let cache = ResultCache::on_disk(&dir);
+        cache.put(h, &spec, &Json::UInt(7));
+        assert_eq!(cache.put_errors(), 1);
+        assert_eq!(audit_dir(&dir).expect("audit"), CacheAudit::default());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

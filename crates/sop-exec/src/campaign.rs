@@ -143,13 +143,11 @@ impl CampaignRun {
 pub struct ExecConfig {
     /// Worker threads; 0 means one per available core.
     pub jobs: usize,
-    /// Persist results under this directory. `None` (the default)
-    /// disables the disk layer (the in-memory layer still deduplicates
-    /// within a process); [`ExecConfig::from_args`] sets it from
+    /// The result cache's directory. `None` (the default, and
+    /// `--no-cache`) reads and writes no file: every distinct spec of a
+    /// campaign is computed. [`ExecConfig::from_args`] sets it from
     /// [`default_cache_dir`](crate::cache::default_cache_dir).
     pub cache_dir: Option<PathBuf>,
-    /// Disable all caching (`--no-cache`): every job recomputes.
-    pub no_cache: bool,
     /// Per-job watchdog timeout in seconds (`--timeout-secs N`); `None`
     /// lets jobs run unbounded.
     pub timeout_secs: Option<u64>,
@@ -164,7 +162,6 @@ impl Default for ExecConfig {
         ExecConfig {
             jobs: 0,
             cache_dir: None,
-            no_cache: false,
             timeout_secs: None,
             heartbeat: true,
         }
@@ -181,18 +178,17 @@ impl ExecConfig {
         // Every flag is read (and a bad value rejected) before the
         // directory is created.
         let (jobs, timeout_secs) = (args.read("--jobs"), args.read("--timeout-secs"));
-        let no_cache = args.has("--no-cache");
         let dir = crate::cache::default_cache_dir().unwrap_or_else(|e| args.fail(&e));
-        if !no_cache {
-            if let Err(e) = std::fs::create_dir_all(&dir) {
+        let cache_dir = (!args.has("--no-cache")).then_some(dir);
+        if let Some(dir) = &cache_dir {
+            if let Err(e) = std::fs::create_dir_all(dir) {
                 let shown = dir.display();
                 args.fail(&format!("cannot create cache directory {shown}: {e}"));
             }
         }
         ExecConfig {
             jobs: jobs.unwrap_or(0),
-            cache_dir: Some(dir),
-            no_cache,
+            cache_dir,
             timeout_secs,
             heartbeat: !args.has("--no-heartbeat"),
         }
@@ -208,9 +204,9 @@ impl Spec {
     }
 }
 
-/// The execution engine handle: a worker-count choice, a result cache,
-/// and the metrics the run accumulates. Cheap to create; share one per
-/// run so cache statistics aggregate.
+/// The execution engine handle: a worker-count choice, an optional disk
+/// cache, and the metrics the run accumulates. Cheap to create; share one
+/// per run so cache statistics aggregate.
 #[derive(Debug)]
 pub struct Exec {
     workers: usize,
@@ -222,13 +218,13 @@ pub struct Exec {
 }
 
 impl Exec {
-    /// One worker, in-memory memoization only. The default for tests and
-    /// library callers that did not opt into parallelism.
+    /// One worker, no result cache. The default for tests and library
+    /// callers that did not opt into parallelism.
     pub fn sequential() -> Self {
         Exec::with_workers(1)
     }
 
-    /// `n` workers (0 = one per core), in-memory memoization only.
+    /// `n` workers (0 = one per core), no result cache.
     pub fn with_workers(n: usize) -> Self {
         Exec::new(ExecConfig {
             jobs: n,
@@ -254,25 +250,14 @@ impl Exec {
         } else {
             cfg.jobs
         };
-        let cache = if cfg.no_cache {
-            None
-        } else {
-            Some(match cfg.cache_dir {
-                Some(dir) => ResultCache::on_disk(dir),
-                None => ResultCache::in_memory(),
-            })
-        };
+        let cache = cfg.cache_dir.map(ResultCache::on_disk);
         metrics.gauge_set("exec.workers", workers as f64);
-        // The heartbeat lives next to the disk cache; in-memory engines
-        // (tests, library callers) have nowhere durable to stream to.
-        let heartbeat = if cfg.heartbeat {
-            cache
-                .as_ref()
-                .and_then(ResultCache::dir)
-                .and_then(|dir| Heartbeat::open(dir).ok())
-                .map(Arc::new)
-        } else {
-            None
+        // The heartbeat lives next to the cache; engines without one
+        // (tests, library callers, `--no-cache`) have nowhere durable to
+        // stream to.
+        let heartbeat = match &cache {
+            Some(cache) if cfg.heartbeat => Heartbeat::open(cache.dir()).ok().map(Arc::new),
+            _ => None,
         };
         Exec {
             workers,
@@ -321,13 +306,9 @@ impl Exec {
         // Two jobs can share a spec (e.g. one simulation point feeding two
         // figures), so each distinct hash is looked up, and if need be
         // evaluated, by its first job and the result fanned out.
-        // `--no-cache` disables this memoization along with the rest.
         let mut first_of: HashMap<u64, usize> = HashMap::new();
         let first: Vec<usize> = (0..n)
-            .map(|i| match &self.cache {
-                Some(_) => *first_of.entry(hashes[i]).or_insert(i),
-                None => i,
-            })
+            .map(|i| *first_of.entry(hashes[i]).or_insert(i))
             .collect();
 
         let mut results = vec![Json::Null; n];
@@ -454,14 +435,16 @@ impl Exec {
     }
 
     /// A snapshot of the engine's metrics (`exec.workers`,
-    /// `exec.worker.<i>.jobs`, `exec.cache.*`, `exec.jobs.*`,
-    /// `exec.job.us`), with cache counters read at snapshot time.
+    /// `exec.worker.<i>.jobs`, `exec.cache.*` when it has a cache,
+    /// `exec.jobs.*`, `exec.job.us`), with cache counters read at
+    /// snapshot time.
     pub fn metrics_snapshot(&self) -> Registry {
         let mut m = self.metrics.lock().expect("metrics lock").clone();
         if let Some(cache) = &self.cache {
             m.counter_add("exec.cache.hits", cache.hits());
             m.counter_add("exec.cache.misses", cache.misses());
             m.counter_add("exec.cache.invalid", cache.invalid());
+            m.counter_add("exec.cache.put_errors", cache.put_errors());
         }
         m
     }

@@ -11,11 +11,11 @@
 //!   order, so parallel runs print exactly what sequential runs print.
 //! * [`hash`] — stable content addressing: FNV-1a over the canonical
 //!   (key-sorted, compact) rendering of a job's JSON spec.
-//! * [`cache`] — a two-layer (memory + disk) result store keyed by spec
-//!   hash, with self-validating entries that detect truncation and
-//!   tampering instead of trusting them. Only successes are stored, so a
-//!   rerun of an interrupted or partly failed campaign recomputes
-//!   exactly what is missing.
+//! * [`cache`] — a disk result store keyed by spec hash, with
+//!   self-validating entries that detect truncation and tampering instead
+//!   of trusting them. Only successes are stored, so a rerun of an
+//!   interrupted or partly failed campaign recomputes exactly what is
+//!   missing.
 //! * [`campaign`] — [`Job`]s, one-pass campaigns of independent jobs,
 //!   and the [`Exec`] handle binaries thread through their figure code.
 //! * [`heartbeat`] — the live campaign telemetry stream: workers append
@@ -142,27 +142,25 @@ mod tests {
     }
 
     #[test]
-    fn no_cache_recomputes_everything() {
-        let calls = Arc::new(AtomicU64::new(0));
+    fn a_failed_cache_write_fails_no_job() {
+        let dir = scratch_dir("put-error");
+        let job = square_job("sq", 4);
+        // A directory under the entry's name makes the rename fail.
+        let entry = dir.join(format!("{}.json", hash_hex(spec_hash(&job.spec))));
+        std::fs::create_dir_all(&entry).expect("mkdir");
         let exec = Exec::new(ExecConfig {
             jobs: 1,
-            cache_dir: None,
-            no_cache: true,
+            cache_dir: Some(dir.clone()),
             ..ExecConfig::default()
         });
-        let spec = Json::object().with("kind", "nocache");
-        let jobs = (0..3)
-            .map(|i| {
-                let calls = Arc::clone(&calls);
-                Job::new(format!("n{i}"), spec.clone(), move |_| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    Json::UInt(1)
-                })
-            })
-            .collect();
-        let run = exec.run_campaign("nocache", jobs);
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-        assert_eq!(run.count(JobSource::Computed), 3);
+        let run = exec.run_campaign("put-error", vec![job]);
+        assert!(run.is_fully_green(), "{:?}", run.failures);
+        assert_eq!(run.results, vec![Json::UInt(16)]);
+        let m = exec.metrics_snapshot();
+        assert_eq!(m.counter("exec.cache.put_errors"), 1);
+        let audit = audit_dir(&dir).expect("audit");
+        assert!(audit.stray_tmp.is_empty(), "{audit:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -299,7 +297,12 @@ mod tests {
 
     #[test]
     fn metrics_summarize_the_run() {
-        let exec = Exec::sequential();
+        let dir = scratch_dir("metrics");
+        let exec = Exec::new(ExecConfig {
+            jobs: 1,
+            cache_dir: Some(dir.clone()),
+            ..ExecConfig::default()
+        });
         let jobs = (0..6).map(|x| square_job(&format!("m{x}"), x)).collect();
         exec.run_campaign("metrics", jobs);
         let m = exec.metrics_snapshot();
@@ -309,6 +312,12 @@ mod tests {
         assert_eq!(m.gauge("exec.workers"), Some(1.0));
         // 6 distinct specs: each missed once before computing.
         assert_eq!(m.counter("exec.cache.misses"), 6);
+        assert_eq!(m.counter("exec.cache.put_errors"), 0);
+        // An engine without a cache makes no lookup to count.
+        let exec = Exec::sequential();
+        exec.run_campaign("metrics", vec![square_job("m", 1)]);
+        assert!(exec.metrics_snapshot().get("exec.cache.misses").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -322,15 +331,10 @@ mod tests {
         };
         let cfg = parse(&["--quick", "--jobs", "4", "--no-cache"]);
         assert_eq!(cfg.jobs, 4);
-        assert!(cfg.no_cache && cfg.heartbeat);
+        assert!(cfg.cache_dir.is_none() && cfg.heartbeat);
         let cfg = parse(&["--timeout-secs", "9", "--no-heartbeat", "--no-cache"]);
         assert_eq!(cfg.timeout_secs, Some(9));
         assert!(!cfg.heartbeat);
-        let defaults = ExecConfig {
-            cache_dir: Some(default_cache_dir().expect("SOP_CACHE_DIR is usable")),
-            no_cache: true,
-            ..ExecConfig::default()
-        };
-        assert_eq!(parse(&["--no-cache"]), defaults);
+        assert_eq!(parse(&["--no-cache"]), ExecConfig::default());
     }
 }

@@ -7,8 +7,8 @@
 //!   [`Gauge`](Metric::Gauge) / [`Histogram`](Metric::Histogram) metrics
 //!   under hierarchical dotted keys (`sim.llc.bank3.misses`), cheap
 //!   enough to stay always-on and mergeable across windows and machines;
-//! * [`SpanLog`] — nested wall-clock phase timing for the repro /
-//!   ablation / calibrate binaries;
+//! * [`SpanLog`] — nested wall-clock phase timing for `repro` and the
+//!   `sop` campaigns;
 //! * [`json`] — a hand-rolled JSON value tree, writer, and parser (the
 //!   hermetic build has no serde), used by the `--json` run reports;
 //! * [`Report`] — the schema-versioned ([`SCHEMA_VERSION`]) run-report

@@ -1,6 +1,6 @@
 //! Wall-clock phase timing.
 //!
-//! The repro/ablation/calibrate binaries wrap each chapter or figure in
+//! `repro` and the `sop` campaigns wrap each chapter, figure or sweep in
 //! a span so the run report records where the time went. Spans nest
 //! (LIFO), and the completed records carry their depth so the report can
 //! reconstruct the tree.

@@ -158,14 +158,6 @@ impl TimeSeries {
         }
     }
 
-    /// Start tick of the last non-empty bucket, if any.
-    pub fn last_start(&self) -> Option<u64> {
-        match &self.data {
-            SeriesData::Counter(m) => m.keys().next_back().copied(),
-            SeriesData::Digest(m) => m.keys().next_back().copied(),
-        }
-    }
-
     /// Value of the last bucket: the counter sum, or the digest sample
     /// count. `None` when the series is empty.
     pub fn last_value(&self) -> Option<u64> {

@@ -33,16 +33,12 @@ pub mod derate;
 pub mod params;
 pub mod price;
 pub mod qos;
-pub mod sensitivity;
 
 pub use datacenter::{Datacenter, TcoBreakdown};
 pub use derate::{cost_per_delivered_kqps, derated_performance, DegradationCurve};
 pub use params::TcoParams;
 pub use price::{estimated_price_usd, market_price_usd};
 pub use qos::{MixedFleet, PoolChoice};
-pub use sensitivity::{
-    electricity_sweep, lifetime_sweep, ordering_is_robust, rack_power_sweep, SensitivityPoint,
-};
 
 use sop_tech::TechnologyNode;
 

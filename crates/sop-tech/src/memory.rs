@@ -64,17 +64,6 @@ impl MemoryInterface {
         }
     }
 
-    /// A DDR3 interface regardless of node (used for the 20nm DDR3
-    /// sensitivity discussion in §3.4.4).
-    pub fn ddr3() -> Self {
-        MemoryInterface {
-            gen: MemoryGen::Ddr3,
-            area_mm2: 12.0,
-            power_w: 5.7,
-            utilization: 0.70,
-        }
-    }
-
     /// Useful (sustainable) bandwidth per channel in GB/s. A DDR3-1667
     /// channel provides 12.8 x 0.70 ≈ 9GB/s (§2.4.1).
     pub fn useful_gbps(&self) -> f64 {

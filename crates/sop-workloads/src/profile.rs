@@ -459,13 +459,6 @@ impl WorkloadProfile {
         let (i, d) = self.l1_mpki_for(kind);
         (i + d / self.data_mlp_for(kind)) / 1000.0
     }
-
-    /// Total LLC accesses per instruction (for traffic/contention
-    /// accounting), unweighted by MLP.
-    pub fn llc_accesses_per_instr(&self, kind: CoreKind) -> f64 {
-        let (i, d) = self.l1_mpki_for(kind);
-        (i + d) / 1000.0
-    }
 }
 
 #[cfg(test)]

@@ -167,11 +167,6 @@ impl TraceGenerator {
         &self.cfg
     }
 
-    /// Expected L1 misses per kilo-instruction this stream will produce.
-    pub fn expected_l1_mpki(&self) -> f64 {
-        (self.p_ifetch + self.p_dread + self.p_dwrite) * 1000.0
-    }
-
     fn shared_line(&mut self) -> LineAddr {
         // A 40/60 blend of hot-head (Zipf) and uniform reuse keeps the
         // shared footprint's effective size near its nominal size while

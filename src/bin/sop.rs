@@ -8,7 +8,7 @@
 //!        sop trace [<workload>] [--topo mesh|fbfly|nocout] [--out FILE]
 //!            [--sample N] [--cores N] [--quick] [--analyze]
 //!        sop diff <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]...
-//!        sop sweep <ch2|ch3|ch4|ch5|ch6|degradation|fleet|resilience|all>
+//!        sop sweep <ch2|ch3|ch4|ch5|ch6|degradation|ablation|fleet|resilience|all>
 //!            [--quick] [--stable] [--json FILE] [--jobs N] [--timeout-secs N]
 //!            [--no-cache] [--no-heartbeat]
 //!        sop fleet [--servers N] [--seed S]
@@ -736,12 +736,17 @@ fn print_slo_analysis(a: &scale_out_processors::obs::SloAnalysis, ttr: Option<f6
 
 /// Audits the on-disk result cache: every entry re-validated against its
 /// content hash, stray `*.tmp.*` debris and foreign files called out.
-/// Exits non-zero if anything but valid entries is found.
+/// Exits non-zero if anything but valid entries is found. A `--dir` that
+/// does not exist exits 2: a mistyped path is not an empty cache. The
+/// default directory, missing until a first run, audits clean.
 fn cache(args: &Args) {
-    let dir = args
-        .value("--dir")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| cache_dir(args));
+    let dir = match args.value("--dir") {
+        Some(dir) if !std::path::Path::new(dir).exists() => {
+            args.fail(&format!("cache directory {dir} does not exist"))
+        }
+        Some(dir) => std::path::PathBuf::from(dir),
+        None => cache_dir(args),
+    };
     let audit = match audit_dir(&dir) {
         Ok(a) => a,
         Err(e) => {

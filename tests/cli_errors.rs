@@ -319,8 +319,10 @@ fn extra_positionals_exit_2_naming_the_argument() {
 }
 
 /// An empty `SOP_CACHE_DIR` once put the cache and the progress stream
-/// in the current directory, and one naming a regular file once ran
-/// memory-only without a word. Both exit 2 before any work.
+/// in the current directory, one naming a regular file once ran
+/// memory-only without a word, and `sop cache --dir` on a path that does
+/// not exist once audited it as an empty, clean cache. All exit 2 before
+/// any work.
 #[test]
 fn unusable_cache_dirs_exit_2_naming_them() {
     let dir = scratch("cache-dir");
@@ -338,6 +340,11 @@ fn unusable_cache_dirs_exit_2_naming_them() {
             "sop {args:?}: {stderr}"
         );
     }
+    assert_rejected(
+        &dir,
+        &["cache", "--dir", "missing"],
+        "cache directory missing does not exist",
+    );
     assert_nothing_written(&dir);
     let file = dir.join("file");
     std::fs::write(&file, "").expect("write a regular file");

@@ -4,11 +4,13 @@
 //! count once and `sop top` follows the sweep to completion. The
 //! streams' `t_us` never decreases, whatever the two workers'
 //! interleaving. A cold sweep looks each distinct spec up in the cache
-//! once, however many of its jobs share it.
+//! once, however many of its jobs share it. `all` writes the groups of
+//! `figures::ALL` and nothing else.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use scale_out_processors::bench::figures::{self, FIGURES};
 use scale_out_processors::exec::heartbeat::{read_events, PROGRESS_FILE};
 use scale_out_processors::obs::Json;
 
@@ -45,15 +47,28 @@ fn sweep(dir: &Path, name: &str) -> Vec<Json> {
     read_events(&dir.join("cache").join(PROGRESS_FILE)).split_off(before)
 }
 
-/// Counter `key` of the report `sop sweep name` wrote in `dir`.
-fn report_counter(dir: &Path, name: &str, key: &str) -> u64 {
+/// The report `sop sweep name` wrote in `dir`.
+fn report(dir: &Path, name: &str) -> Json {
     let path = dir.join(format!("sweep-{name}.json"));
     let text = std::fs::read_to_string(&path).expect("sweep report");
-    let doc = scale_out_processors::obs::json::parse(&text).expect("report is JSON");
+    scale_out_processors::obs::json::parse(&text).expect("report is JSON")
+}
+
+/// Counter `key` of the report `sop sweep name` wrote in `dir`.
+fn report_counter(dir: &Path, name: &str, key: &str) -> u64 {
+    let doc = report(dir, name);
     let value = doc.get("metrics").and_then(|m| m.get(key));
     value
         .and_then(Json::as_f64)
-        .unwrap_or_else(|| panic!("{key} in {path:?}")) as u64
+        .unwrap_or_else(|| panic!("{key} in the {name} report")) as u64
+}
+
+/// The member names of object `doc`.
+fn members(doc: &Json) -> Vec<&str> {
+    match doc {
+        Json::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => panic!("not an object: {doc:?}"),
+    }
 }
 
 /// The `(campaign, jobs)` of each `campaign_start` in `events`.
@@ -110,6 +125,22 @@ fn ch4_and_all_sweeps_are_one_campaign_each() {
         computed,
         "one cache miss per distinct spec"
     );
+    // A section per group of `figures::ALL`, each holding the member of
+    // every entry of that group that carries data.
+    let doc = report(&dir, "all");
+    let data = doc
+        .get("sections")
+        .and_then(|s| s.get("data"))
+        .expect("data");
+    assert_eq!(members(data), figures::ALL);
+    for group in figures::ALL {
+        let expected: Vec<&str> = FIGURES
+            .iter()
+            .filter(|f| f.group == group)
+            .filter_map(|f| f.data.map(|(member, _)| member))
+            .collect();
+        assert_eq!(members(data.get(group).expect("group")), expected);
+    }
     // Warm from `all`'s cache, `ch4` still announces its 49 jobs once.
     let ch4 = sweep(&dir, "ch4");
     assert_eq!(starts(&ch4), [("ch4".to_owned(), 49)]);
