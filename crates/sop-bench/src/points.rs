@@ -191,9 +191,10 @@ impl SimPointSpec {
         self
     }
 
-    /// Runs the simulation this spec describes.
-    pub fn evaluate(&self) -> SimPoint {
-        let (cfg, warm, measure) = match *self {
+    /// The machine this spec simulates, with its timed warm-up and
+    /// measured cycles.
+    fn config(&self) -> (SimConfig, u64, u64) {
+        match *self {
             SimPointSpec::Validation {
                 workload,
                 cores,
@@ -222,7 +223,12 @@ impl SimPointSpec {
                 }
                 (cfg, warm, measure)
             }
-        };
+        }
+    }
+
+    /// Runs the simulation this spec describes.
+    pub fn evaluate(&self) -> SimPoint {
+        let (cfg, warm, measure) = self.config();
         let mut m = Machine::new(cfg);
         if let Some(f) = self.faults() {
             let plan = FaultPlan::seeded_router_deaths(f.seed, f.dead, m.router_count(), f.cycle);
@@ -319,28 +325,44 @@ impl SimPoint {
 /// Evaluates `specs` as one campaign on `exec`: duplicates collapse,
 /// cached points are served from disk, fresh points run on the worker
 /// pool, and the results come back in spec order.
+///
+/// The jobs are submitted sorted by [`WarmKey`](sop_sim::WarmKey), so
+/// points that reuse one functional warm-up, or one warm-up trace, are
+/// adjacent; each run of trace-sharing points is one affinity group, so
+/// it runs back to back on one worker and finds that worker's warm-up
+/// slots filled. The order only schedules: results are placed by index.
 pub fn sim_points(exec: &Exec, campaign: &str, specs: &[SimPointSpec]) -> Vec<SimPoint> {
-    let jobs: Vec<Job<'_>> = specs
+    let keys: Vec<_> = specs.iter().map(|s| s.config().0.warm_key()).collect();
+    let mut order: Vec<usize> = (0..specs.len()).collect();
+    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+    let mut group = 0;
+    let jobs: Vec<Job<'_>> = order
         .iter()
-        .map(|&spec| {
-            Job::with_work(spec.name(), spec.to_json(), move |_| {
+        .enumerate()
+        .map(|(n, &i)| {
+            if n > 0 && !keys[order[n - 1]].shares_trace(&keys[i]) {
+                group += 1;
+            }
+            let spec = specs[i];
+            let job = Job::with_work(spec.name(), spec.to_json(), move |_| {
                 let mut work = Registry::new();
                 work.counter_add("cycles", spec.cycles());
                 (spec.evaluate().to_json(), work)
-            })
+            });
+            job.affinity(group)
         })
         .collect();
-    exec.run_campaign(campaign, jobs)
-        .results
-        .iter()
-        .map(|r| match r {
-            // A failed job leaves a `Json::Null` slot; surface it as a
-            // poisoned point instead of killing the whole campaign — the
-            // caller's report carries the failure details.
-            Json::Null => SimPoint::failed(),
-            doc => SimPoint::from_json(doc),
-        })
-        .collect()
+    let results = exec.run_campaign(campaign, jobs).results;
+    let mut points = vec![SimPoint::failed(); specs.len()];
+    for (&i, r) in order.iter().zip(&results) {
+        // A failed job leaves a `Json::Null` slot; it stays a poisoned
+        // point instead of killing the whole campaign — the caller's
+        // report carries the failure details.
+        if *r != Json::Null {
+            points[i] = SimPoint::from_json(r);
+        }
+    }
+    points
 }
 
 #[cfg(test)]
@@ -375,10 +397,22 @@ mod tests {
 
     #[test]
     fn evaluating_through_the_engine_matches_direct_evaluation() {
-        let spec = sample_spec();
-        let direct = spec.evaluate();
-        let via_engine = sim_points(&Exec::with_workers(2), "points-test", &[spec, spec]);
-        assert_eq!(via_engine, vec![direct, direct]);
+        let a = sample_spec();
+        // A different warm key: sorting moves it ahead of `a`.
+        let b = SimPointSpec::Validation {
+            workload: Workload::DataServing,
+            cores: 4,
+            topology: TopologyKind::Mesh,
+            warm: 500,
+            measure: 1_000,
+            faults: None,
+        };
+        assert_ne!(a.config().0.warm_key(), b.config().0.warm_key());
+        for specs in [vec![a, a], vec![a, b, a]] {
+            let direct: Vec<SimPoint> = specs.iter().map(SimPointSpec::evaluate).collect();
+            let via_engine = sim_points(&Exec::with_workers(2), "points-test", &specs);
+            assert_eq!(via_engine, direct);
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! *identity*) with a pure closure that evaluates it. The [`Exec`] handle
 //! runs a campaign's jobs in one pass: jobs that share a spec collapse
 //! into one, the cache answers what it can, the rest run concurrently on
-//! the pool, and results always come back **in job order**, so output
-//! derived from them is byte-identical whatever the schedule did.
+//! the pool (jobs sharing an affinity key back to back on one worker),
+//! and results always come back **in job order**, so output derived from
+//! them is byte-identical whatever the schedule did.
 //!
 //! Completed jobs are memoized in the content-addressed
 //! [`ResultCache`](crate::cache::ResultCache) keyed by
@@ -37,6 +38,9 @@ pub struct Job<'a> {
     pub name: String,
     /// The job's identity; hashed (order-insensitively) for caching.
     pub spec: Json,
+    /// Jobs of a campaign that share this key run back to back on one
+    /// worker (see [`Job::affinity`]).
+    affinity: Option<u64>,
     run: Box<RunFn<'a>>,
 }
 
@@ -62,8 +66,18 @@ impl<'a> Job<'a> {
         Job {
             name: name.into(),
             spec,
+            affinity: None,
             run: Box::new(run),
         }
+    }
+
+    /// Runs this job back to back, in job order, with the campaign's
+    /// other jobs of the same `key`, all on one worker — so jobs that can
+    /// reuse per-thread state (a warmed simulator) find it. Affinity only
+    /// schedules: it never changes a result or the order of results.
+    pub fn affinity(mut self, key: u64) -> Self {
+        self.affinity = Some(key);
+        self
     }
 }
 
@@ -342,29 +356,38 @@ impl Exec {
         }
 
         // Evaluate the rest concurrently under the pool's panic isolation
-        // and per-job watchdog; results return in order.
+        // and per-job watchdog, one group per affinity key (in order of
+        // first appearance) and one per job without a key.
+        let mut group_of: HashMap<u64, usize> = HashMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for i in to_compute {
+            let group = match jobs[i].affinity {
+                Some(key) => *group_of.entry(key).or_insert(groups.len()),
+                None => groups.len(),
+            };
+            if group == groups.len() {
+                groups.push(Vec::new());
+            }
+            groups[group].push(i);
+        }
+        let order = groups.concat();
         let (computed, stats) = {
             let jobs = Arc::clone(&jobs);
             let heartbeat = self.heartbeat.clone();
             let campaign = name.to_owned();
-            pool::run_ordered_resilient(
-                self.workers,
-                to_compute.clone(),
-                self.timeout,
-                move |worker, i| {
-                    let job = &jobs[i];
-                    if let Some(hb) = &heartbeat {
-                        hb.job_start(&campaign, &job.name, worker as u64);
-                    }
-                    let started = Instant::now();
-                    let (result, work) = (job.run)(&job.spec);
-                    let us = started.elapsed().as_micros() as u64;
-                    if let Some(hb) = &heartbeat {
-                        hb.job_finish(&campaign, &job.name, worker as u64, us, &work);
-                    }
-                    (result, us)
-                },
-            )
+            pool::run_ordered_resilient(self.workers, groups, self.timeout, move |worker, i| {
+                let job = &jobs[i];
+                if let Some(hb) = &heartbeat {
+                    hb.job_start(&campaign, &job.name, worker as u64);
+                }
+                let started = Instant::now();
+                let (result, work) = (job.run)(&job.spec);
+                let us = started.elapsed().as_micros() as u64;
+                if let Some(hb) = &heartbeat {
+                    hb.job_finish(&campaign, &job.name, worker as u64, us, &work);
+                }
+                (result, us)
+            })
         };
         {
             let mut m = self.metrics.lock().expect("metrics lock");
@@ -372,7 +395,10 @@ impl Exec {
                 m.counter_add(&format!("exec.worker.{w}.jobs"), *executed);
             }
         }
-        for (&i, evaluated) in to_compute.iter().zip(computed) {
+        // Pool results come back group by group; record them in job order.
+        let mut computed: Vec<_> = order.into_iter().zip(computed).collect();
+        computed.sort_by_key(|&(i, _)| i);
+        for (i, evaluated) in computed {
             match evaluated {
                 Ok((result, us)) => {
                     if let Some(cache) = &self.cache {

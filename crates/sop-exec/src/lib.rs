@@ -50,7 +50,7 @@ mod tests {
     use sop_obs::Json;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     fn scratch_dir(test: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sop-exec-lib-{}-{test}", std::process::id()));
@@ -58,15 +58,15 @@ mod tests {
         dir
     }
 
+    fn square_spec(x: u64) -> Json {
+        Json::object().with("kind", "square").with("x", x)
+    }
+
     fn square_job(name: &str, x: u64) -> Job<'static> {
-        Job::new(
-            name.to_owned(),
-            Json::object().with("kind", "square").with("x", x),
-            |spec| {
-                let x = spec.get("x").and_then(Json::as_f64).expect("x") as u64;
-                Json::UInt(x * x)
-            },
-        )
+        Job::new(name.to_owned(), square_spec(x), |spec| {
+            let x = spec.get("x").and_then(Json::as_f64).expect("x") as u64;
+            Json::UInt(x * x)
+        })
     }
 
     #[test]
@@ -74,10 +74,40 @@ mod tests {
         let expected: Vec<Json> = (0..20).map(|x| Json::UInt(x * x)).collect();
         for workers in [1, 2, 8] {
             let exec = Exec::with_workers(workers);
-            let jobs = (0..20).map(|x| square_job(&format!("sq{x}"), x)).collect();
+            // Even jobs share one of three interleaved affinity keys; odd
+            // jobs have none.
+            let ran = Arc::new(Mutex::new(Vec::new()));
+            let jobs = (0..20)
+                .map(|x| {
+                    let log = Arc::clone(&ran);
+                    let job = Job::new(format!("sq{x}"), square_spec(x), move |_| {
+                        log.lock()
+                            .expect("log")
+                            .push((x, std::thread::current().id()));
+                        Json::UInt(x * x)
+                    });
+                    if x % 2 == 0 {
+                        job.affinity(x % 3)
+                    } else {
+                        job
+                    }
+                })
+                .collect();
             let run = exec.run_campaign("squares", jobs);
             assert_eq!(run.results, expected, "workers={workers}");
             assert_eq!(run.count(JobSource::Computed), 20);
+            // Same-key jobs ran on one thread, in job order.
+            let ran = ran.lock().expect("log").clone();
+            for key in 0..3 {
+                let group: Vec<_> = ran
+                    .iter()
+                    .filter(|(x, _)| x % 2 == 0 && x % 3 == key)
+                    .collect();
+                let in_order = group
+                    .windows(2)
+                    .all(|p| p[0].0 < p[1].0 && p[0].1 == p[1].1);
+                assert!(in_order, "workers={workers}: {ran:?}");
+            }
         }
     }
 

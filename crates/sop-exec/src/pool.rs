@@ -2,11 +2,12 @@
 //!
 //! The hermetic build has no rayon, so this module hand-rolls the small
 //! slice of it the campaign runner needs: run `n` independent closures on
-//! `w` workers pulling from one mutex-guarded queue, isolate each job's
-//! panic or hang to its own slot, and return the results **in input
-//! order** so downstream output is byte-identical regardless of how the
-//! schedule played out. At experiment granularity (each job simulates
-//! thousands of cycles) lock traffic on the queue is noise.
+//! `w` workers pulling groups from one mutex-guarded queue, run each
+//! group's items back to back on one worker, isolate each job's panic or
+//! hang to its own slot, and return the results **in input order** so
+//! downstream output is byte-identical regardless of how the schedule
+//! played out. At experiment granularity (each job simulates thousands
+//! of cycles) lock traffic on the queue is noise.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -58,15 +59,49 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `f` over every item on `workers` threads and returns the results
-/// in input order, plus the number of jobs each worker executed. Every
+/// The work not yet started: groups no worker has claimed, and the rest
+/// of the group each worker is running.
+struct Queue<T> {
+    open: VecDeque<VecDeque<(usize, T)>>,
+    /// Indexed by worker id.
+    claimed: Vec<VecDeque<(usize, T)>>,
+}
+
+impl<T> Queue<T> {
+    /// The next item for `worker`: the rest of its group first, then the
+    /// first open group.
+    fn next(&mut self, worker: usize) -> Option<(usize, T)> {
+        if self.claimed.len() <= worker {
+            self.claimed.resize_with(worker + 1, VecDeque::new);
+        }
+        if self.claimed[worker].is_empty() {
+            self.claimed[worker] = self.open.pop_front()?;
+        }
+        self.claimed[worker].pop_front()
+    }
+
+    /// Reopens the rest of an abandoned worker's group, first in line, so
+    /// a hung job does not strand its group-mates.
+    fn release(&mut self, worker: usize) {
+        let rest = std::mem::take(&mut self.claimed[worker]);
+        if !rest.is_empty() {
+            self.open.push_front(rest);
+        }
+    }
+}
+
+/// Runs `f` over every item of every group on `workers` threads and
+/// returns the results in input order (the groups concatenated), plus the
+/// number of jobs each worker executed. A group's items run back to back
+/// on one worker, in order, so they can share per-thread state. Every
 /// job runs under `catch_unwind`, so one panicking job yields
 /// `Err(JobError::Panicked)` in its own slot instead of poisoning the
 /// pool and discarding everyone else's results. With `timeout` set, a
 /// watchdog marks jobs that run too long as `Err(JobError::TimedOut)`
 /// and spawns a replacement worker so throughput is preserved; the hung
 /// thread itself is abandoned (detached) and its eventual result, if
-/// any, is discarded.
+/// any, is discarded. The rest of the hung job's group moves on to the
+/// next free worker.
 ///
 /// The workers are detached threads (abandoning a hung job is impossible
 /// with scoped threads, whose join blocks on it), hence the `'static`
@@ -75,7 +110,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// alongside the item.
 pub fn run_ordered_resilient<T, R, F>(
     workers: usize,
-    items: Vec<T>,
+    groups: Vec<Vec<T>>,
     timeout: Option<Duration>,
     f: F,
 ) -> (Vec<Result<R, JobError>>, Vec<u64>)
@@ -84,12 +119,14 @@ where
     R: Send + 'static,
     F: Fn(usize, T) -> R + Send + Sync + 'static,
 {
-    let n = items.len();
-    let workers = workers.max(1).min(n.max(1));
+    let groups: Vec<Vec<T>> = groups.into_iter().filter(|g| !g.is_empty()).collect();
+    let n = groups.iter().map(Vec::len).sum();
+    let workers = workers.max(1).min(groups.len().max(1));
     if workers == 1 && timeout.is_none() {
         // Sequential fast path: no threads, but the same panic isolation.
-        let results = items
+        let results = groups
             .into_iter()
+            .flatten()
             .map(|t| {
                 catch_unwind(AssertUnwindSafe(|| f(0, t)))
                     .map_err(|p| JobError::Panicked(panic_message(p)))
@@ -98,10 +135,22 @@ where
         return (results, vec![n as u64]);
     }
 
-    let queue: Arc<Mutex<VecDeque<(usize, T)>>> =
-        Arc::new(Mutex::new(items.into_iter().enumerate().collect()));
-    let started: Arc<Mutex<Vec<Option<Instant>>>> =
-        Arc::new(Mutex::new((0..n).map(|_| None).collect()));
+    let mut index = 0..n;
+    let open = groups
+        .into_iter()
+        .map(|group| {
+            let numbered = group
+                .into_iter()
+                .map(|t| (index.next().expect("n items"), t));
+            numbered.collect()
+        })
+        .collect();
+    let queue = Arc::new(Mutex::new(Queue {
+        open,
+        claimed: Vec::new(),
+    }));
+    // When each job started, and on which worker.
+    let started = Arc::new(Mutex::new(vec![None::<(Instant, usize)>; n]));
     let stats: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; workers]));
     let f = Arc::new(f);
     let (tx, rx) = mpsc::channel::<(usize, Result<R, JobError>)>();
@@ -113,10 +162,10 @@ where
         let f = Arc::clone(&f);
         let tx = tx.clone();
         std::thread::spawn(move || loop {
-            let Some((idx, item)) = queue.lock().expect("queue lock").pop_front() else {
+            let Some((idx, item)) = queue.lock().expect("queue lock").next(id) else {
                 break;
             };
-            started.lock().expect("started lock")[idx] = Some(Instant::now());
+            started.lock().expect("started lock")[idx] = Some((Instant::now(), id));
             let result = catch_unwind(AssertUnwindSafe(|| f(id, item)))
                 .map_err(|p| JobError::Panicked(panic_message(p)));
             {
@@ -157,19 +206,23 @@ where
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 let Some(limit) = timeout else { continue };
-                let overdue: Vec<usize> = {
+                let overdue: Vec<(usize, usize)> = {
                     let started = started.lock().expect("started lock");
                     (0..n)
-                        .filter(|&i| {
-                            slots[i].is_none() && started[i].is_some_and(|at| at.elapsed() > limit)
+                        .filter_map(|i| match started[i] {
+                            Some((at, worker)) if slots[i].is_none() && at.elapsed() > limit => {
+                                Some((i, worker))
+                            }
+                            _ => None,
                         })
                         .collect()
                 };
-                for idx in overdue {
+                for (idx, worker) in overdue {
                     slots[idx] = Some(Err(JobError::TimedOut(limit)));
                     remaining -= 1;
                     // The thread stuck on this job is abandoned; spawn a
                     // replacement so parallelism does not decay.
+                    queue.lock().expect("queue lock").release(worker);
                     spawn_worker(next_worker_id);
                     next_worker_id += 1;
                 }
@@ -199,11 +252,16 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// Every item in a group of its own.
+    fn singles<T>(items: impl IntoIterator<Item = T>) -> Vec<Vec<T>> {
+        items.into_iter().map(|t| vec![t]).collect()
+    }
+
     #[test]
     fn results_come_back_in_input_order() {
         for workers in [1, 2, 4, 8] {
             let (out, stats) =
-                run_ordered_resilient(workers, (0..100u64).collect(), None, |_, x| x * 3);
+                run_ordered_resilient(workers, singles(0..100u64), None, |_, x| x * 3);
             let out: Vec<u64> = out.into_iter().map(|r| r.expect("success")).collect();
             assert_eq!(out, (0..100).map(|x| x * 3).collect::<Vec<u64>>());
             assert_eq!(stats.iter().sum::<u64>(), 100);
@@ -214,7 +272,7 @@ mod tests {
     fn every_job_runs_exactly_once() {
         let counter = Arc::new(AtomicU64::new(0));
         let calls = Arc::clone(&counter);
-        run_ordered_resilient(4, (0..257).collect::<Vec<u32>>(), None, move |_, _| {
+        run_ordered_resilient(4, singles(0..257u32), None, move |_, _| {
             calls.fetch_add(1, Ordering::Relaxed)
         });
         assert_eq!(counter.load(Ordering::Relaxed), 257);
@@ -222,14 +280,14 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let (out, stats) = run_ordered_resilient(8, Vec::<u8>::new(), None, |_, x| x);
+        let (out, stats) = run_ordered_resilient(8, Vec::<Vec<u8>>::new(), None, |_, x| x);
         assert!(out.is_empty());
         assert_eq!(stats.iter().sum::<u64>(), 0);
     }
 
     #[test]
     fn more_workers_than_items_clamps() {
-        let (out, stats) = run_ordered_resilient(16, vec![1, 2, 3], None, |_, x| x * 2);
+        let (out, stats) = run_ordered_resilient(16, singles([1, 2, 3]), None, |_, x| x * 2);
         let out: Vec<i32> = out.into_iter().map(|r| r.expect("success")).collect();
         assert_eq!(out, vec![2, 4, 6]);
         assert!(stats.len() <= 3);
@@ -238,18 +296,14 @@ mod tests {
     #[test]
     fn resilient_isolates_panics_to_their_own_slot() {
         for workers in [1, 4] {
-            let (out, stats) = run_ordered_resilient(
-                workers,
-                (0..20u64).collect::<Vec<_>>(),
-                None,
-                move |w, x| {
+            let (out, stats) =
+                run_ordered_resilient(workers, singles(0..20u64), None, move |w, x| {
                     assert!(w < workers, "worker id {w} of {workers}");
                     if x % 5 == 3 {
                         panic!("job {x} exploded");
                     }
                     x * 2
-                },
-            );
+                });
             assert_eq!(out.len(), 20);
             for (i, r) in out.iter().enumerate() {
                 if i % 5 == 3 {
@@ -269,12 +323,17 @@ mod tests {
 
     #[test]
     fn resilient_watchdog_times_out_hung_jobs_and_finishes_the_rest() {
+        // Groups of 4, 2, 1 and 3 items; item 2 hangs inside the first.
+        let groups = vec![vec![0, 1, 2, 3], vec![4, 5], vec![6], vec![7, 8, 9u64]];
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&ran);
         let started = Instant::now();
         let (out, _) = run_ordered_resilient(
             2,
-            (0..8u64).collect::<Vec<_>>(),
+            groups.clone(),
             Some(Duration::from_millis(100)),
-            |_, x| {
+            move |w, x| {
+                log.lock().expect("log lock").push((x, w));
                 if x == 2 {
                     // Far longer than the timeout: the watchdog must fire
                     // long before this job would complete on its own.
@@ -288,6 +347,8 @@ mod tests {
             "got {:?}",
             out[2]
         );
+        // The hung job fails alone: every other job, its group-mate 3
+        // included, completes, and results stay in input order.
         for (i, r) in out.iter().enumerate() {
             if i != 2 {
                 assert_eq!(r.as_ref().expect("success"), &((i as u64) + 1));
@@ -297,6 +358,16 @@ mod tests {
             started.elapsed() < Duration::from_secs(20),
             "the pool must not wait out the hung job"
         );
+        // Each group ran on one worker in input order, up to the hung job;
+        // its remaining member ran after it, on whichever worker was free.
+        let ran = ran.lock().expect("log lock").clone();
+        let at = |x: u64| ran.iter().position(|&(y, _)| y == x).expect("ran");
+        for group in [&groups[0][..3], &groups[1], &groups[2], &groups[3]] {
+            let workers: Vec<usize> = group.iter().map(|&x| ran[at(x)].1).collect();
+            assert!(workers.windows(2).all(|w| w[0] == w[1]), "{ran:?}");
+            assert!(group.windows(2).all(|p| at(p[0]) < at(p[1])), "{ran:?}");
+        }
+        assert!(at(2) < at(3), "{ran:?}");
     }
 
     #[test]

@@ -249,14 +249,6 @@ impl LlcBank {
         reg.counter_add(&format!("{prefix}snoops"), self.snoops);
     }
 
-    /// Heap footprint in bytes — the bank's vectors' lengths times their
-    /// element sizes (used to budget the warm-state memo).
-    pub fn approx_heap_bytes(&self) -> usize {
-        self.tags.len() * (std::mem::size_of::<LineAddr>() + std::mem::size_of::<DirectoryState>())
-            + self.order.len() * std::mem::size_of::<u64>()
-            + self.len.len()
-    }
-
     /// Resets statistics (after warm-up) without touching contents.
     pub fn reset_stats(&mut self) {
         self.accesses = 0;
@@ -366,21 +358,6 @@ mod tests {
         b.reset_stats();
         assert_eq!((b.accesses(), b.misses(), b.snoops()), (0, 0, 0));
         assert!(matches!(b.access(0, 42, false), BankOutcome::Hit { .. }));
-    }
-
-    #[test]
-    fn heap_bytes_count_every_vector() {
-        for (capacity, ways) in [(1 << 20, 16), (64 * 64, 4), (64, 1)] {
-            let b = LlcBank::new(capacity, ways);
-            let sets = b.len.len();
-            assert_eq!(b.order.len(), sets);
-            assert_eq!((b.tags.len(), b.dirs.len()), (sets * ways, sets * ways));
-            let bytes = b.tags.len() * std::mem::size_of::<LineAddr>()
-                + b.dirs.len() * std::mem::size_of::<DirectoryState>()
-                + b.order.len() * std::mem::size_of::<u64>()
-                + b.len.len() * std::mem::size_of::<u8>();
-            assert_eq!(b.approx_heap_bytes(), bytes);
-        }
     }
 
     #[test]

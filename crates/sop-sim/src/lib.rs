@@ -27,6 +27,7 @@ pub mod machine;
 pub mod memory;
 pub mod sampling;
 pub mod stats;
+pub mod warmup;
 
 pub use cache::{DirectoryState, LlcBank};
 pub use core::{CoreState, SimCore};
@@ -35,3 +36,4 @@ pub use machine::{HaltReason, Machine, SimConfig, SimResult};
 pub use memory::MemoryController;
 pub use sampling::{measure, SampledMeasurement};
 pub use stats::Histogram;
+pub use warmup::WarmKey;

@@ -10,21 +10,21 @@
 //! invalidation/forwarding round trip of an inclusive directory LLC.
 
 use crate::cache::{BankOutcome, LlcBank};
-use crate::core::{CoreRequest, SimCore, WRITE_BIT};
+use crate::core::{CoreRequest, SimCore};
 use crate::l1::L1Cache;
 use crate::memory::{channel_of, MemoryController};
 use crate::stats::Histogram;
+use crate::warmup::WarmKey;
 use sop_fault::{ComponentKind, Fault, FaultMode, FaultPlan};
 use sop_noc::slab::{Key, SideTable, Slab};
-use sop_noc::{Delivered, MessageClass, Network, NocConfig, TopologyKind};
+use sop_noc::{Delivered, MessageClass, Network, NocConfig, Topology, TopologyKind};
 use sop_obs::prof::{Component as HostComponent, PhaseMark, Prof, RegionTimer};
 use sop_obs::txn::{Stage, TxnStats, STAGES};
 use sop_obs::{EventLog, Registry};
 use sop_tech::{CacheGeometry, CoreKind, TechnologyNode};
 use sop_workloads::trace::LineAddr;
 use sop_workloads::{TraceConfig, Workload, WorkloadProfile};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Configuration of a simulated machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -421,135 +421,64 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// Everything the functional warm-up outcome depends on — and nothing it
-/// does not. Fabric link width, hub latency, and memory-channel count
-/// never enter the warm-up loop, so sweep points varying only those share
-/// one warmed state.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct WarmKey {
-    workload: Workload,
-    core_kind: CoreKind,
-    seed: u64,
-    /// `llc_mb` bit pattern (`f64` is not `Hash`; configs hold exact
-    /// values, so bit equality is the right equality).
-    llc_mb_bits: u64,
-    n_banks: usize,
-    /// Physical ids of the cores running threads (they feed the
-    /// directory's sharer lists during warm-up).
-    active: Vec<u32>,
-}
-
-/// Warmed banks and trace-advanced cores, captured right after
-/// [`Machine::functional_warmup`] resets bank statistics.
-struct WarmState {
-    banks: Vec<LlcBank>,
-    cores: Vec<SimCore>,
-}
-
-fn warm_state_bytes(state: &WarmState) -> usize {
-    state
-        .banks
+/// Where a machine built from `cfg` on `topo` runs its threads, and how
+/// many LLC banks it has: `(active physical cores, bank count)`. The
+/// machine and its [`WarmKey`] both derive these here.
+pub(crate) fn layout(cfg: &SimConfig, topo: &Topology) -> (Vec<u32>, usize) {
+    // Pick the active cores closest to the LLC: the thesis places
+    // 16-core workloads on the central mesh tiles and on the core
+    // tiles adjacent to the LLC row in NOC-Out (§4.3.3). Rank cores by
+    // mean zero-load latency to the LLC endpoints.
+    let mut ranked: Vec<(u64, u32)> = topo
+        .core_nodes
         .iter()
-        .map(LlcBank::approx_heap_bytes)
-        .sum::<usize>()
-        + state.cores.len() * std::mem::size_of::<SimCore>()
+        .enumerate()
+        .map(|(core, &node)| {
+            let sum: u64 = topo
+                .llc_nodes
+                .iter()
+                .map(|&l| {
+                    if l == node {
+                        0
+                    } else {
+                        u64::from(topo.zero_load_latency(node, l))
+                    }
+                })
+                .sum();
+            (sum, core as u32)
+        })
+        .collect();
+    ranked.sort();
+    let mut active: Vec<u32> = ranked[..cfg.active_cores as usize]
+        .iter()
+        .map(|&(_, c)| c)
+        .collect();
+    active.sort_unstable();
+    // Two banks per NOC-Out LLC tile (Table 4.1), one per tile/endpoint
+    // elsewhere.
+    let banks_per_endpoint = if cfg.noc.topology == TopologyKind::NocOut {
+        2
+    } else {
+        1
+    };
+    (active, topo.llc_nodes.len() * banks_per_endpoint)
 }
 
-/// [`WarmKey`] minus the bank count: what the warm-up *trace* — as
-/// opposed to the warmed bank contents — depends on. A mesh point and a
-/// crossbar point bank the same LLC differently but draw the very same
-/// accesses; this key lets them share the (Zipf-heavy) trace generation
-/// and replay only the bank walk.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct WarmTraceKey {
-    workload: Workload,
-    core_kind: CoreKind,
-    seed: u64,
-    per_core: u64,
-    active: Vec<u32>,
+/// The hash a line's home bank is taken from.
+fn line_hash(line: LineAddr) -> usize {
+    (line.wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 29) as usize
 }
 
-/// Warm-up accesses per active core, packed as
-/// [`SimCore::functional_accesses`] emits them, plus the cores as the
-/// generation left them (trace streams advanced).
-struct WarmTrace {
-    accesses: Vec<Vec<u64>>,
-    cores: Vec<SimCore>,
-}
-
-/// Where a bucketed warm-up access keeps its core slot: bits 48..63,
-/// between the line (trace lines stay below 2^42) and [`WRITE_BIT`].
-const SLOT_SHIFT: u32 = 48;
-const SLOT_MASK: u64 = ((1 << 15) - 1) << SLOT_SHIFT;
-
-fn warm_trace_bytes(trace: &WarmTrace) -> usize {
-    trace.accesses.iter().map(|a| a.len() * 8).sum::<usize>()
-        + trace.cores.len() * std::mem::size_of::<SimCore>()
-}
-
-/// A process-wide memo, FIFO-bounded by approximate byte footprint. Every
-/// value stored is a pure function of its key, so sharing entries between
-/// machines — and the eviction order — can never change a simulated
-/// outcome, only how fast warm-up runs.
-struct MemoCache<K, V> {
-    map: HashMap<K, Arc<V>>,
-    order: VecDeque<K>,
-    bytes: usize,
-    cap: usize,
-    size_of: fn(&V) -> usize,
-}
-
-impl<K: Clone + Eq + std::hash::Hash, V> MemoCache<K, V> {
-    fn new(cap: usize, size_of: fn(&V) -> usize) -> Self {
-        MemoCache {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            bytes: 0,
-            cap,
-            size_of,
-        }
+/// A line's home among `n` banks while every bank lives. The mask dodges
+/// a hardware divide on the warm-up and request hot paths (bank counts
+/// are usually powers of two); the value is the same either way.
+pub(crate) fn home_bank(line: LineAddr, n: usize) -> usize {
+    let h = line_hash(line);
+    if n.is_power_of_two() {
+        h & (n - 1)
+    } else {
+        h % n
     }
-
-    fn lookup(&self, key: &K) -> Option<Arc<V>> {
-        self.map.get(key).cloned()
-    }
-
-    fn store(&mut self, key: K, value: Arc<V>) {
-        if self.map.contains_key(&key) {
-            // Another worker memoized the identical value concurrently;
-            // both copies are bit-identical, so keeping the first is fine.
-            return;
-        }
-        let bytes = (self.size_of)(&value);
-        while self.bytes + bytes > self.cap {
-            let Some(oldest) = self.order.pop_front() else {
-                break;
-            };
-            if let Some(evicted) = self.map.remove(&oldest) {
-                self.bytes -= (self.size_of)(&evicted);
-            }
-        }
-        self.bytes += bytes;
-        self.order.push_back(key.clone());
-        self.map.insert(key, value);
-    }
-}
-
-/// Sized to hold one full chapter campaign's worth of validation-config
-/// warmed states (the fig 3.3 sweep revisits a key ~42 insertions later).
-const WARM_STATE_BYTE_CAP: usize = 192 << 20;
-
-/// Traces are revisited at the same distance but are smaller per entry.
-const WARM_TRACE_BYTE_CAP: usize = 160 << 20;
-
-fn warm_states() -> &'static Mutex<MemoCache<WarmKey, WarmState>> {
-    static CACHE: OnceLock<Mutex<MemoCache<WarmKey, WarmState>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(MemoCache::new(WARM_STATE_BYTE_CAP, warm_state_bytes)))
-}
-
-fn warm_traces() -> &'static Mutex<MemoCache<WarmTraceKey, WarmTrace>> {
-    static CACHE: OnceLock<Mutex<MemoCache<WarmTraceKey, WarmTrace>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(MemoCache::new(WARM_TRACE_BYTE_CAP, warm_trace_bytes)))
 }
 
 /// A runnable machine instance.
@@ -615,36 +544,7 @@ impl Machine {
         assert!(cfg.active_cores <= cfg.cores, "more threads than cores");
         let net = Network::new(cfg.noc);
         let profile = WorkloadProfile::of(cfg.workload);
-        // Pick the active cores closest to the LLC: the thesis places
-        // 16-core workloads on the central mesh tiles and on the core
-        // tiles adjacent to the LLC row in NOC-Out (§4.3.3). Rank cores by
-        // mean zero-load latency to the LLC endpoints.
-        let topo = net.topology();
-        let mut ranked: Vec<(u64, u32)> = net
-            .core_endpoints()
-            .iter()
-            .enumerate()
-            .map(|(core, &node)| {
-                let sum: u64 = net
-                    .llc_endpoints()
-                    .iter()
-                    .map(|&l| {
-                        if l == node {
-                            0
-                        } else {
-                            u64::from(topo.zero_load_latency(node, l))
-                        }
-                    })
-                    .sum();
-                (sum, core as u32)
-            })
-            .collect();
-        ranked.sort();
-        let mut active: Vec<u32> = ranked[..cfg.active_cores as usize]
-            .iter()
-            .map(|&(_, c)| c)
-            .collect();
-        active.sort_unstable();
+        let (active, n_banks) = layout(&cfg, net.topology());
         // Only active cores execute; their trace identities are contiguous
         // regardless of which physical tiles they occupy.
         let cores = (0..cfg.active_cores)
@@ -658,15 +558,6 @@ impl Machine {
                 })
             })
             .collect();
-        // Two banks per NOC-Out LLC tile (Table 4.1), one per tile/endpoint
-        // elsewhere.
-        let llc_endpoints = net.llc_endpoints().len();
-        let banks_per_endpoint = if cfg.noc.topology == TopologyKind::NocOut {
-            2
-        } else {
-            1
-        };
-        let n_banks = llc_endpoints * banks_per_endpoint;
         let bank_bytes = (cfg.llc_mb * 1024.0 * 1024.0 / n_banks as f64) as u64;
         let banks = (0..n_banks).map(|_| LlcBank::new(bank_bytes, 16)).collect();
         let bank_latency =
@@ -846,23 +737,14 @@ impl Machine {
     }
 
     fn bank_of(&self, line: LineAddr) -> usize {
-        let n = self.banks.len();
-        let h = (line.wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 29) as usize;
         // After a bank death the same hash lands in the power-of-two
         // remap over the surviving banks instead.
         if let Some(f) = &self.faults {
             if let Some(map) = &f.bank_map {
-                return map[h & (map.len() - 1)];
+                return map[line_hash(line) & (map.len() - 1)];
             }
         }
-        // Same value either way; the mask dodges a hardware divide on the
-        // warm-up and request hot paths (bank counts are usually powers
-        // of two).
-        if n.is_power_of_two() {
-            h & (n - 1)
-        } else {
-            h % n
-        }
+        home_bank(line, self.banks.len())
     }
 
     fn llc_node_of_bank(&self, bank: usize) -> usize {
@@ -969,7 +851,7 @@ impl Machine {
     /// execution (§3.3).
     pub fn run_window(&mut self, warmup: u64, measure: u64) -> SimResult {
         if !self.warmed {
-            self.functional_warmup();
+            crate::warmup::warm(&self.warm_key(), &mut self.banks, &mut self.cores);
             self.warmed = true;
         }
         self.advance(warmup);
@@ -1052,113 +934,9 @@ impl Machine {
         }
     }
 
-    /// Streams enough trace accesses through the banks to populate the
-    /// working set (round-robin across cores, preserving sharing).
-    ///
-    /// The warmed state is a pure function of the workload, the core
-    /// microarchitecture, the seed, the LLC organisation, and the active
-    /// physical cores — notably *not* of the fabric's link width or
-    /// latency, which many sweep points vary while everything else stays
-    /// fixed. A process-wide memo therefore shares the warmed banks and
-    /// advanced trace generators between identically-keyed machines:
-    /// cloning the cached state is bit-identical to recomputing it.
-    fn functional_warmup(&mut self) {
-        let key = WarmKey {
-            workload: self.cfg.workload,
-            core_kind: self.cfg.core_kind,
-            seed: self.cfg.seed,
-            llc_mb_bits: self.cfg.llc_mb.to_bits(),
-            n_banks: self.banks.len(),
-            active: self.active.clone(),
-        };
-        if let Some(state) = warm_states().lock().expect("warm memo lock").lookup(&key) {
-            self.banks = state.banks.clone();
-            self.cores = state.cores.clone();
-            return;
-        }
-        let llc_lines = (self.cfg.llc_mb * 1024.0 * 1024.0 / 64.0) as u64;
-        let per_core = (llc_lines * 6 / self.active.len() as u64).clamp(2_000, 100_000);
-        let trace_key = WarmTraceKey {
-            workload: self.cfg.workload,
-            core_kind: self.cfg.core_kind,
-            seed: self.cfg.seed,
-            per_core,
-            active: self.active.clone(),
-        };
-        let cached = warm_traces()
-            .lock()
-            .expect("warm memo lock")
-            .lookup(&trace_key);
-        let trace = match cached {
-            Some(trace) => {
-                // Same accesses another banking already drew; fast-forward
-                // the trace streams to where generation would leave them.
-                self.cores = trace.cores.clone();
-                trace
-            }
-            None => {
-                let accesses: Vec<Vec<u64>> = (0..self.active.len())
-                    .map(|t| self.cores[t].functional_accesses(per_core))
-                    .collect();
-                let trace = Arc::new(WarmTrace {
-                    accesses,
-                    cores: self.cores.clone(),
-                });
-                warm_traces()
-                    .lock()
-                    .expect("warm memo lock")
-                    .store(trace_key, Arc::clone(&trace));
-                trace
-            }
-        };
-        // Cores interleave access by access (index major, slot minor) so
-        // sharer lists build up the way concurrent execution would build
-        // them. Banks share no state and each bank's recency order sees
-        // only its own accesses, so a stable counting sort of that order
-        // by bank, replayed bucket by bucket, leaves every bank exactly as
-        // the interleaved walk would — while each bank's tags and
-        // directory stay hot in the host's cache for its whole bucket.
-        assert!(
-            trace.accesses.len() <= 1 << 15,
-            "slot field holds 2^15 cores"
-        );
-        let mut starts = vec![0usize; self.banks.len() + 1];
-        for accesses in &trace.accesses {
-            for &packed in accesses {
-                starts[self.bank_of(packed & !WRITE_BIT) + 1] += 1;
-            }
-        }
-        for b in 1..starts.len() {
-            starts[b] += starts[b - 1];
-        }
-        let mut next = starts.clone();
-        let mut buckets = vec![0u64; starts[self.banks.len()]];
-        for i in 0..per_core as usize {
-            for (slot, accesses) in trace.accesses.iter().enumerate() {
-                let packed = accesses[i];
-                debug_assert_eq!(packed & SLOT_MASK, 0, "line reaches the slot field");
-                let bank = self.bank_of(packed & !WRITE_BIT);
-                buckets[next[bank]] = packed | (slot as u64) << SLOT_SHIFT;
-                next[bank] += 1;
-            }
-        }
-        for (bank, range) in self.banks.iter_mut().zip(starts.windows(2)) {
-            for &word in &buckets[range[0]..range[1]] {
-                let slot = ((word & SLOT_MASK) >> SLOT_SHIFT) as usize;
-                let line = word & !(WRITE_BIT | SLOT_MASK);
-                bank.access(self.active[slot], line, word & WRITE_BIT != 0);
-            }
-        }
-        for bank in &mut self.banks {
-            bank.reset_stats();
-        }
-        warm_states().lock().expect("warm memo lock").store(
-            key,
-            Arc::new(WarmState {
-                banks: self.banks.clone(),
-                cores: self.cores.clone(),
-            }),
-        );
+    /// The key this machine's functional warm-up runs under.
+    pub(crate) fn warm_key(&self) -> WarmKey {
+        WarmKey::new(&self.cfg, &self.active, self.banks.len())
     }
 
     /// Advances simulated time by `cycles`.

@@ -10,9 +10,12 @@
 //! all banks and picked LRU victims by a minimum scan over per-way
 //! stamps, so they hold any faster warm-up to its exact result.
 //!
-//! Every configuration is built twice in one process: the first build
-//! computes its warm state, the second is served from the process-wide
-//! warm-state memo, and both must produce the pinned digest.
+//! Configurations are built on one thread in an order that exercises
+//! the thread's one-entry warm-up slot: each twice in a row (the first
+//! build computes its warm state, the second reuses the slot), then all
+//! of them again interleaved, so each build finds the slot holding
+//! another configuration's state and recomputes its own. Every build
+//! must produce the pinned digest.
 
 use sop_noc::TopologyKind;
 use sop_obs::Metric;
@@ -119,15 +122,16 @@ fn golden() -> Vec<(&'static str, SimConfig, u64)> {
 
 #[test]
 fn warmed_machines_match_their_golden_digests() {
+    let golden = golden();
+    let pairs = golden.iter().flat_map(|g| [(g, "computed"), (g, "slot")]);
+    let interleaved = golden.iter().map(|g| (g, "recomputed"));
     let mut wrong = Vec::new();
-    for (name, cfg, want) in golden() {
-        for build in ["computed", "memo"] {
-            let got = run(cfg);
-            if got != want {
-                wrong.push(format!(
-                    "{name} ({build}): got {got:#018x}, want {want:#018x}"
-                ));
-            }
+    for ((name, cfg, want), build) in pairs.chain(interleaved) {
+        let got = run(*cfg);
+        if got != *want {
+            wrong.push(format!(
+                "{name} ({build}): got {got:#018x}, want {want:#018x}"
+            ));
         }
     }
     assert!(wrong.is_empty(), "digest mismatches:\n{}", wrong.join("\n"));

@@ -14,7 +14,7 @@
 use crate::node::TechnologyNode;
 
 /// The three core microarchitectures evaluated in the thesis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CoreKind {
     /// Aggressive 4-wide server core (Xeon-class).
     Conventional,

@@ -11,7 +11,7 @@
 use sop_tech::CoreKind;
 
 /// The seven CloudSuite 1.0 scale-out workloads (§2.4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Workload {
     /// Cassandra-style NoSQL data store serving YCSB requests.
     DataServing,
