@@ -38,9 +38,12 @@ pub struct Job<'a> {
     pub name: String,
     /// The job's identity; hashed (order-insensitively) for caching.
     pub spec: Json,
-    /// Jobs of a campaign that share this key run back to back on one
-    /// worker (see [`Job::affinity`]).
-    affinity: Option<u64>,
+    /// Jobs of a campaign that share this key run back to back, in job
+    /// order, on one worker, so jobs that can reuse per-thread state (a
+    /// warmed simulator) find it. It only schedules: it never changes a
+    /// result or the order of results. `None` (the default) runs the job
+    /// wherever a worker is free.
+    pub affinity: Option<u64>,
     run: Box<RunFn<'a>>,
 }
 
@@ -69,15 +72,6 @@ impl<'a> Job<'a> {
             affinity: None,
             run: Box::new(run),
         }
-    }
-
-    /// Runs this job back to back, in job order, with the campaign's
-    /// other jobs of the same `key`, all on one worker — so jobs that can
-    /// reuse per-thread state (a warmed simulator) find it. Affinity only
-    /// schedules: it never changes a result or the order of results.
-    pub fn affinity(mut self, key: u64) -> Self {
-        self.affinity = Some(key);
-        self
     }
 }
 
@@ -356,26 +350,14 @@ impl Exec {
         }
 
         // Evaluate the rest concurrently under the pool's panic isolation
-        // and per-job watchdog, one group per affinity key (in order of
-        // first appearance) and one per job without a key.
-        let mut group_of: HashMap<u64, usize> = HashMap::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for i in to_compute {
-            let group = match jobs[i].affinity {
-                Some(key) => *group_of.entry(key).or_insert(groups.len()),
-                None => groups.len(),
-            };
-            if group == groups.len() {
-                groups.push(Vec::new());
-            }
-            groups[group].push(i);
-        }
-        let order = groups.concat();
+        // and per-job watchdog, same-affinity jobs back to back on one
+        // worker; results return in order.
         let (computed, stats) = {
             let jobs = Arc::clone(&jobs);
             let heartbeat = self.heartbeat.clone();
             let campaign = name.to_owned();
-            pool::run_ordered_resilient(self.workers, groups, self.timeout, move |worker, i| {
+            let items = to_compute.iter().map(|&i| (jobs[i].affinity, i)).collect();
+            pool::run_ordered_resilient(self.workers, items, self.timeout, move |worker, i| {
                 let job = &jobs[i];
                 if let Some(hb) = &heartbeat {
                     hb.job_start(&campaign, &job.name, worker as u64);
@@ -395,10 +377,7 @@ impl Exec {
                 m.counter_add(&format!("exec.worker.{w}.jobs"), *executed);
             }
         }
-        // Pool results come back group by group; record them in job order.
-        let mut computed: Vec<_> = order.into_iter().zip(computed).collect();
-        computed.sort_by_key(|&(i, _)| i);
-        for (i, evaluated) in computed {
+        for (&i, evaluated) in to_compute.iter().zip(computed) {
             match evaluated {
                 Ok((result, us)) => {
                     if let Some(cache) = &self.cache {

@@ -80,17 +80,14 @@ mod tests {
             let jobs = (0..20)
                 .map(|x| {
                     let log = Arc::clone(&ran);
-                    let job = Job::new(format!("sq{x}"), square_spec(x), move |_| {
+                    let mut job = Job::new(format!("sq{x}"), square_spec(x), move |_| {
                         log.lock()
                             .expect("log")
                             .push((x, std::thread::current().id()));
                         Json::UInt(x * x)
                     });
-                    if x % 2 == 0 {
-                        job.affinity(x % 3)
-                    } else {
-                        job
-                    }
+                    job.affinity = (x % 2 == 0).then_some(x % 3);
+                    job
                 })
                 .collect();
             let run = exec.run_campaign("squares", jobs);

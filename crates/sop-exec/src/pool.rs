@@ -9,7 +9,7 @@
 //! played out. At experiment granularity (each job simulates thousands
 //! of cycles) lock traffic on the queue is noise.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -60,41 +60,54 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// The work not yet started: groups no worker has claimed, and the rest
-/// of the group each worker is running.
+/// of the group each worker is running, by worker id. Items carry their
+/// input position.
 struct Queue<T> {
     open: VecDeque<VecDeque<(usize, T)>>,
-    /// Indexed by worker id.
-    claimed: Vec<VecDeque<(usize, T)>>,
+    claimed: HashMap<usize, VecDeque<(usize, T)>>,
 }
 
 impl<T> Queue<T> {
+    /// Groups the items by affinity key, in order of first appearance; an
+    /// item without a key is a group of its own.
+    fn new(items: Vec<(Option<u64>, T)>) -> Self {
+        let mut group_of = HashMap::new();
+        let mut open: VecDeque<VecDeque<(usize, T)>> = VecDeque::new();
+        for (idx, (key, item)) in items.into_iter().enumerate() {
+            let group = key.map_or(open.len(), |k| *group_of.entry(k).or_insert(open.len()));
+            if group == open.len() {
+                open.push_back(VecDeque::new());
+            }
+            open[group].push_back((idx, item));
+        }
+        let claimed = HashMap::new();
+        Queue { open, claimed }
+    }
+
     /// The next item for `worker`: the rest of its group first, then the
     /// first open group.
     fn next(&mut self, worker: usize) -> Option<(usize, T)> {
-        if self.claimed.len() <= worker {
-            self.claimed.resize_with(worker + 1, VecDeque::new);
+        let mine = self.claimed.entry(worker).or_default();
+        while mine.is_empty() {
+            *mine = self.open.pop_front()?;
         }
-        if self.claimed[worker].is_empty() {
-            self.claimed[worker] = self.open.pop_front()?;
-        }
-        self.claimed[worker].pop_front()
+        mine.pop_front()
     }
 
     /// Reopens the rest of an abandoned worker's group, first in line, so
     /// a hung job does not strand its group-mates.
     fn release(&mut self, worker: usize) {
-        let rest = std::mem::take(&mut self.claimed[worker]);
-        if !rest.is_empty() {
+        if let Some(rest) = self.claimed.remove(&worker) {
             self.open.push_front(rest);
         }
     }
 }
 
-/// Runs `f` over every item of every group on `workers` threads and
-/// returns the results in input order (the groups concatenated), plus the
-/// number of jobs each worker executed. A group's items run back to back
-/// on one worker, in order, so they can share per-thread state. Every
-/// job runs under `catch_unwind`, so one panicking job yields
+/// Runs `f` over every item on `workers` threads and returns the results
+/// in input order, plus the number of jobs each worker executed. Items
+/// that share an affinity key (the pair's first half) run back to back
+/// on one worker, in input order, so they can share per-thread state.
+/// Every job runs under `catch_unwind`, so one panicking job yields
 /// `Err(JobError::Panicked)` in its own slot instead of poisoning the
 /// pool and discarding everyone else's results. With `timeout` set, a
 /// watchdog marks jobs that run too long as `Err(JobError::TimedOut)`
@@ -105,12 +118,11 @@ impl<T> Queue<T> {
 ///
 /// The workers are detached threads (abandoning a hung job is impossible
 /// with scoped threads, whose join blocks on it), hence the `'static`
-/// bounds. `f` receives the id of the worker running it (0 on the
-/// sequential path; a watchdog replacement worker gets a fresh id)
-/// alongside the item.
+/// bounds. `f` receives the id of the worker running it (a watchdog
+/// replacement worker gets a fresh id) alongside the item.
 pub fn run_ordered_resilient<T, R, F>(
     workers: usize,
-    groups: Vec<Vec<T>>,
+    items: Vec<(Option<u64>, T)>,
     timeout: Option<Duration>,
     f: F,
 ) -> (Vec<Result<R, JobError>>, Vec<u64>)
@@ -119,36 +131,10 @@ where
     R: Send + 'static,
     F: Fn(usize, T) -> R + Send + Sync + 'static,
 {
-    let groups: Vec<Vec<T>> = groups.into_iter().filter(|g| !g.is_empty()).collect();
-    let n = groups.iter().map(Vec::len).sum();
-    let workers = workers.max(1).min(groups.len().max(1));
-    if workers == 1 && timeout.is_none() {
-        // Sequential fast path: no threads, but the same panic isolation.
-        let results = groups
-            .into_iter()
-            .flatten()
-            .map(|t| {
-                catch_unwind(AssertUnwindSafe(|| f(0, t)))
-                    .map_err(|p| JobError::Panicked(panic_message(p)))
-            })
-            .collect();
-        return (results, vec![n as u64]);
-    }
-
-    let mut index = 0..n;
-    let open = groups
-        .into_iter()
-        .map(|group| {
-            let numbered = group
-                .into_iter()
-                .map(|t| (index.next().expect("n items"), t));
-            numbered.collect()
-        })
-        .collect();
-    let queue = Arc::new(Mutex::new(Queue {
-        open,
-        claimed: Vec::new(),
-    }));
+    let n = items.len();
+    let queue = Queue::new(items);
+    let workers = workers.max(1).min(queue.open.len().max(1));
+    let queue = Arc::new(Mutex::new(queue));
     // When each job started, and on which worker.
     let started = Arc::new(Mutex::new(vec![None::<(Instant, usize)>; n]));
     let stats: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; workers]));
@@ -206,22 +192,22 @@ where
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 let Some(limit) = timeout else { continue };
-                let overdue: Vec<(usize, usize)> = {
+                let overdue: Vec<usize> = {
                     let started = started.lock().expect("started lock");
                     (0..n)
-                        .filter_map(|i| match started[i] {
-                            Some((at, worker)) if slots[i].is_none() && at.elapsed() > limit => {
-                                Some((i, worker))
-                            }
-                            _ => None,
+                        .filter(|&i| {
+                            slots[i].is_none()
+                                && started[i].is_some_and(|(at, _)| at.elapsed() > limit)
                         })
                         .collect()
                 };
-                for (idx, worker) in overdue {
+                for idx in overdue {
                     slots[idx] = Some(Err(JobError::TimedOut(limit)));
                     remaining -= 1;
-                    // The thread stuck on this job is abandoned; spawn a
-                    // replacement so parallelism does not decay.
+                    // The thread stuck on this job is abandoned: the rest
+                    // of its group goes back in line, and a replacement
+                    // keeps parallelism from decaying.
+                    let (_, worker) = started.lock().expect("started lock")[idx].expect("started");
                     queue.lock().expect("queue lock").release(worker);
                     spawn_worker(next_worker_id);
                     next_worker_id += 1;
@@ -252,16 +238,15 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// Every item in a group of its own.
-    fn singles<T>(items: impl IntoIterator<Item = T>) -> Vec<Vec<T>> {
-        items.into_iter().map(|t| vec![t]).collect()
+    /// Items without an affinity key.
+    fn free<T>(items: impl IntoIterator<Item = T>) -> Vec<(Option<u64>, T)> {
+        items.into_iter().map(|t| (None, t)).collect()
     }
 
     #[test]
     fn results_come_back_in_input_order() {
         for workers in [1, 2, 4, 8] {
-            let (out, stats) =
-                run_ordered_resilient(workers, singles(0..100u64), None, |_, x| x * 3);
+            let (out, stats) = run_ordered_resilient(workers, free(0..100u64), None, |_, x| x * 3);
             let out: Vec<u64> = out.into_iter().map(|r| r.expect("success")).collect();
             assert_eq!(out, (0..100).map(|x| x * 3).collect::<Vec<u64>>());
             assert_eq!(stats.iter().sum::<u64>(), 100);
@@ -272,7 +257,7 @@ mod tests {
     fn every_job_runs_exactly_once() {
         let counter = Arc::new(AtomicU64::new(0));
         let calls = Arc::clone(&counter);
-        run_ordered_resilient(4, singles(0..257u32), None, move |_, _| {
+        run_ordered_resilient(4, free(0..257u32), None, move |_, _| {
             calls.fetch_add(1, Ordering::Relaxed)
         });
         assert_eq!(counter.load(Ordering::Relaxed), 257);
@@ -280,14 +265,14 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let (out, stats) = run_ordered_resilient(8, Vec::<Vec<u8>>::new(), None, |_, x| x);
+        let (out, stats) = run_ordered_resilient(8, free(Vec::<u8>::new()), None, |_, x| x);
         assert!(out.is_empty());
         assert_eq!(stats.iter().sum::<u64>(), 0);
     }
 
     #[test]
     fn more_workers_than_items_clamps() {
-        let (out, stats) = run_ordered_resilient(16, singles([1, 2, 3]), None, |_, x| x * 2);
+        let (out, stats) = run_ordered_resilient(16, free([1, 2, 3]), None, |_, x| x * 2);
         let out: Vec<i32> = out.into_iter().map(|r| r.expect("success")).collect();
         assert_eq!(out, vec![2, 4, 6]);
         assert!(stats.len() <= 3);
@@ -296,14 +281,13 @@ mod tests {
     #[test]
     fn resilient_isolates_panics_to_their_own_slot() {
         for workers in [1, 4] {
-            let (out, stats) =
-                run_ordered_resilient(workers, singles(0..20u64), None, move |w, x| {
-                    assert!(w < workers, "worker id {w} of {workers}");
-                    if x % 5 == 3 {
-                        panic!("job {x} exploded");
-                    }
-                    x * 2
-                });
+            let (out, stats) = run_ordered_resilient(workers, free(0..20u64), None, move |w, x| {
+                assert!(w < workers, "worker id {w} of {workers}");
+                if x % 5 == 3 {
+                    panic!("job {x} exploded");
+                }
+                x * 2
+            });
             assert_eq!(out.len(), 20);
             for (i, r) in out.iter().enumerate() {
                 if i % 5 == 3 {
@@ -323,34 +307,32 @@ mod tests {
 
     #[test]
     fn resilient_watchdog_times_out_hung_jobs_and_finishes_the_rest() {
-        // Groups of 4, 2, 1 and 3 items; item 2 hangs inside the first.
-        let groups = vec![vec![0, 1, 2, 3], vec![4, 5], vec![6], vec![7, 8, 9u64]];
+        // Item x has affinity key x % 3, except item 6, which has none;
+        // item 4 hangs in the middle of key 1's group (1, 4, 7).
+        let items: Vec<(Option<u64>, u64)> =
+            (0..10).map(|x| ((x != 6).then_some(x % 3), x)).collect();
         let ran = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&ran);
         let started = Instant::now();
-        let (out, _) = run_ordered_resilient(
-            2,
-            groups.clone(),
-            Some(Duration::from_millis(100)),
-            move |w, x| {
+        let (out, _) =
+            run_ordered_resilient(2, items, Some(Duration::from_millis(100)), move |w, x| {
                 log.lock().expect("log lock").push((x, w));
-                if x == 2 {
+                if x == 4 {
                     // Far longer than the timeout: the watchdog must fire
                     // long before this job would complete on its own.
                     std::thread::sleep(Duration::from_secs(30));
                 }
                 x + 1
-            },
-        );
+            });
         assert!(
-            matches!(out[2], Err(JobError::TimedOut(_))),
+            matches!(out[4], Err(JobError::TimedOut(_))),
             "got {:?}",
-            out[2]
+            out[4]
         );
-        // The hung job fails alone: every other job, its group-mate 3
+        // The hung job fails alone: every other job, its group-mate 7
         // included, completes, and results stay in input order.
         for (i, r) in out.iter().enumerate() {
-            if i != 2 {
+            if i != 4 {
                 assert_eq!(r.as_ref().expect("success"), &((i as u64) + 1));
             }
         }
@@ -362,12 +344,12 @@ mod tests {
         // its remaining member ran after it, on whichever worker was free.
         let ran = ran.lock().expect("log lock").clone();
         let at = |x: u64| ran.iter().position(|&(y, _)| y == x).expect("ran");
-        for group in [&groups[0][..3], &groups[1], &groups[2], &groups[3]] {
+        for group in [&[0, 3, 9][..], &[1, 4], &[2, 5, 8]] {
             let workers: Vec<usize> = group.iter().map(|&x| ran[at(x)].1).collect();
             assert!(workers.windows(2).all(|w| w[0] == w[1]), "{ran:?}");
             assert!(group.windows(2).all(|p| at(p[0]) < at(p[1])), "{ran:?}");
         }
-        assert!(at(2) < at(3), "{ran:?}");
+        assert!(at(4) < at(7), "{ran:?}");
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::core::{CoreRequest, SimCore};
 use crate::l1::L1Cache;
 use crate::memory::{channel_of, MemoryController};
 use crate::stats::Histogram;
-use crate::warmup::WarmKey;
 use sop_fault::{ComponentKind, Fault, FaultMode, FaultPlan};
 use sop_noc::slab::{Key, SideTable, Slab};
 use sop_noc::{Delivered, MessageClass, Network, NocConfig, Topology, TopologyKind};
@@ -423,7 +422,7 @@ impl PartialOrd for Scheduled {
 
 /// Where a machine built from `cfg` on `topo` runs its threads, and how
 /// many LLC banks it has: `(active physical cores, bank count)`. The
-/// machine and its [`WarmKey`] both derive these here.
+/// machine and its [`WarmKey`](crate::WarmKey) both derive these here.
 pub(crate) fn layout(cfg: &SimConfig, topo: &Topology) -> (Vec<u32>, usize) {
     // Pick the active cores closest to the LLC: the thesis places
     // 16-core workloads on the central mesh tiles and on the core
@@ -464,16 +463,11 @@ pub(crate) fn layout(cfg: &SimConfig, topo: &Topology) -> (Vec<u32>, usize) {
     (active, topo.llc_nodes.len() * banks_per_endpoint)
 }
 
-/// The hash a line's home bank is taken from.
-fn line_hash(line: LineAddr) -> usize {
-    (line.wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 29) as usize
-}
-
-/// A line's home among `n` banks while every bank lives. The mask dodges
-/// a hardware divide on the warm-up and request hot paths (bank counts
-/// are usually powers of two); the value is the same either way.
+/// A line's home among `n` banks. The mask dodges a hardware divide on
+/// the warm-up and request hot paths (bank counts are usually powers of
+/// two); the value is the same either way.
 pub(crate) fn home_bank(line: LineAddr, n: usize) -> usize {
-    let h = line_hash(line);
+    let h = (line.wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 29) as usize;
     if n.is_power_of_two() {
         h & (n - 1)
     } else {
@@ -739,12 +733,10 @@ impl Machine {
     fn bank_of(&self, line: LineAddr) -> usize {
         // After a bank death the same hash lands in the power-of-two
         // remap over the surviving banks instead.
-        if let Some(f) = &self.faults {
-            if let Some(map) = &f.bank_map {
-                return map[line_hash(line) & (map.len() - 1)];
-            }
+        match self.faults.as_ref().and_then(|f| f.bank_map.as_ref()) {
+            Some(map) => map[home_bank(line, map.len())],
+            None => home_bank(line, self.banks.len()),
         }
-        home_bank(line, self.banks.len())
     }
 
     fn llc_node_of_bank(&self, bank: usize) -> usize {
@@ -851,7 +843,7 @@ impl Machine {
     /// execution (§3.3).
     pub fn run_window(&mut self, warmup: u64, measure: u64) -> SimResult {
         if !self.warmed {
-            crate::warmup::warm(&self.warm_key(), &mut self.banks, &mut self.cores);
+            crate::warmup::warm(&self.cfg.warm_key(), &mut self.banks, &mut self.cores);
             self.warmed = true;
         }
         self.advance(warmup);
@@ -932,11 +924,6 @@ impl Machine {
             halted: self.halted(),
             metrics: window,
         }
-    }
-
-    /// The key this machine's functional warm-up runs under.
-    pub(crate) fn warm_key(&self) -> WarmKey {
-        WarmKey::new(&self.cfg, &self.active, self.banks.len())
     }
 
     /// Advances simulated time by `cycles`.

@@ -1,16 +1,10 @@
 //! Functional warm-up: the warmed-checkpoint methodology of SimFlex
-//! (§3.3).
-//!
-//! Before its first timed cycle a machine streams enough trace accesses
-//! through its LLC banks to populate the working set, so steady-state
-//! hit rates are reached without simulating millions of cold cycles. The
-//! outcome — the warmed banks and the advanced trace generators — is a
-//! pure function of a [`WarmKey`], so a machine whose key matches the
-//! previous warm-up *on the same thread* clones that state instead of
-//! recomputing it. Each thread keeps one slot for the last warmed state
-//! and one for the last warm-up trace; a campaign that runs same-key
-//! machines back to back on one worker gets all the reuse, and no state
-//! outlives its thread or is shared between threads.
+//! (§3.3). Before its first timed cycle a machine streams enough trace
+//! accesses through its LLC banks to populate the working set, so
+//! steady-state hit rates are reached without simulating millions of
+//! cold cycles. The outcome is a pure function of a [`WarmKey`]; each
+//! thread keeps its last warm-up in one slot for the next machine with
+//! the same key, or the same trace, to reuse.
 
 use crate::cache::LlcBank;
 use crate::core::{SimCore, WRITE_BIT};
@@ -27,7 +21,7 @@ use std::cell::RefCell;
 /// Fields are ordered so that sorting by key puts equal keys next to each
 /// other *and* keys that draw the same trace (see
 /// [`shares_trace`](Self::shares_trace)) next to each other.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct WarmKey {
     workload: Workload,
     core_kind: CoreKind,
@@ -44,73 +38,49 @@ pub struct WarmKey {
 }
 
 impl WarmKey {
-    /// The key of a machine built from `cfg` whose threads run on the
-    /// `active` physical cores and whose LLC has `n_banks` banks.
-    pub(crate) fn new(cfg: &SimConfig, active: &[u32], n_banks: usize) -> Self {
-        let llc_lines = (cfg.llc_mb * 1024.0 * 1024.0 / 64.0) as u64;
-        WarmKey {
-            workload: cfg.workload,
-            core_kind: cfg.core_kind,
-            seed: cfg.seed,
-            active: active.to_vec(),
-            per_core: (llc_lines * 6 / active.len() as u64).clamp(2_000, 100_000),
-            llc_mb_bits: cfg.llc_mb.to_bits(),
-            n_banks,
-        }
-    }
-
     /// True when both warm-ups draw the very same accesses: a mesh point
     /// and a crossbar point bank the same LLC differently, but share the
     /// (Zipf-heavy) trace generation and differ only in the bank walk.
     pub fn shares_trace(&self, other: &WarmKey) -> bool {
-        (
-            self.workload,
-            self.core_kind,
-            self.seed,
-            &self.active,
-            self.per_core,
-        ) == (
-            other.workload,
-            other.core_kind,
-            other.seed,
-            &other.active,
-            other.per_core,
-        )
+        let trace = |k: &WarmKey| (k.workload, k.core_kind, k.seed, k.per_core);
+        trace(self) == trace(other) && self.active == other.active
     }
 }
 
 impl SimConfig {
     /// The [`WarmKey`] a [`Machine`](crate::Machine) built from this
-    /// configuration warms under — the bank count and active-core
-    /// placement derived exactly as the machine derives them. Ordering a
-    /// campaign by this key puts machines that can reuse one warm-up
+    /// configuration warms under, with the bank count and active-core
+    /// placement derived by the same function the machine uses. Ordering
+    /// a campaign by this key puts machines that can reuse one warm-up
     /// next to each other.
     pub fn warm_key(&self) -> WarmKey {
         let (active, n_banks) = layout(self, &self.noc.build_topology());
-        WarmKey::new(self, &active, n_banks)
+        let llc_lines = (self.llc_mb * 1024.0 * 1024.0 / 64.0) as u64;
+        WarmKey {
+            workload: self.workload,
+            core_kind: self.core_kind,
+            seed: self.seed,
+            per_core: (llc_lines * 6 / active.len() as u64).clamp(2_000, 100_000),
+            active,
+            llc_mb_bits: self.llc_mb.to_bits(),
+            n_banks,
+        }
     }
 }
 
-/// Warmed banks and trace-advanced cores, captured right after the bank
-/// walk resets bank statistics.
-struct WarmState {
-    banks: Vec<LlcBank>,
-    cores: Vec<SimCore>,
-}
-
-/// Warm-up accesses per active core, packed as
-/// [`SimCore::functional_accesses`] emits them, plus the cores as the
-/// generation left them (trace streams advanced).
-struct WarmTrace {
+/// A thread's last warm-up: its key, the accesses it drew per active
+/// core (packed as [`SimCore::functional_accesses`] emits them), the
+/// cores as drawing left them (trace streams advanced), and the banks as
+/// the walk left them, statistics reset.
+struct Warmed {
+    key: WarmKey,
     accesses: Vec<Vec<u64>>,
     cores: Vec<SimCore>,
+    banks: Vec<LlcBank>,
 }
 
 thread_local! {
-    /// The last state this thread warmed, with its key.
-    static LAST_STATE: RefCell<Option<(WarmKey, WarmState)>> = const { RefCell::new(None) };
-    /// The last trace this thread drew, with the key it was drawn for.
-    static LAST_TRACE: RefCell<Option<(WarmKey, WarmTrace)>> = const { RefCell::new(None) };
+    static LAST: RefCell<Option<Warmed>> = const { RefCell::new(None) };
 }
 
 /// Where a bucketed warm-up access keeps its core slot: bits 48..63,
@@ -119,50 +89,44 @@ const SLOT_SHIFT: u32 = 48;
 const SLOT_MASK: u64 = ((1 << 15) - 1) << SLOT_SHIFT;
 
 /// Warms `banks` and advances `cores` as the warm-up for `key` leaves
-/// them, reusing this thread's last state or trace when the key allows.
-/// Reuse is bit-identical to recomputing: the slots hold pure functions
-/// of their keys, so neither they nor the order in which machines are
-/// warmed can change a simulated outcome, only how fast warm-up runs.
+/// them, reusing this thread's last warm-up when the key allows. Reuse
+/// is bit-identical to recomputing: the slot holds a pure function of
+/// its key, so neither it nor the order in which machines are warmed can
+/// change a simulated outcome, only how fast warm-up runs.
 pub(crate) fn warm(key: &WarmKey, banks: &mut Vec<LlcBank>, cores: &mut Vec<SimCore>) {
-    let reused = LAST_STATE.with_borrow(|last| match last {
-        Some((k, state)) if k == key => {
-            banks.clone_from(&state.banks);
-            cores.clone_from(&state.cores);
-            true
+    let accesses = match LAST.take() {
+        Some(w) if w.key == *key => {
+            banks.clone_from(&w.banks);
+            cores.clone_from(&w.cores);
+            LAST.set(Some(w));
+            return;
         }
-        _ => false,
-    });
-    if reused {
-        return;
-    }
-    // Drop the stale state (and below, a stale trace) before building
-    // the next, so a thread never holds two of either.
-    LAST_STATE.take();
-    let trace = match LAST_TRACE.take() {
-        Some((k, trace)) if k.shares_trace(key) => {
+        Some(w) if w.key.shares_trace(key) => {
             // Same accesses another banking already drew; fast-forward
             // the trace streams to where generation would leave them.
-            cores.clone_from(&trace.cores);
-            trace
+            cores.clone_from(&w.cores);
+            w.accesses
         }
-        _ => WarmTrace {
-            accesses: cores
+        stale => {
+            // Dropped before the next warm-up is built, so a thread
+            // never holds two.
+            drop(stale);
+            cores
                 .iter_mut()
                 .map(|core| core.functional_accesses(key.per_core))
-                .collect(),
-            cores: cores.clone(),
-        },
+                .collect()
+        }
     };
-    walk(&trace.accesses, &key.active, banks);
-    LAST_TRACE.set(Some((key.clone(), trace)));
+    walk(&accesses, &key.active, banks);
     for bank in banks.iter_mut() {
         bank.reset_stats();
     }
-    let state = WarmState {
-        banks: banks.clone(),
+    LAST.set(Some(Warmed {
+        key: key.clone(),
+        accesses,
         cores: cores.clone(),
-    };
-    LAST_STATE.set(Some((key.clone(), state)));
+        banks: banks.clone(),
+    }));
 }
 
 /// Replays the warm-up accesses through the banks. Cores interleave
@@ -223,23 +187,22 @@ mod tests {
     }
 
     #[test]
-    fn config_keys_match_the_keys_machines_warm_under() {
-        let mut cfgs = Vec::new();
-        for topology in [
-            TopologyKind::Mesh,
-            TopologyKind::FlattenedButterfly,
-            TopologyKind::NocOut,
-            TopologyKind::Crossbar,
-        ] {
-            cfgs.push(SimConfig::pod_64(Workload::WebSearch, topology));
-            cfgs.push(SimConfig::validation(Workload::DataServing, 16, topology));
-        }
-        let mut tiles = SimConfig::pod_64(Workload::MapReduceW, TopologyKind::NocOut);
+    fn keys_name_what_warm_up_depends_on() {
+        let base = SimConfig::pod_64(Workload::WebSearch, TopologyKind::NocOut);
+        let mut fabric = base;
+        fabric.noc = fabric.noc.with_link_bits(64);
+        fabric.memory_channels = 2;
+        assert_eq!(
+            fabric.warm_key(),
+            base.warm_key(),
+            "links and channels do not enter"
+        );
+        let mut tiles = base;
         tiles.noc.llc_tiles = 4;
-        cfgs.push(tiles);
-        for cfg in cfgs {
-            assert_eq!(Machine::new(cfg).warm_key(), cfg.warm_key(), "{cfg:?}");
-        }
+        assert_ne!(tiles.warm_key(), base.warm_key(), "the bank count does");
+        let mut seed = base;
+        seed.seed += 1;
+        assert!(!seed.warm_key().shares_trace(&base.warm_key()));
     }
 
     #[test]
