@@ -168,10 +168,8 @@ impl SimPointSpec {
     /// The timed cycles a run of this spec simulates: warm-up plus
     /// measurement.
     fn cycles(&self) -> u64 {
-        match *self {
-            SimPointSpec::Validation { warm, measure, .. }
-            | SimPointSpec::Pod64 { warm, measure, .. } => warm + measure,
-        }
+        let (_, warm, measure) = self.config();
+        warm + measure
     }
 
     /// The spec's fault schedule, if any.

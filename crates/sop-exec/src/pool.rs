@@ -118,8 +118,9 @@ impl<T> Queue<T> {
 ///
 /// The workers are detached threads (abandoning a hung job is impossible
 /// with scoped threads, whose join blocks on it), hence the `'static`
-/// bounds. `f` receives the id of the worker running it (a watchdog
-/// replacement worker gets a fresh id) alongside the item.
+/// bounds. `f` receives the id of the worker running it (0 on the
+/// sequential path; a watchdog replacement worker gets a fresh id)
+/// alongside the item.
 pub fn run_ordered_resilient<T, R, F>(
     workers: usize,
     items: Vec<(Option<u64>, T)>,
@@ -132,8 +133,22 @@ where
     F: Fn(usize, T) -> R + Send + Sync + 'static,
 {
     let n = items.len();
-    let queue = Queue::new(items);
+    let mut queue = Queue::new(items);
     let workers = workers.max(1).min(queue.open.len().max(1));
+    let mut slots: Vec<Option<Result<R, JobError>>> = (0..n).map(|_| None).collect();
+    if workers == 1 && timeout.is_none() {
+        // Sequential fast path: no threads, but the same panic isolation
+        // and the same order.
+        while let Some((idx, item)) = queue.next(0) {
+            let result = catch_unwind(AssertUnwindSafe(|| f(0, item)));
+            slots[idx] = Some(result.map_err(|p| JobError::Panicked(panic_message(p))));
+        }
+        let results = slots
+            .into_iter()
+            .map(|s| s.expect("every job ran"))
+            .collect();
+        return (results, vec![n as u64]);
+    }
     let queue = Arc::new(Mutex::new(queue));
     // When each job started, and on which worker.
     let started = Arc::new(Mutex::new(vec![None::<(Instant, usize)>; n]));
@@ -172,7 +187,6 @@ where
         spawn_worker(w);
     }
 
-    let mut slots: Vec<Option<Result<R, JobError>>> = (0..n).map(|_| None).collect();
     let mut remaining = n;
     let mut next_worker_id = workers;
     // The watchdog tick bounds how stale a timeout decision can be; the

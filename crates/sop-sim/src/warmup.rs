@@ -49,10 +49,8 @@ impl WarmKey {
 
 impl SimConfig {
     /// The [`WarmKey`] a [`Machine`](crate::Machine) built from this
-    /// configuration warms under, with the bank count and active-core
-    /// placement derived by the same function the machine uses. Ordering
-    /// a campaign by this key puts machines that can reuse one warm-up
-    /// next to each other.
+    /// configuration warms under, its bank count and active cores placed
+    /// by the function the machine uses.
     pub fn warm_key(&self) -> WarmKey {
         let (active, n_banks) = layout(self, &self.noc.build_topology());
         let llc_lines = (self.llc_mb * 1024.0 * 1024.0 / 64.0) as u64;
@@ -117,7 +115,7 @@ pub(crate) fn warm(key: &WarmKey, banks: &mut Vec<LlcBank>, cores: &mut Vec<SimC
                 .collect()
         }
     };
-    walk(&accesses, &key.active, banks);
+    walk(key, &accesses, banks);
     for bank in banks.iter_mut() {
         bank.reset_stats();
     }
@@ -136,7 +134,7 @@ pub(crate) fn warm(key: &WarmKey, banks: &mut Vec<LlcBank>, cores: &mut Vec<SimC
 /// counting sort of that order by bank, replayed bucket by bucket, leaves
 /// every bank exactly as the interleaved walk would — while each bank's
 /// tags and directory stay hot in the host's cache for its whole bucket.
-fn walk(accesses: &[Vec<u64>], active: &[u32], banks: &mut [LlcBank]) {
+fn walk(key: &WarmKey, accesses: &[Vec<u64>], banks: &mut [LlcBank]) {
     assert!(accesses.len() <= 1 << 15, "slot field holds 2^15 cores");
     let n = banks.len();
     let bank_of = |packed: u64| home_bank(packed & !WRITE_BIT, n);
@@ -149,8 +147,7 @@ fn walk(accesses: &[Vec<u64>], active: &[u32], banks: &mut [LlcBank]) {
     }
     let mut next = starts.clone();
     let mut buckets = vec![0u64; starts[n]];
-    let per_core = accesses.first().map_or(0, Vec::len);
-    for i in 0..per_core {
+    for i in 0..key.per_core as usize {
         for (slot, accesses) in accesses.iter().enumerate() {
             let packed = accesses[i];
             debug_assert_eq!(packed & SLOT_MASK, 0, "line reaches the slot field");
@@ -163,7 +160,7 @@ fn walk(accesses: &[Vec<u64>], active: &[u32], banks: &mut [LlcBank]) {
         for &word in &buckets[range[0]..range[1]] {
             let slot = ((word & SLOT_MASK) >> SLOT_SHIFT) as usize;
             let line = word & !(WRITE_BIT | SLOT_MASK);
-            bank.access(active[slot], line, word & WRITE_BIT != 0);
+            bank.access(key.active[slot], line, word & WRITE_BIT != 0);
         }
     }
 }
