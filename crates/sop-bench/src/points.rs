@@ -323,24 +323,28 @@ impl SimPoint {
 /// Evaluates `specs` as one campaign on `exec`: duplicates collapse,
 /// cached points are served from disk, fresh points run on the worker
 /// pool, and the results come back in spec order.
-/// The jobs are submitted in [`WarmKey`](sop_sim::WarmKey) order, points
+/// The jobs are submitted in [`WarmKey`](sop_sim::warmup::WarmKey) order, points
 /// that share a warm-up trace under one affinity key, so they run back to
 /// back on one worker and reuse its warm-up slot.
 pub fn sim_points(exec: &Exec, campaign: &str, specs: &[SimPointSpec]) -> Vec<SimPoint> {
     let keys: Vec<_> = specs.iter().map(|s| s.config().0.warm_key()).collect();
     let mut order: Vec<usize> = (0..specs.len()).collect();
     order.sort_by_key(|&i| &keys[i]);
+    let mut trace = 0;
     let jobs: Vec<Job<'_>> = order
         .iter()
-        .map(|&i| {
+        .enumerate()
+        .map(|(n, &i)| {
+            if n > 0 && !keys[order[n - 1]].shares_trace(&keys[i]) {
+                trace = n as u64;
+            }
             let spec = specs[i];
             let mut job = Job::with_work(spec.name(), spec.to_json(), move |_| {
                 let mut work = Registry::new();
                 work.counter_add("cycles", spec.cycles());
                 (spec.evaluate().to_json(), work)
             });
-            let trace = keys.iter().position(|k| k.shares_trace(&keys[i]));
-            job.affinity = trace.map(|t| t as u64);
+            job.affinity = Some(trace);
             job
         })
         .collect();

@@ -350,8 +350,7 @@ impl Exec {
         }
 
         // Evaluate the rest concurrently under the pool's panic isolation
-        // and per-job watchdog, same-affinity jobs back to back on one
-        // worker; results return in order.
+        // and per-job watchdog; results return in order.
         let (computed, stats) = {
             let jobs = Arc::clone(&jobs);
             let heartbeat = self.heartbeat.clone();

@@ -133,22 +133,8 @@ where
     F: Fn(usize, T) -> R + Send + Sync + 'static,
 {
     let n = items.len();
-    let mut queue = Queue::new(items);
+    let queue = Queue::new(items);
     let workers = workers.max(1).min(queue.open.len().max(1));
-    let mut slots: Vec<Option<Result<R, JobError>>> = (0..n).map(|_| None).collect();
-    if workers == 1 && timeout.is_none() {
-        // Sequential fast path: no threads, but the same panic isolation
-        // and the same order.
-        while let Some((idx, item)) = queue.next(0) {
-            let result = catch_unwind(AssertUnwindSafe(|| f(0, item)));
-            slots[idx] = Some(result.map_err(|p| JobError::Panicked(panic_message(p))));
-        }
-        let results = slots
-            .into_iter()
-            .map(|s| s.expect("every job ran"))
-            .collect();
-        return (results, vec![n as u64]);
-    }
     let queue = Arc::new(Mutex::new(queue));
     // When each job started, and on which worker.
     let started = Arc::new(Mutex::new(vec![None::<(Instant, usize)>; n]));
@@ -156,13 +142,14 @@ where
     let f = Arc::new(f);
     let (tx, rx) = mpsc::channel::<(usize, Result<R, JobError>)>();
 
-    let spawn_worker = |id: usize| {
+    // Worker `id`'s loop, to run on a thread of its own or on this one.
+    let worker = |id: usize| {
         let queue = Arc::clone(&queue);
         let started = Arc::clone(&started);
         let stats = Arc::clone(&stats);
         let f = Arc::clone(&f);
         let tx = tx.clone();
-        std::thread::spawn(move || loop {
+        move || loop {
             let Some((idx, item)) = queue.lock().expect("queue lock").next(id) else {
                 break;
             };
@@ -181,12 +168,20 @@ where
             if tx.send((idx, result)).is_err() {
                 break;
             }
-        });
+        }
     };
-    for w in 0..workers {
-        spawn_worker(w);
+    let spawn_worker = |id: usize| drop(std::thread::spawn(worker(id)));
+    if workers == 1 && timeout.is_none() {
+        // Sequential fast path: no thread to spawn or watch; the results
+        // wait in the channel.
+        worker(0)();
+    } else {
+        for w in 0..workers {
+            spawn_worker(w);
+        }
     }
 
+    let mut slots: Vec<Option<Result<R, JobError>>> = (0..n).map(|_| None).collect();
     let mut remaining = n;
     let mut next_worker_id = workers;
     // The watchdog tick bounds how stale a timeout decision can be; the

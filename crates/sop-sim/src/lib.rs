@@ -36,4 +36,3 @@ pub use machine::{HaltReason, Machine, SimConfig, SimResult};
 pub use memory::MemoryController;
 pub use sampling::{measure, SampledMeasurement};
 pub use stats::Histogram;
-pub use warmup::WarmKey;

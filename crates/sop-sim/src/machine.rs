@@ -422,7 +422,7 @@ impl PartialOrd for Scheduled {
 
 /// Where a machine built from `cfg` on `topo` runs its threads, and how
 /// many LLC banks it has: `(active physical cores, bank count)`. The
-/// machine and its [`WarmKey`](crate::WarmKey) both derive these here.
+/// machine and its [`WarmKey`](crate::warmup::WarmKey) both derive these here.
 pub(crate) fn layout(cfg: &SimConfig, topo: &Topology) -> (Vec<u32>, usize) {
     // Pick the active cores closest to the LLC: the thesis places
     // 16-core workloads on the central mesh tiles and on the core

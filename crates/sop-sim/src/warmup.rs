@@ -66,10 +66,9 @@ impl SimConfig {
     }
 }
 
-/// A thread's last warm-up: its key, the accesses it drew per active
-/// core (packed as [`SimCore::functional_accesses`] emits them), the
-/// cores as drawing left them (trace streams advanced), and the banks as
-/// the walk left them, statistics reset.
+/// A thread's last warm-up: its key, the accesses it drew per active core
+/// (as [`SimCore::functional_accesses`] packs them), and the cores and
+/// banks as it left them.
 struct Warmed {
     key: WarmKey,
     accesses: Vec<Vec<u64>>,
