@@ -325,7 +325,8 @@ impl SimPoint {
 /// pool, and the results come back in spec order.
 /// The jobs are submitted in [`WarmKey`](sop_sim::warmup::WarmKey) order, points
 /// that share a warm-up trace under one affinity key, so they run back to
-/// back on one worker and reuse its warm-up slot.
+/// back on one worker and reuse its warm-up slot (unless a worker would
+/// otherwise idle).
 pub fn sim_points(exec: &Exec, campaign: &str, specs: &[SimPointSpec]) -> Vec<SimPoint> {
     let keys: Vec<_> = specs.iter().map(|s| s.config().0.warm_key()).collect();
     let mut order: Vec<usize> = (0..specs.len()).collect();

@@ -4,8 +4,8 @@
 //! *identity*) with a pure closure that evaluates it. The [`Exec`] handle
 //! runs a campaign's jobs in one pass: jobs that share a spec collapse
 //! into one, the cache answers what it can, the rest run concurrently on
-//! the pool (jobs sharing an affinity key back to back on one worker),
-//! and results always come back **in job order**, so output derived from
+//! the pool (jobs sharing an affinity key back to back on one worker
+//! while other work waits), and results always come back **in job order**, so output derived from
 //! them is byte-identical whatever the schedule did.
 //!
 //! Completed jobs are memoized in the content-addressed
@@ -40,9 +40,11 @@ pub struct Job<'a> {
     pub spec: Json,
     /// Jobs of a campaign that share this key run back to back, in job
     /// order, on one worker, so jobs that can reuse per-thread state (a
-    /// warmed simulator) find it. It only schedules: it never changes a
-    /// result or the order of results. `None` (the default) runs the job
-    /// wherever a worker is free.
+    /// warmed simulator) find it. It is a preference: once no other work
+    /// waits, an idle worker takes the back half of a key's remaining
+    /// jobs. It only schedules: it never changes a result or the order of
+    /// results. `None` (the default) runs the job wherever a worker is
+    /// free.
     pub affinity: Option<u64>,
     run: Box<RunFn<'a>>,
 }

@@ -93,17 +93,16 @@ mod tests {
             let run = exec.run_campaign("squares", jobs);
             assert_eq!(run.results, expected, "workers={workers}");
             assert_eq!(run.count(JobSource::Computed), 20);
-            // Same-key jobs ran on one thread, in job order.
-            let ran = ran.lock().expect("log").clone();
-            for key in 0..3 {
-                let group: Vec<_> = ran
-                    .iter()
-                    .filter(|(x, _)| x % 2 == 0 && x % 3 == key)
-                    .collect();
-                let in_order = group
-                    .windows(2)
-                    .all(|p| p[0].0 < p[1].0 && p[0].1 == p[1].1);
-                assert!(in_order, "workers={workers}: {ran:?}");
+            // At one worker the run order shows the keys reach the pool:
+            // each key's jobs run back to back, in job order, from the
+            // key's first job on. (How several workers share a group is
+            // the pool's to test.)
+            if workers == 1 {
+                let ran: Vec<u64> = ran.lock().expect("log").iter().map(|&(x, _)| x).collect();
+                let grouped = [
+                    0, 6, 12, 18, 1, 2, 8, 14, 3, 4, 10, 16, 5, 7, 9, 11, 13, 15, 17, 19,
+                ];
+                assert_eq!(ran, grouped);
             }
         }
     }

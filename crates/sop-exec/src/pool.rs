@@ -3,13 +3,14 @@
 //! The hermetic build has no rayon, so this module hand-rolls the small
 //! slice of it the campaign runner needs: run `n` independent closures on
 //! `w` workers pulling groups from one mutex-guarded queue, run each
-//! group's items back to back on one worker, isolate each job's panic or
-//! hang to its own slot, and return the results **in input order** so
-//! downstream output is byte-identical regardless of how the schedule
-//! played out. At experiment granularity (each job simulates thousands
+//! group's items back to back on one worker while other groups wait,
+//! split a running group when a worker would otherwise idle, isolate
+//! each job's panic or hang to its own slot, and return the results **in
+//! input order** so downstream output is byte-identical regardless of how
+//! the schedule played out. At experiment granularity (each job simulates thousands
 //! of cycles) lock traffic on the queue is noise.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -64,7 +65,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// input position.
 struct Queue<T> {
     open: VecDeque<VecDeque<(usize, T)>>,
-    claimed: HashMap<usize, VecDeque<(usize, T)>>,
+    claimed: BTreeMap<usize, VecDeque<(usize, T)>>,
 }
 
 impl<T> Queue<T> {
@@ -80,24 +81,35 @@ impl<T> Queue<T> {
             }
             open[group].push_back((idx, item));
         }
-        let claimed = HashMap::new();
+        let claimed = BTreeMap::new();
         Queue { open, claimed }
     }
 
     /// The next item for `worker`: the rest of its group first, then the
-    /// first open group.
+    /// first open group. With no group open, the worker takes the back
+    /// half (rounded up) of the largest group another worker has left:
+    /// affinity is a preference, and one more warm-up costs less than an
+    /// idle core.
     fn next(&mut self, worker: usize) -> Option<(usize, T)> {
-        let mine = self.claimed.entry(worker).or_default();
-        while mine.is_empty() {
-            *mine = self.open.pop_front()?;
+        let mut mine = self.claimed.remove(&worker).unwrap_or_default();
+        if mine.is_empty() {
+            mine = match self.open.pop_front() {
+                Some(group) => group,
+                None => {
+                    let largest = self.claimed.values_mut().max_by_key(|g| g.len())?;
+                    largest.split_off(largest.len() / 2)
+                }
+            };
         }
-        mine.pop_front()
+        let item = mine.pop_front();
+        self.claimed.insert(worker, mine);
+        item
     }
 
     /// Reopens the rest of an abandoned worker's group, first in line, so
     /// a hung job does not strand its group-mates.
     fn release(&mut self, worker: usize) {
-        if let Some(rest) = self.claimed.remove(&worker) {
+        if let Some(rest) = self.claimed.remove(&worker).filter(|r| !r.is_empty()) {
             self.open.push_front(rest);
         }
     }
@@ -106,7 +118,9 @@ impl<T> Queue<T> {
 /// Runs `f` over every item on `workers` threads and returns the results
 /// in input order, plus the number of jobs each worker executed. Items
 /// that share an affinity key (the pair's first half) run back to back
-/// on one worker, in input order, so they can share per-thread state.
+/// on one worker, in input order, so they can share per-thread state;
+/// once no group waits, an idle worker splits off the tail of the
+/// largest running group rather than wait for it.
 /// Every job runs under `catch_unwind`, so one panicking job yields
 /// `Err(JobError::Panicked)` in its own slot instead of poisoning the
 /// pool and discarding everyone else's results. With `timeout` set, a
@@ -134,7 +148,7 @@ where
 {
     let n = items.len();
     let queue = Queue::new(items);
-    let workers = workers.max(1).min(queue.open.len().max(1));
+    let workers = workers.max(1).min(n.max(1));
     let queue = Arc::new(Mutex::new(queue));
     // When each job started, and on which worker.
     let started = Arc::new(Mutex::new(vec![None::<(Instant, usize)>; n]));
@@ -324,8 +338,8 @@ mod tests {
         let log = Arc::clone(&ran);
         let started = Instant::now();
         let (out, _) =
-            run_ordered_resilient(2, items, Some(Duration::from_millis(100)), move |w, x| {
-                log.lock().expect("log lock").push((x, w));
+            run_ordered_resilient(2, items, Some(Duration::from_millis(100)), move |_, x| {
+                log.lock().expect("log lock").push(x);
                 if x == 4 {
                     // Far longer than the timeout: the watchdog must fire
                     // long before this job would complete on its own.
@@ -349,16 +363,57 @@ mod tests {
             started.elapsed() < Duration::from_secs(20),
             "the pool must not wait out the hung job"
         );
-        // Each group ran on one worker in input order, up to the hung job;
-        // its remaining member ran after it, on whichever worker was free.
-        let ran = ran.lock().expect("log lock").clone();
-        let at = |x: u64| ran.iter().position(|&(y, _)| y == x).expect("ran");
-        for group in [&[0, 3, 9][..], &[1, 4], &[2, 5, 8]] {
-            let workers: Vec<usize> = group.iter().map(|&x| ran[at(x)].1).collect();
-            assert!(workers.windows(2).all(|w| w[0] == w[1]), "{ran:?}");
-            assert!(group.windows(2).all(|p| at(p[0]) < at(p[1])), "{ran:?}");
-        }
-        assert!(at(4) < at(7), "{ran:?}");
+        // Every other job ran once. Which worker ran which job depends
+        // on timing here; the queue test below pins the placement.
+        let mut ran: Vec<u64> = ran.lock().expect("log lock").clone();
+        ran.retain(|&x| x != 4);
+        ran.sort_unstable();
+        assert_eq!(ran, [0, 1, 2, 3, 5, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn queue_keeps_groups_whole_until_the_line_empties() {
+        // Groups in line: A = [0, 2, 4, 6, 7], B = [1, 3], and [5].
+        let keys = [0, 1, 0, 1, 0, 9, 0, 0];
+        let items = (0..8).map(|x| ((x != 5).then_some(keys[x]), x)).collect();
+        let mut queue = Queue::new(items);
+        let mut next = |w: usize| queue.next(w).map(|(idx, _)| (w, idx));
+        let order: Vec<_> = [0, 1, 1, 1, 1, 0, 0, 0, 1, 0]
+            .into_iter()
+            .map(&mut next)
+            .collect();
+        let ran = |w, idx| Some((w, idx));
+        assert_eq!(
+            order,
+            [
+                // Worker 0 claims A and worker 1 claims B; worker 1 then
+                // takes the next open group.
+                ran(0, 0),
+                ran(1, 1),
+                ran(1, 3),
+                ran(1, 5),
+                // With nothing open, idle workers split the largest group
+                // left: the back half of A's remaining [2, 4, 6, 7], then
+                // what worker 1 still holds of it.
+                ran(1, 6),
+                ran(0, 2),
+                ran(0, 4),
+                ran(0, 7),
+                None,
+                None,
+            ]
+        );
+
+        // An abandoned worker's rest goes back first in line: worker 0
+        // hangs on group [0, 1, 2]'s first job, and worker 1 takes the
+        // rest of that group before the open group [4].
+        let items = [0, 0, 0, 1, 9].into_iter().enumerate();
+        let mut queue = Queue::new(items.map(|(x, k)| ((k != 9).then_some(k), x)).collect());
+        let mut next = |w: usize| queue.next(w).map(|(idx, _)| idx);
+        assert_eq!((next(0), next(1)), (Some(0), Some(3)));
+        queue.release(0);
+        let order: Vec<_> = (0..4).map(|_| queue.next(1).map(|(idx, _)| idx)).collect();
+        assert_eq!(order, [Some(1), Some(2), Some(4), None]);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::core::{CoreRequest, SimCore};
 use crate::l1::L1Cache;
 use crate::memory::{channel_of, MemoryController};
 use crate::stats::Histogram;
+use crate::warmup::{warm, WarmKey};
 use sop_fault::{ComponentKind, Fault, FaultMode, FaultPlan};
 use sop_noc::slab::{Key, SideTable, Slab};
 use sop_noc::{Delivered, MessageClass, Network, NocConfig, Topology, TopologyKind};
@@ -422,7 +423,8 @@ impl PartialOrd for Scheduled {
 
 /// Where a machine built from `cfg` on `topo` runs its threads, and how
 /// many LLC banks it has: `(active physical cores, bank count)`. The
-/// machine and its [`WarmKey`](crate::warmup::WarmKey) both derive these here.
+/// machine keys its warm-up on what this returned when it was built;
+/// [`SimConfig::warm_key`] calls it to name that key without a machine.
 pub(crate) fn layout(cfg: &SimConfig, topo: &Topology) -> (Vec<u32>, usize) {
     // Pick the active cores closest to the LLC: the thesis places
     // 16-core workloads on the central mesh tiles and on the core
@@ -843,7 +845,8 @@ impl Machine {
     /// execution (§3.3).
     pub fn run_window(&mut self, warmup: u64, measure: u64) -> SimResult {
         if !self.warmed {
-            crate::warmup::warm(&self.cfg.warm_key(), &mut self.banks, &mut self.cores);
+            let key = WarmKey::new(&self.cfg, &self.active, self.banks.len());
+            warm(&key, &mut self.banks, &mut self.cores);
             self.warmed = true;
         }
         self.advance(warmup);

@@ -38,6 +38,21 @@ pub struct WarmKey {
 }
 
 impl WarmKey {
+    /// The key of a machine built from `cfg` that runs its threads on the
+    /// physical cores `active` and banks its LLC `n_banks` ways.
+    pub(crate) fn new(cfg: &SimConfig, active: &[u32], n_banks: usize) -> Self {
+        let llc_lines = (cfg.llc_mb * 1024.0 * 1024.0 / 64.0) as u64;
+        WarmKey {
+            workload: cfg.workload,
+            core_kind: cfg.core_kind,
+            seed: cfg.seed,
+            per_core: (llc_lines * 6 / active.len() as u64).clamp(2_000, 100_000),
+            active: active.to_vec(),
+            llc_mb_bits: cfg.llc_mb.to_bits(),
+            n_banks,
+        }
+    }
+
     /// True when both warm-ups draw the very same accesses: a mesh point
     /// and a crossbar point bank the same LLC differently, but share the
     /// (Zipf-heavy) trace generation and differ only in the bank walk.
@@ -53,16 +68,7 @@ impl SimConfig {
     /// by the function the machine uses.
     pub fn warm_key(&self) -> WarmKey {
         let (active, n_banks) = layout(self, &self.noc.build_topology());
-        let llc_lines = (self.llc_mb * 1024.0 * 1024.0 / 64.0) as u64;
-        WarmKey {
-            workload: self.workload,
-            core_kind: self.core_kind,
-            seed: self.seed,
-            per_core: (llc_lines * 6 / active.len() as u64).clamp(2_000, 100_000),
-            active,
-            llc_mb_bits: self.llc_mb.to_bits(),
-            n_banks,
-        }
+        WarmKey::new(self, &active, n_banks)
     }
 }
 
