@@ -322,11 +322,9 @@ impl SimPoint {
 
 /// Evaluates `specs` as one campaign on `exec`: duplicates collapse,
 /// cached points are served from disk, fresh points run on the worker
-/// pool, and the results come back in spec order.
-/// The jobs are submitted in [`WarmKey`](sop_sim::warmup::WarmKey) order, points
-/// that share a warm-up trace under one affinity key, so they run back to
-/// back on one worker and reuse its warm-up slot (unless a worker would
-/// otherwise idle).
+/// pool, and the results come back in spec order. Jobs go in
+/// [`WarmKey`](sop_sim::warmup::WarmKey) order, trace-sharing points under
+/// one affinity key, so a worker's warm-up slot serves the next point.
 pub fn sim_points(exec: &Exec, campaign: &str, specs: &[SimPointSpec]) -> Vec<SimPoint> {
     let keys: Vec<_> = specs.iter().map(|s| s.config().0.warm_key()).collect();
     let mut order: Vec<usize> = (0..specs.len()).collect();
@@ -352,9 +350,8 @@ pub fn sim_points(exec: &Exec, campaign: &str, specs: &[SimPointSpec]) -> Vec<Si
     let results = exec.run_campaign(campaign, jobs).results;
     let mut points = vec![SimPoint::failed(); specs.len()];
     for (&i, r) in order.iter().zip(&results) {
-        // A failed job leaves a `Json::Null` slot; it stays a poisoned
-        // point instead of killing the whole campaign — the caller's
-        // report carries the failure details.
+        // A failed job's `Json::Null` slot stays a poisoned point; the
+        // caller's report carries the failure details.
         if *r != Json::Null {
             points[i] = SimPoint::from_json(r);
         }

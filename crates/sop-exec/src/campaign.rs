@@ -4,9 +4,8 @@
 //! *identity*) with a pure closure that evaluates it. The [`Exec`] handle
 //! runs a campaign's jobs in one pass: jobs that share a spec collapse
 //! into one, the cache answers what it can, the rest run concurrently on
-//! the pool (jobs sharing an affinity key back to back on one worker
-//! while other work waits), and results always come back **in job order**, so output derived from
-//! them is byte-identical whatever the schedule did.
+//! the pool, and results always come back **in job order**, so output
+//! derived from them is byte-identical whatever the schedule did.
 //!
 //! Completed jobs are memoized in the content-addressed
 //! [`ResultCache`](crate::cache::ResultCache) keyed by
@@ -38,13 +37,9 @@ pub struct Job<'a> {
     pub name: String,
     /// The job's identity; hashed (order-insensitively) for caching.
     pub spec: Json,
-    /// Jobs of a campaign that share this key run back to back, in job
-    /// order, on one worker, so jobs that can reuse per-thread state (a
-    /// warmed simulator) find it. It is a preference: once no other work
-    /// waits, an idle worker takes the back half of a key's remaining
-    /// jobs. It only schedules: it never changes a result or the order of
-    /// results. `None` (the default) runs the job wherever a worker is
-    /// free.
+    /// Jobs sharing this key run back to back, in job order, on one
+    /// worker while other jobs wait, so they find its per-thread state (a
+    /// warmed simulator). It never changes a result or their order.
     pub affinity: Option<u64>,
     run: Box<RunFn<'a>>,
 }

@@ -4,11 +4,11 @@
 //! slice of it the campaign runner needs: run `n` independent closures on
 //! `w` workers pulling groups from one mutex-guarded queue, run each
 //! group's items back to back on one worker while other groups wait,
-//! split a running group when a worker would otherwise idle, isolate
-//! each job's panic or hang to its own slot, and return the results **in
-//! input order** so downstream output is byte-identical regardless of how
-//! the schedule played out. At experiment granularity (each job simulates thousands
-//! of cycles) lock traffic on the queue is noise.
+//! isolate each job's panic or hang to its own slot, and return the
+//! results **in input order** so downstream output is byte-identical
+//! regardless of how the schedule played out. At experiment granularity
+//! (each job simulates thousands of cycles) lock traffic on the queue is
+//! noise.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,25 +81,23 @@ impl<T> Queue<T> {
             }
             open[group].push_back((idx, item));
         }
-        let claimed = BTreeMap::new();
-        Queue { open, claimed }
+        Queue {
+            open,
+            claimed: BTreeMap::new(),
+        }
     }
 
     /// The next item for `worker`: the rest of its group first, then the
-    /// first open group. With no group open, the worker takes the back
-    /// half (rounded up) of the largest group another worker has left:
-    /// affinity is a preference, and one more warm-up costs less than an
-    /// idle core.
+    /// first open group, then the back half (rounded up) of the largest
+    /// group another worker holds, since one more warm-up costs less than
+    /// an idle core.
     fn next(&mut self, worker: usize) -> Option<(usize, T)> {
         let mut mine = self.claimed.remove(&worker).unwrap_or_default();
         if mine.is_empty() {
-            mine = match self.open.pop_front() {
-                Some(group) => group,
-                None => {
-                    let largest = self.claimed.values_mut().max_by_key(|g| g.len())?;
-                    largest.split_off(largest.len() / 2)
-                }
-            };
+            mine = self.open.pop_front().or_else(|| {
+                let largest = self.claimed.values_mut().max_by_key(|g| g.len())?;
+                Some(largest.split_off(largest.len() / 2))
+            })?;
         }
         let item = mine.pop_front();
         self.claimed.insert(worker, mine);
@@ -118,9 +116,8 @@ impl<T> Queue<T> {
 /// Runs `f` over every item on `workers` threads and returns the results
 /// in input order, plus the number of jobs each worker executed. Items
 /// that share an affinity key (the pair's first half) run back to back
-/// on one worker, in input order, so they can share per-thread state;
-/// once no group waits, an idle worker splits off the tail of the
-/// largest running group rather than wait for it.
+/// on one worker, in input order, while other groups wait, so they can
+/// share per-thread state.
 /// Every job runs under `catch_unwind`, so one panicking job yields
 /// `Err(JobError::Panicked)` in its own slot instead of poisoning the
 /// pool and discarding everyone else's results. With `timeout` set, a

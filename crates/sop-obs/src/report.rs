@@ -59,14 +59,6 @@ impl Report {
         doc.insert("sections", sections);
         doc
     }
-
-    /// Writes the pretty-printed document (plus trailing newline) to
-    /// `path` atomically (temp file + rename, see
-    /// [`write_atomic`](crate::json::write_atomic)).
-    pub fn write_to(&self, path: &str, spans: &SpanLog, metrics: &Registry) -> std::io::Result<()> {
-        let doc = self.to_json(spans, metrics).to_pretty_string() + "\n";
-        crate::json::write_atomic(path, &doc)
-    }
 }
 
 /// A copy of a report document with everything wall-clock- or

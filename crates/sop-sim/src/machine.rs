@@ -457,12 +457,8 @@ pub(crate) fn layout(cfg: &SimConfig, topo: &Topology) -> (Vec<u32>, usize) {
     active.sort_unstable();
     // Two banks per NOC-Out LLC tile (Table 4.1), one per tile/endpoint
     // elsewhere.
-    let banks_per_endpoint = if cfg.noc.topology == TopologyKind::NocOut {
-        2
-    } else {
-        1
-    };
-    (active, topo.llc_nodes.len() * banks_per_endpoint)
+    let nocout = cfg.noc.topology == TopologyKind::NocOut;
+    (active, topo.llc_nodes.len() * if nocout { 2 } else { 1 })
 }
 
 /// A line's home among `n` banks. The mask dodges a hardware divide on
