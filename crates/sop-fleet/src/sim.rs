@@ -43,6 +43,8 @@
 //! the healthy fleet until repair. These mirror the degrade-vs-drain
 //! repair postures of `sop_tco::derated_performance`.
 
+use std::iter;
+
 use sop_obs::{Histogram, SeriesSet, TimeSeries};
 use sop_tco::DegradationCurve;
 
@@ -341,11 +343,12 @@ impl FleetOutcome {
 /// has latency `lat(m) = service_ms + m * 1000 / cap`. That is
 /// non-decreasing in `m`, so the positions whose latencies share a
 /// bucket form one run. For each bucket the table holds the run's last
-/// position, its latency and the next position's latency. The entries
-/// depend only on the capacity and the service time, and a server's
-/// capacity changes only at fault and repair events, so the tick loop
-/// rebuilds a server's table there ([`rebuild`](Self::rebuild)) and
-/// [`record_latencies`] reads it on every admitting tick.
+/// position, its latency, the next position's latency, the number of
+/// positions in the run, and a prefix sum of the runs' recorded totals.
+/// The entries depend only on the capacity and the service time, and a
+/// server's capacity changes only at fault and repair events, so the
+/// tick loop rebuilds a server's table there ([`rebuild`](Self::rebuild))
+/// and [`record_latencies`] reads it on every admitting tick.
 ///
 /// Every admitted position is below `cap * limit_ms / 1000`, where
 /// `limit_ms` is the largest admission bound, so every recorded
@@ -353,7 +356,8 @@ impl FleetOutcome {
 /// the buckets from `service_ms`'s up to, not including, that
 /// latency's: a run can end early only in those. Building no further
 /// keeps `(headroom + 1) * cap` within the values a divide-per-run
-/// loop over the same requests would compute.
+/// loop over the same requests would compute, and the prefix within a
+/// `u64`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LatencyRuns {
     /// Per-tick capacity the entries hold for.
@@ -368,8 +372,8 @@ pub(crate) struct LatencyRuns {
     ends: Vec<RunEnd>,
 }
 
-/// The last position of one bucket's run and the latencies either side
-/// of the bucket boundary.
+/// One bucket's run of positions: where it ends, the latencies either
+/// side of the bucket boundary, its length and the running total.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct RunEnd {
     /// Last queue position whose latency fits the bucket.
@@ -378,6 +382,13 @@ struct RunEnd {
     lat: u64,
     /// The next position's latency: the next run's first.
     next_lat: u64,
+    /// Positions whose latency lands in the bucket: 0 for a bucket that
+    /// consecutive positions skip.
+    count: u64,
+    /// Recorded total of the runs from position 0 through this one,
+    /// each `first * (count - 1) + last`: the sum the divide-per-run
+    /// loop attributed to them.
+    prefix: u64,
 }
 
 impl LatencyRuns {
@@ -408,33 +419,57 @@ impl LatencyRuns {
         self.cap = cap;
         let service_ms = self.service_ms;
         let lat = |pos: u64| service_ms + pos * 1000 / cap;
+        // Where the next run starts, at what latency, and the total so far.
+        let (mut start, mut start_lat, mut prefix) = (0, service_ms, 0u64);
         for (i, end) in self.ends.iter_mut().enumerate() {
             let upper = Histogram::index_upper(self.first + i);
             let pos = max_pos_within(upper - service_ms, cap);
+            let count = pos + 1 - start;
+            if count > 0 {
+                prefix = start_lat
+                    .checked_mul(count - 1)
+                    .and_then(|t| t.checked_add(lat(pos)))
+                    .and_then(|t| t.checked_add(prefix))
+                    .expect("latency total of the admissible positions overflows u64");
+            }
             *end = RunEnd {
                 pos,
                 lat: lat(pos),
                 next_lat: lat(pos + 1),
+                count,
+                prefix,
             };
+            (start, start_lat) = (pos + 1, end.next_lat);
         }
     }
+}
+
+/// The recorded total of a run of `n >= 1` latencies from `first` to
+/// `last`: `n - 1` copies of the first, then the last, exactly.
+#[inline(always)]
+fn run_total(first: u64, n: u64, last: u64) -> u128 {
+    u128::from(first) * u128::from(n - 1) + u128::from(last)
 }
 
 /// Records the latencies of `accepted` FIFO requests admitted behind a
 /// backlog of `backlog` on a server whose latency-run table is `runs`:
 /// request `j` waits `(backlog + j) * 1000 / cap` ms behind the queue,
 /// plus the base service time. Latencies are non-decreasing in `j`, so
-/// each run of requests sharing a power-of-two bucket is recorded at
-/// once, as copies of its first latency and one of its last
-/// ([`Histogram::record_run`]). Only the first and last requests'
-/// latencies are divided out: every run before the last ends where the
-/// table says, and the next starts at the latency the table holds, so a
-/// call costs two divides and one table load per bucket boundary it
-/// crosses. Bucket counts, quantile estimates, and the recorded maximum are
-/// exactly those of recording each latency individually; only the
-/// internal sum (hence `mean`) is a lower-bound approximation, since a
-/// run is attributed to its first latency (its last is recorded
-/// individually to keep `max` exact).
+/// the requests sharing a power-of-two bucket form one run, recorded
+/// as copies of its first latency and one of its last.
+///
+/// Only the first and last requests' latencies are divided out. The
+/// head run ends where the table says its bucket does, and the tail run
+/// starts after the entry before its bucket. The full runs between are
+/// the table's: their counts go to their buckets as independent adds,
+/// and their total is one difference of the table's prefix. The whole
+/// admission then updates count, sum and maximum once
+/// ([`Histogram::record_batch`]), so a call does the same dependent
+/// work however many buckets it crosses. Bucket counts, quantile
+/// estimates, and the recorded maximum are exactly those of recording
+/// each latency individually; only the internal sum (hence `mean`) is a
+/// lower-bound approximation, since a run is attributed to its first
+/// latency (its last is counted individually to keep `max` exact).
 ///
 /// Always inlined: the tick loop calls it once per admitting server per
 /// tick, and left to the compiler it stayed out of line and cost the
@@ -455,19 +490,30 @@ pub(crate) fn record_latencies(
         last < cap * runs.limit_ms / 1000,
         "position {last} is past the admission bound"
     );
+    let lat = service_ms + backlog * 1000 / cap;
     let last_lat = service_ms + last * 1000 / cap;
-    let last_bucket = Histogram::bucket_index(last_lat);
-    let mut pos = backlog;
-    let mut lat = service_ms + pos * 1000 / cap;
-    let mut bucket = Histogram::bucket_index(lat);
-    while bucket < last_bucket {
-        let end = runs.ends[bucket - runs.first];
-        hist.record_run(lat, end.pos - pos + 1, end.lat);
-        pos = end.pos + 1;
-        lat = end.next_lat;
-        bucket = Histogram::bucket_index(lat);
+    let head = Histogram::bucket_index(lat);
+    let tail = Histogram::bucket_index(last_lat);
+    if head == tail {
+        let total = run_total(lat, accepted, last_lat);
+        hist.record_batch([(head, accepted)], total, last_lat);
+        return;
     }
-    hist.record_run(lat, last - pos + 1, last_lat);
+    // Table entries of the head's bucket and of the one before the tail's.
+    let (h, t) = (head - runs.first, tail - 1 - runs.first);
+    let (head_end, tail_start) = (runs.ends[h], runs.ends[t]);
+    let head_n = head_end.pos - backlog + 1;
+    let tail_n = last - tail_start.pos;
+    let total = run_total(lat, head_n, head_end.lat)
+        + u128::from(tail_start.prefix - head_end.prefix)
+        + run_total(tail_start.next_lat, tail_n, last_lat);
+    let middle = (head + 1..)
+        .zip(&runs.ends[h + 1..=t])
+        .map(|(b, end)| (b, end.count));
+    let counts = iter::once((head, head_n))
+        .chain(middle)
+        .chain(iter::once((tail, tail_n)));
+    hist.record_batch(counts, total, last_lat);
 }
 
 /// Runs one fleet simulation to completion in the plain
@@ -681,6 +727,57 @@ mod tests {
         assert!(fast.sum() <= naive.sum(), "{tag}");
     }
 
+    /// Records a sequence of admissions into one histogram that starts
+    /// as `start`, through the table and by division, and checks the two
+    /// after each: the table's buckets, count, max and saturating sum
+    /// must add onto whatever the histogram already holds.
+    fn check_sequence(runs: &LatencyRuns, start: &Histogram, admissions: &[(u64, u64)]) {
+        let (cap, service) = (runs.cap(), runs.service_ms);
+        let mut fast = start.clone();
+        let mut divided = start.clone();
+        for (k, &(backlog, accepted)) in admissions.iter().enumerate() {
+            record_latencies(&mut fast, runs, backlog, accepted);
+            record_by_division(&mut divided, backlog, accepted, cap, service);
+            assert_eq!(
+                fast, divided,
+                "admission {k}: b={backlog} a={accepted} c={cap} s={service}"
+            );
+        }
+    }
+
+    /// Checks a table against division: each bucket's run holds exactly
+    /// the positions whose latencies land in the bucket (none for a
+    /// skipped bucket), the counts sum to the positions the table covers,
+    /// and each prefix entry is the running total of the runs' recorded
+    /// sums, `first * (count - 1) + last`.
+    fn check_table(runs: &LatencyRuns) {
+        let (cap, service) = (runs.cap(), runs.service_ms);
+        let lat = |pos: u64| service + pos * 1000 / cap;
+        let (mut start, mut prefix) = (0u64, 0u64);
+        for (i, end) in runs.ends.iter().enumerate() {
+            let (bucket, tag) = (runs.first + i, format!("c={cap} s={service} bucket {i}"));
+            assert_eq!(start + end.count, end.pos + 1, "{tag}");
+            if end.count > 0 {
+                assert_eq!(Histogram::bucket_index(lat(start)), bucket, "{tag}");
+                assert_eq!(Histogram::bucket_index(lat(end.pos)), bucket, "{tag}");
+                prefix += lat(start) * (end.count - 1) + lat(end.pos);
+            }
+            assert!(Histogram::bucket_index(lat(end.pos + 1)) > bucket, "{tag}");
+            assert_eq!(
+                (end.lat, end.next_lat),
+                (lat(end.pos), lat(end.pos + 1)),
+                "{tag}"
+            );
+            assert_eq!(end.prefix, prefix, "{tag}");
+            start = end.pos + 1;
+        }
+        let counted: u64 = runs.ends.iter().map(|end| end.count).sum();
+        assert_eq!(
+            counted, start,
+            "c={cap} s={service}: counts cover every position"
+        );
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(192))]
 
@@ -726,6 +823,69 @@ mod tests {
             let backlog = backlog_raw % admissible;
             let accepted = 1 + accepted_raw % (admissible - backlog).min(100_000);
             check_against_naive(&runs, backlog, accepted);
+        }
+
+        #[test]
+        fn a_sequence_of_admissions_matches_division(
+            cap_kind in 0u64..4,
+            cap_raw in 0u64..u64::MAX,
+            service in 0u64..300,
+            backlog_scale in proptest::prop::sample::select(SCALES.to_vec()),
+            accepted_scale in proptest::prop::sample::select(SCALES.to_vec()),
+            draws in proptest::prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 1..8),
+            slack in proptest::prop::sample::select(vec![0u64, 1, 999, 5_000]),
+        ) {
+            let cap = capacity(cap_kind, cap_raw);
+            let admissions: Vec<(u64, u64)> = draws
+                .iter()
+                .map(|&(b, a)| (b % backlog_scale, 1 + a % (accepted_scale - 1)))
+                .collect();
+            let last = admissions.iter().map(|&(b, a)| b + a - 1).max().unwrap();
+            let runs = LatencyRuns::new(cap, service, limit_admitting(last, cap, slack));
+            // A histogram that already holds samples, in buckets the
+            // admissions reach and past them.
+            let mut held = Histogram::new();
+            for sample in [service, service + 37, 5_000, 70_000] {
+                held.record(sample);
+            }
+            check_sequence(&runs, &held, &admissions);
+            // A sum a few latencies short of u64::MAX, which most
+            // sequences saturate part-way through.
+            let mut full = Histogram::new();
+            full.record(u64::MAX - 3 * service - 1_000);
+            check_sequence(&runs, &full, &admissions);
+        }
+
+        #[test]
+        fn a_table_counts_and_sums_its_runs(
+            cap_kind in 0u64..4,
+            cap_raw in 0u64..u64::MAX,
+            service in 0u64..300,
+            limit in proptest::prop::sample::select(vec![1u64, 1_000, 4_000, 8_000, 100_000]),
+        ) {
+            check_table(&LatencyRuns::new(capacity(cap_kind, cap_raw), service, limit));
+        }
+    }
+
+    #[test]
+    fn low_capacities_skip_buckets_with_a_count_of_zero() {
+        // 50 ms per position from 20 ms: 20, 70, 120, ... jumps from
+        // the 16..31 bucket straight to the 64..127 one.
+        let runs = LatencyRuns::new(20, 20, 4_000);
+        check_table(&runs);
+        let counts: Vec<u64> = runs.ends.iter().map(|end| end.count).collect();
+        assert_eq!(counts[..3], [1, 0, 2], "buckets 16.., 32.., 64..");
+        // One position a second from 0 ms: position 0 fills bucket 0
+        // and position 1 the 512..1023 bucket, so the eight between
+        // hold none.
+        let runs = LatencyRuns::new(1, 0, 2_048_000);
+        check_table(&runs);
+        let counts: Vec<u64> = runs.ends.iter().map(|end| end.count).collect();
+        assert_eq!(counts[..10], [1, 0, 0, 0, 0, 0, 0, 0, 0, 1]);
+        for cap in 1..64 {
+            for service in [0, 1, 20, 255] {
+                check_table(&LatencyRuns::new(cap, service, 4_000));
+            }
         }
     }
 

@@ -50,22 +50,29 @@ impl Histogram {
         self.max = self.max.max(sample);
     }
 
-    /// Records a run of `n >= 1` samples sharing one bucket: `n - 1`
-    /// copies of `first`, then one `last >= first`. Leaves exactly the
-    /// state of `record_n(first, n - 1)` followed by `record(last)` in
-    /// one bucket update, which is what makes the fleet simulator's
-    /// per-run recording cheap.
-    pub fn record_run(&mut self, first: u64, n: u64, last: u64) {
-        debug_assert!(n >= 1 && first <= last, "run of {n}: {first}..{last}");
-        debug_assert_eq!(Self::bucket_index(first), Self::bucket_index(last));
-        self.buckets[Self::bucket_index(last)] += n;
+    /// Records a non-empty batch of samples already counted per bucket,
+    /// in one update of the count, sum and maximum: `counts` yields
+    /// `(bucket index, samples in it)` pairs, `total` is the batch's
+    /// exact sum and `max` its largest sample. Leaves exactly the state
+    /// that recording each sample in turn would: the sum saturates once
+    /// instead of term by term, which is the same because no term is
+    /// negative. The fleet simulator records each admission's latencies
+    /// this way, however many buckets they cross.
+    #[inline]
+    pub fn record_batch(
+        &mut self,
+        counts: impl IntoIterator<Item = (usize, u64)>,
+        total: u128,
+        max: u64,
+    ) {
+        let mut n = 0;
+        counts.into_iter().for_each(|(index, k)| {
+            self.buckets[index] += k;
+            n += k;
+        });
         self.count += n;
-        // Saturating addition of non-negative terms is associative, so
-        // adding the run's total equals adding its two parts in turn.
-        self.sum = self
-            .sum
-            .saturating_add(first.saturating_mul(n - 1).saturating_add(last));
-        self.max = self.max.max(last);
+        self.sum = (u128::from(self.sum) + total).min(u128::from(u64::MAX)) as u64;
+        self.max = self.max.max(max);
     }
 
     /// Inclusive upper bound of the bucket that `sample` lands in
@@ -361,8 +368,8 @@ mod tests {
     }
 
     #[test]
-    fn record_run_matches_record_n_then_record() {
-        let mut fused = Histogram::new();
+    fn record_batch_matches_record_n_then_record() {
+        let mut batched = Histogram::new();
         let mut split = Histogram::new();
         for (first, n, last) in [
             (20u64, 1u64, 20u64),
@@ -372,12 +379,30 @@ mod tests {
             (u64::MAX / 3, 5, u64::MAX / 2),
             (1 << 62, 3, (1 << 63) - 1),
         ] {
-            fused.record_run(first, n, last);
+            let total = u128::from(first) * u128::from(n - 1) + u128::from(last);
+            batched.record_batch([(Histogram::bucket_index(last), n)], total, last);
             split.record_n(first, n - 1);
             split.record(last);
-            assert_eq!(fused, split, "run of {n}: {first}..{last}");
+            assert_eq!(batched, split, "run of {n}: {first}..{last}");
         }
-        assert_eq!(fused.sum(), u64::MAX, "the sum saturated along the way");
+        assert_eq!(batched.sum(), u64::MAX, "the sum saturated along the way");
+    }
+
+    #[test]
+    fn record_batch_spans_buckets_like_single_records() {
+        let samples = [3u64, 3, 5, 9, 9, 9, 40, 1 << 20];
+        let mut one_by_one = Histogram::new();
+        for s in [7u64, 100] {
+            one_by_one.record(s);
+        }
+        let mut batched = one_by_one.clone();
+        for s in samples {
+            one_by_one.record(s);
+        }
+        let counts = [(1, 2), (2, 1), (3, 3), (5, 1), (20, 1)];
+        let total = samples.iter().map(|&s| u128::from(s)).sum();
+        batched.record_batch(counts, total, 1 << 20);
+        assert_eq!(batched, one_by_one);
     }
 
     #[test]
