@@ -424,17 +424,17 @@ impl LatencyRuns {
         for (i, end) in self.ends.iter_mut().enumerate() {
             let upper = Histogram::index_upper(self.first + i);
             let pos = max_pos_within(upper - service_ms, cap);
-            let count = pos + 1 - start;
+            let (count, last_lat) = (pos + 1 - start, lat(pos));
             if count > 0 {
                 prefix = start_lat
                     .checked_mul(count - 1)
-                    .and_then(|t| t.checked_add(lat(pos)))
+                    .and_then(|t| t.checked_add(last_lat))
                     .and_then(|t| t.checked_add(prefix))
                     .expect("latency total of the admissible positions overflows u64");
             }
             *end = RunEnd {
                 pos,
-                lat: lat(pos),
+                lat: last_lat,
                 next_lat: lat(pos + 1),
                 count,
                 prefix,
