@@ -496,7 +496,7 @@ pub(crate) fn record_latencies(
     let tail = Histogram::bucket_index(last_lat);
     if head == tail {
         let total = run_total(lat, accepted, last_lat);
-        hist.record_batch([(head, accepted)], total, last_lat);
+        hist.record_batch(head, [accepted], total, last_lat);
         return;
     }
     // Table entries of the head's bucket and of the one before the tail's.
@@ -507,13 +507,9 @@ pub(crate) fn record_latencies(
     let total = run_total(lat, head_n, head_end.lat)
         + u128::from(tail_start.prefix - head_end.prefix)
         + run_total(tail_start.next_lat, tail_n, last_lat);
-    let middle = (head + 1..)
-        .zip(&runs.ends[h + 1..=t])
-        .map(|(b, end)| (b, end.count));
-    let counts = iter::once((head, head_n))
-        .chain(middle)
-        .chain(iter::once((tail, tail_n)));
-    hist.record_batch(counts, total, last_lat);
+    let middle = runs.ends[h + 1..=t].iter().map(|end| end.count);
+    let counts = iter::once(head_n).chain(middle).chain(iter::once(tail_n));
+    hist.record_batch(head, counts, total, last_lat);
 }
 
 /// Runs one fleet simulation to completion in the plain
