@@ -51,13 +51,13 @@ impl Histogram {
     }
 
     /// Records a non-empty batch of samples already counted per bucket,
-    /// in one update of the count, sum and maximum: the `i`-th of
-    /// `counts` samples land in bucket `first + i`, `total` is the
-    /// batch's exact sum and `max` its largest sample. Leaves exactly
-    /// the state that recording each sample in turn would: the sum
-    /// saturates once instead of term by term, which is the same
-    /// because no term is negative. The fleet simulator records each
-    /// admission's latencies this way, however many buckets they cross.
+    /// in one update of the count, sum and maximum: the `i`-th count
+    /// goes to bucket `first + i`, `total` is the batch's exact sum and
+    /// `max` its largest sample. Leaves exactly the state that recording
+    /// each sample in turn would: the sum saturates once instead of term
+    /// by term, which is the same because no term is negative. The fleet
+    /// simulator records each admission's latencies this way, however
+    /// many buckets they cross.
     #[inline]
     pub fn record_batch(
         &mut self,
